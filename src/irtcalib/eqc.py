@@ -24,7 +24,7 @@ from scipy import optimize
 from .errors import ConfigurationError, FeasibilityWarning, NumericalError, ParameterError
 from .items import ItemPool, PoolConfig, build_pool
 from .latent import LatentSpec, sample_latent
-from .psychometrics import METRIC_AVG_INFO, ScaleInterval, test_information
+from .psychometrics import METRIC_AVG_INFO, ScaleInterval, reliability_from_information, test_information
 from .rng import child_seed, stream
 
 DEFAULT_INTERVAL = ScaleInterval(0.3, 3.0)
@@ -160,8 +160,8 @@ class _FrozenObjective:
 
     def rho(self, c: float) -> float:
         self.evaluations += 1
-        j_bar = float(np.mean(test_information(self.theta, self.pool, c)))
-        value = self.sigma2 * j_bar / (self.sigma2 * j_bar + 1.0)
+        info = test_information(self.theta, self.pool, c)
+        value = reliability_from_information(info, self.sigma2, c).rho_tilde
         if not np.isfinite(value):
             raise NumericalError(f"empirical reliability is non-finite at c={c}")
         return value

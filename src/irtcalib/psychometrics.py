@@ -160,6 +160,30 @@ class ReliabilitySummary:
     underflow: bool = False
 
 
+def reliability_from_information(info, sigma2: float, c: float) -> ReliabilitySummary:
+    """Both reliability metrics from per-person test information at scale ``c``.
+
+    The one home of the two variance-ratio transforms and the ``INFO_FLOOR``
+    rule: every reliability the package reports is computed here.
+    """
+    info = np.asarray(info, dtype=float)
+    j_bar = float(np.mean(info))
+    underflow = bool(np.any(info < INFO_FLOOR))
+    msem = float("inf") if underflow else float(np.mean(1.0 / info))
+    w_bar = sigma2 / (sigma2 + msem) if np.isfinite(msem) else 0.0
+    top = sigma2 * j_bar
+    return ReliabilitySummary(
+        c=float(c),
+        j_bar=j_bar,
+        msem=msem,
+        rho_tilde=top / (top + 1.0),
+        w_bar=float(w_bar),
+        sigma2_theta=float(sigma2),
+        m_points=int(info.size),
+        underflow=underflow,
+    )
+
+
 def reliability_summary(
     theta_sample, pool: ItemPool, c: float, sigma2: float | None = None
 ) -> ReliabilitySummary:
@@ -169,31 +193,17 @@ def reliability_summary(
     sample; pass 1.0 to use the theoretical variance of a standardized
     latent distribution instead.
     """
+    return _summary_and_info(theta_sample, pool, c, sigma2)[0]
+
+
+def _summary_and_info(theta_sample, pool: ItemPool, c: float, sigma2: float | None):
     theta = np.asarray(getattr(theta_sample, "theta", theta_sample), dtype=float)
     if theta.size == 0:
         raise EmptyRequestError("theta sample must be nonempty")
     if sigma2 is None:
         sigma2 = float(np.var(theta, ddof=1)) if theta.size > 1 else 0.0
     info = _test_info_values(theta, pool, float(c))
-    j_bar = float(np.mean(info))
-    underflow = bool(np.any(info < INFO_FLOOR))
-    if underflow:
-        msem = float("inf")
-        w_bar = 0.0
-    else:
-        msem = float(np.mean(1.0 / info))
-        w_bar = sigma2 / (sigma2 + msem) if np.isfinite(msem) else 0.0
-    rho_tilde = sigma2 * j_bar / (sigma2 * j_bar + 1.0)
-    return ReliabilitySummary(
-        c=float(c),
-        j_bar=j_bar,
-        msem=msem,
-        rho_tilde=rho_tilde,
-        w_bar=float(w_bar),
-        sigma2_theta=float(sigma2),
-        m_points=int(theta.size),
-        underflow=underflow,
-    )
+    return reliability_from_information(info, sigma2, c), info
 
 
 def metric_value(summary: ReliabilitySummary, metric: str) -> float:
@@ -212,8 +222,7 @@ def analytic_ceiling(pool: ItemPool, sigma2: float, c: float) -> float:
     bound dominates ``rho_tilde`` for every latent distribution.
     """
     s2sum = float(np.sum(pool.lambda0**2))
-    top = sigma2 * (c**2 * s2sum / 4.0)
-    return top / (top + 1.0)
+    return reliability_from_information(c**2 * s2sum / 4.0, sigma2, c).rho_tilde
 
 
 def reference_ceiling(n_items: int) -> float:
@@ -226,8 +235,7 @@ def reference_ceiling(n_items: int) -> float:
     n_items = int(n_items)
     if n_items < 1:
         raise ParameterError(f"n_items must be >= 1, got {n_items}")
-    q = n_items / 4.0
-    return q / (q + 1.0)
+    return reliability_from_information(n_items / 4.0, sigma2=1.0, c=1.0).rho_tilde
 
 
 @dataclass
@@ -277,12 +285,9 @@ def jensen_gap_estimate(theta_sample, pool: ItemPool, c: float, sigma2: float | 
     the gap is governed by how unevenly information is spread across the
     sample.
     """
-    theta = np.asarray(getattr(theta_sample, "theta", theta_sample), dtype=float)
-    summary = reliability_summary(theta, pool, c, sigma2=sigma2)
-    info = _test_info_values(theta, pool, float(c))
-    mu = float(np.mean(info))
+    summary, info = _summary_and_info(theta_sample, pool, c, sigma2)
     var = float(np.var(info, ddof=1)) if info.size > 1 else 0.0
-    msem2 = 1.0 / mu + var / mu**3
+    msem2 = 1.0 / summary.j_bar + var / summary.j_bar**3
     w_bar2 = summary.sigma2_theta / (summary.sigma2_theta + msem2)
     return {
         "gap_exact": summary.rho_tilde - summary.w_bar,

@@ -2,13 +2,14 @@
 
 A study is a list of conditions (latent shape x model x item source x test
 length x sample size x target x algorithm). For each condition the harness
-calibrates the scale, generates replicate response datasets, computes the
-realized plug-in reliability of each, and writes four CSV outputs:
+calibrates the scale, draws replicate ability samples, computes the realized
+plug-in reliability of each, and writes four CSV outputs:
 ``records.csv`` (one row per replicate), ``summary_by_algorithm.csv``,
 ``summary_by_target.csv``, and ``replication_sd.csv``.
 
-Seeding: replicate datasets derive from ``(master_seed, condition_id,
-replicate)`` so individual rows can be re-run in isolation. Calibration
+Seeding: replicate ability samples derive from ``(master_seed, condition_id,
+replicate)`` through the stream :func:`simulate_responses` draws abilities
+from, so any row can be re-run in isolation as a full dataset. Calibration
 seeds derive from the *structural* factors only (shape, model, source, test
 length, target, algorithm) -- never from the sample size or condition id --
 because calibration does not consume the generated-data sample size;
@@ -18,21 +19,21 @@ matched seed for seed.
 Realized reliability is a plug-in using the true abilities and the true
 calibrated parameters, not a re-estimated quantity: it isolates exactly the
 finite-sample variability of interest without involving an external
-estimation stack.
+estimation stack; it reads no responses, so the harness draws none.
 """
 
 from __future__ import annotations
 
 import logging
-import time
 import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 
-from .eqc import STATUS_SUCCESS, EqcConfig, eqc_calibrate
+from .eqc import STATUS_SUCCESS, VALIDATION_INTERVAL, EqcConfig, eqc_calibrate
 from .errors import ConfigurationError, EmptyRequestError, InsufficientDataError, ParameterError
 from .items import ItemPool, PoolConfig
 from .latent import LatentSpec, sample_latent
@@ -40,7 +41,9 @@ from .psychometrics import (
     METRIC_AVG_INFO,
     METRIC_MSEM,
     ScaleInterval,
+    metric_value,
     prob_correct,
+    reliability_from_information,
     test_information,
 )
 from .rng import child_seed, stream
@@ -52,8 +55,6 @@ ALGORITHMS = ("eqc", "sac_info", "sac_msem")
 
 # Target windows judged attainable for each standard test length.
 ADAPTIVE_TARGET_RANGE = {15: (0.30, 0.60), 30: (0.40, 0.70), 60: (0.50, 0.80)}
-
-VALIDATION_INTERVAL = ScaleInterval(0.1, 10.0)
 
 
 @dataclass
@@ -82,6 +83,11 @@ class ResponseDataset:
                 fh.write(",".join(str(int(v)) for v in row) + "\n")
 
 
+def _draw_abilities(latent: LatentSpec, n_persons: int, seed: int) -> np.ndarray:
+    """The true abilities of the dataset seeded ``seed``."""
+    return sample_latent(latent, n_persons, rng=stream(seed, "responses/theta")).theta
+
+
 def simulate_responses(calibration, latent: LatentSpec, n_persons: int, seed: int) -> ResponseDataset:
     """Generate a calibrated dichotomous response matrix.
 
@@ -94,7 +100,7 @@ def simulate_responses(calibration, latent: LatentSpec, n_persons: int, seed: in
         raise EmptyRequestError(f"n_persons must be >= 1, got {n_persons}")
     pool: ItemPool = calibration.pool
     c_star = float(calibration.c_star)
-    theta = sample_latent(latent, n_persons, rng=stream(seed, "responses/theta")).theta
+    theta = _draw_abilities(latent, n_persons, seed)
     p = prob_correct(theta[:, None], pool.beta[None, :], (c_star * pool.lambda0)[None, :])
     u = stream(seed, "responses/bernoulli").random(p.shape)
     return ResponseDataset(
@@ -107,20 +113,17 @@ def simulate_responses(calibration, latent: LatentSpec, n_persons: int, seed: in
 
 
 def realized_reliability(dataset: ResponseDataset, metric: str = METRIC_AVG_INFO) -> float:
-    """Plug-in reliability realized by one dataset's ability sample."""
+    """Plug-in reliability realized by one dataset's ability sample.
+
+    Reads only ``theta_true``, ``pool`` and ``c_applied``; the response
+    matrix plays no part.
+    """
     theta = dataset.theta_true
     if theta.size < 2:
         raise InsufficientDataError("realized reliability needs at least 2 persons")
-    s2 = float(np.var(theta, ddof=1))
     info = test_information(theta, dataset.pool, dataset.c_applied)
-    if metric == METRIC_AVG_INFO:
-        top = s2 * float(np.mean(info))
-        return top / (top + 1.0)
-    if metric == METRIC_MSEM:
-        with np.errstate(divide="ignore"):
-            msem = float(np.mean(1.0 / info))
-        return s2 / (s2 + msem) if np.isfinite(msem) else 0.0
-    raise ParameterError(f"metric must be 'avg_info' or 'msem', got {metric!r}")
+    summary = reliability_from_information(info, float(np.var(theta, ddof=1)), dataset.c_applied)
+    return metric_value(summary, metric)
 
 
 @dataclass(frozen=True)
@@ -183,7 +186,6 @@ class ValidationRecord:
     achieved_rho_design: float
     realized_rho: float
     delta: float
-    runtime_ms: float  # measured; reported in summaries only, never in CSV output
 
 
 @dataclass(frozen=True)
@@ -274,7 +276,6 @@ class ConditionSummary:
     delta: float
     mean_realized: float
     sd_realized: float
-    runtime_ms: float
 
 
 @dataclass
@@ -314,7 +315,7 @@ def _calibrate(master_seed: int, profile: StudyProfile, condition: StudyConditio
         target_rho=condition.target_rho,
         latent=condition.latent,
         items=condition.pool_config(),
-        metric=METRIC_AVG_INFO if condition.algorithm == "sac_info" else METRIC_MSEM,
+        metric=_record_metric(condition.algorithm),
         n_iter=profile.n_iter,
         burn_in=profile.burn_in,
         m_per_iter=profile.m_per_iter,
@@ -332,39 +333,33 @@ def _record_metric(algorithm: str) -> str:
 def _run_group(args):
     """Worker: one calibration shared by all conditions in the group."""
     master_seed, profile, group = args
+    calibration, reason = _calibrate(master_seed, profile, group[0])
+    if calibration is None:
+        return [], [], [(c.condition_id, reason) for c in group]
+
     records: list[ValidationRecord] = []
     summaries: list[ConditionSummary] = []
-    skipped: list[tuple[int, str]] = []
-
-    t0 = time.perf_counter()
-    calibration, reason = _calibrate(master_seed, profile, group[0])
-    calib_ms = 1000.0 * (time.perf_counter() - t0)
-    if calibration is None:
-        return records, summaries, [(c.condition_id, reason) for c in group]
-
+    c_star = float(calibration.c_star)
     for condition in group:
         delta = calibration.achieved_rho - condition.target_rho
+        metric = _record_metric(condition.algorithm)
         n_reps = profile.replications or condition.replications
         realized = np.empty(n_reps)
-        cond_records = []
-        t1 = time.perf_counter()
         for k in range(n_reps):
             rep_seed = child_seed(master_seed, "study/replicate", condition.condition_id, k)
-            tr = time.perf_counter()
-            dataset = simulate_responses(calibration, condition.latent, condition.n_persons, rep_seed)
-            realized[k] = realized_reliability(dataset, _record_metric(condition.algorithm))
-            cond_records.append(
+            theta = _draw_abilities(condition.latent, condition.n_persons, rep_seed)
+            sample = SimpleNamespace(theta_true=theta, pool=calibration.pool, c_applied=c_star)
+            realized[k] = realized_reliability(sample, metric)
+            records.append(
                 ValidationRecord(
                     condition_id=condition.condition_id,
                     replicate=k,
-                    c_star=float(calibration.c_star),
+                    c_star=c_star,
                     achieved_rho_design=float(calibration.achieved_rho),
                     realized_rho=float(realized[k]),
                     delta=float(delta),
-                    runtime_ms=1000.0 * (time.perf_counter() - tr),
                 )
             )
-        records.extend(cond_records)
         summaries.append(
             ConditionSummary(
                 condition_id=condition.condition_id,
@@ -376,15 +371,14 @@ def _run_group(args):
                 n_persons=condition.n_persons,
                 target_rho=condition.target_rho,
                 replications=n_reps,
-                c_star=float(calibration.c_star),
+                c_star=c_star,
                 achieved_rho_design=float(calibration.achieved_rho),
                 delta=float(delta),
                 mean_realized=float(np.mean(realized)),
                 sd_realized=float(np.std(realized, ddof=1)) if n_reps > 1 else float("nan"),
-                runtime_ms=calib_ms + 1000.0 * (time.perf_counter() - t1),
             )
         )
-    return records, summaries, skipped
+    return records, summaries, []
 
 
 def _write_csv(path, header: list[str], rows) -> None:

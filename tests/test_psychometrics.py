@@ -2,10 +2,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 from scipy import optimize
 
 from irtcalib import (
     EmptyRequestError,
+    ItemPool,
     LatentSpec,
     ParameterError,
     PoolConfig,
@@ -18,13 +22,15 @@ from irtcalib import (
     monotonicity_scan,
     phi,
     prob_correct,
+    realized_reliability,
     reference_ceiling,
     reliability_summary,
     sample_latent,
 )
+from irtcalib.study import ResponseDataset
 from irtcalib import test_information as total_information
 from irtcalib import test_information_dc as total_information_dc
-from irtcalib.psychometrics import _strictly_increasing
+from irtcalib.psychometrics import _strictly_increasing, metric_value
 from irtcalib.rng import stream
 
 from conftest import make_rasch_pool
@@ -183,6 +189,43 @@ def test_jensen_ordering_random_samples():
         c = float(np.exp(rng.uniform(np.log(0.2), np.log(5))))
         s = reliability_summary(theta, pool, c)
         assert s.rho_tilde >= s.w_bar - 1e-12
+
+
+theta_samples = arrays(
+    np.float64, st.integers(2, 200), elements=st.floats(-6.0, 6.0, allow_nan=False, allow_infinity=False)
+)
+scales = st.floats(0.1, 10.0)
+
+
+@st.composite
+def item_pools(draw):
+    n = draw(st.integers(1, 40))
+    beta = draw(arrays(np.float64, n, elements=st.floats(-4.0, 4.0)))
+    if draw(st.booleans()):
+        return ItemPool(model="rasch", beta=beta, lambda0=np.ones(n))
+    return ItemPool(model="twopl", beta=beta, lambda0=draw(arrays(np.float64, n, elements=st.floats(0.25, 4.0))))
+
+
+@settings(deadline=None)
+@given(theta=theta_samples, pool=item_pools(), c=scales)
+def test_jensen_ordering_property(theta, pool, c):
+    s = reliability_summary(theta, pool, c)
+    assert s.rho_tilde >= s.w_bar - 1e-15
+
+
+@settings(deadline=None)
+@given(theta=theta_samples, pool=item_pools(), c=scales)
+def test_realized_reliability_matches_summary_property(theta, pool, c):
+    dataset = ResponseDataset(
+        responses=np.zeros((theta.size, pool.n_items), dtype=np.int8),
+        theta_true=theta,
+        pool=pool,
+        c_applied=c,
+        seed=0,
+    )
+    summary = reliability_summary(theta, pool, c)
+    for metric in ("avg_info", "msem"):
+        assert realized_reliability(dataset, metric) == metric_value(summary, metric)
 
 
 def test_forced_mean_information_value():

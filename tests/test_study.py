@@ -10,6 +10,7 @@ from irtcalib import (
     InsufficientDataError,
     LatentSpec,
     PoolConfig,
+    ResponseDataset,
     ScaleInterval,
     StudyCondition,
     StudyProfile,
@@ -17,10 +18,13 @@ from irtcalib import (
     eqc_calibrate,
     make_desk_grid,
     realized_reliability,
+    reliability_summary,
     run_validation_study,
     simulate_responses,
 )
+from irtcalib import study
 from irtcalib.eqc import CalibrationResult
+from irtcalib.rng import child_seed
 
 from conftest import make_rasch_pool
 
@@ -121,6 +125,19 @@ def replace_scale(dataset, c):
     clone = copy(dataset)
     clone.c_applied = c
     return clone
+
+
+def test_realized_msem_applies_information_floor():
+    # Information between 4e-305 and 3e-304: below INFO_FLOOR, so it counts as
+    # zero and the error-variance reliability is exactly 0, as in the summary.
+    pool = make_rasch_pool([0.0])
+    theta = 700.0 + np.linspace(-1.0, 1.0, 50)
+    dataset = ResponseDataset(
+        responses=np.zeros((50, 1), dtype=np.int8), theta_true=theta, pool=pool, c_applied=1.0, seed=0
+    )
+    expected = reliability_summary(theta, pool, 1.0).w_bar
+    assert expected == 0.0
+    assert realized_reliability(dataset, "msem") == expected
 
 
 def test_realized_needs_two_persons(flagship_result):
@@ -235,6 +252,22 @@ def test_infeasible_condition_skipped_with_warning(tmp_path, caplog):
     assert summary.skipped and summary.skipped[0][0] == 0
     assert "skipped" in caplog.text
     assert summary.records == []
+
+
+@pytest.mark.parametrize("algorithm, metric", [("eqc", "avg_info"), ("sac_msem", "msem")])
+def test_replicate_regenerates_from_public_api(tmp_path, algorithm, metric):
+    # Each record's realized value is the realized reliability of the full
+    # response dataset simulate_responses builds from the replicate's seed.
+    master_seed = 9
+    (condition,) = small_conditions(algorithm=algorithm, n_persons=(60,), replications=3)
+    summary = run_validation_study([condition], tmp_path, master_seed=master_seed, profile=SMALL_PROFILE)
+    calibration, reason = study._calibrate(master_seed, SMALL_PROFILE, condition)
+    assert reason is None
+    assert len(summary.records) == 3
+    for record in summary.records:
+        seed = child_seed(master_seed, "study/replicate", condition.condition_id, record.replicate)
+        dataset = simulate_responses(calibration, condition.latent, condition.n_persons, seed)
+        assert record.realized_rho == realized_reliability(dataset, metric)
 
 
 def test_sample_size_invariance_of_calibration(tmp_path):
