@@ -19,7 +19,6 @@ from dataclasses import dataclass, field, replace
 from typing import Any, Mapping, Union
 
 import numpy as np
-from scipy import optimize
 
 from .errors import ConfigurationError, FeasibilityWarning, NumericalError, ParameterError
 from .items import ItemPool, PoolConfig, build_pool
@@ -187,6 +186,8 @@ def eqc_calibrate(config: EqcConfig) -> CalibrationResult:
     elif target >= rho_hi:
         status, c_star = STATUS_BOUNDARY_HIGH, c_hi
     else:
+        from scipy import optimize  # deferred: only a bracketed solve needs it
+
         try:
             c_star = optimize.brentq(
                 lambda c: frozen.rho(c) - target,

@@ -25,7 +25,6 @@ from importlib import resources
 from typing import Any, Mapping, Sequence
 
 import numpy as np
-from scipy import stats
 from scipy.special import ndtr, ndtri
 
 from .errors import (
@@ -219,10 +218,40 @@ def gen_difficulties(
     raise ParameterError(f"difficulty source must be 'parametric' or 'empirical_pool', got {source!r}")
 
 
+def _average_ranks(x: np.ndarray) -> np.ndarray:
+    """1-based ranks of a 1-D array, ties sharing the mean of their ranks.
+
+    The ranks are half-integers, so every step is exact and the result is
+    bit-identical to ``scipy.stats.rankdata(x, method="average")``; as there,
+    any NaN makes every rank NaN.
+    """
+    n = x.size
+    if np.isnan(x).any():
+        return np.full(n, np.nan)
+    order = np.argsort(x, kind="stable")
+    y = x[order]
+    first = np.flatnonzero(np.concatenate(([True], y[1:] != y[:-1])))
+    counts = np.diff(first, append=n)
+    ranks = np.empty(n)
+    ranks[order] = np.repeat(first + 1 + (counts - 1) / 2, counts)
+    return ranks
+
+
+def _spearman(x: np.ndarray, y: np.ndarray) -> float:
+    """Spearman rank correlation, NaN when either input is constant.
+
+    Pearson correlation of the average ranks, computed as
+    ``scipy.stats.spearmanr`` computes it, so the value is bit-identical.
+    """
+    ranked = np.column_stack((_average_ranks(x), _average_ranks(y)))
+    with np.errstate(invalid="ignore", divide="ignore"):
+        return float(np.corrcoef(ranked, rowvar=False)[1, 0])
+
+
 def rank_uniform(betas: np.ndarray) -> np.ndarray:
     """Nonparametric CDF transform: average ranks mapped to rank/(n+1)."""
     betas = np.asarray(betas, dtype=float)
-    return stats.rankdata(betas, method="average") / (betas.size + 1)
+    return _average_ranks(betas) / (betas.size + 1)
 
 
 def copula_discriminations(
@@ -407,7 +436,7 @@ def build_pool(config: PoolConfig) -> ItemPool:
 
     achieved = None
     if config.model == "twopl" and method != "fixed" and beta.size >= 2:
-        achieved = float(stats.spearmanr(beta, np.log(lam)).statistic)
+        achieved = _spearman(beta, np.log(lam))
 
     return ItemPool(
         model=config.model,

@@ -24,7 +24,6 @@ from dataclasses import dataclass, field
 from typing import Any, Mapping
 
 import numpy as np
-from scipy import stats
 
 from .errors import EmptyRequestError, ParameterError
 from .rng import stream
@@ -137,6 +136,8 @@ class LatentSample:
 
 def sample_moments(x: np.ndarray) -> dict:
     """Mean, unbiased variance, skewness, and excess kurtosis of a sample."""
+    from scipy import stats  # deferred: scipy.stats is slow to import
+
     x = np.asarray(x, dtype=float)
     return {
         "mean": float(np.mean(x)),
@@ -237,6 +238,8 @@ class DensityTable:
 
 def describe_shapes(specs: list[LatentSpec], n: int, grid_size: int = 256) -> DensityTable:
     """Sample each spec and tabulate kernel density estimates on a shared grid."""
+    from scipy import stats  # deferred: scipy.stats is slow to import
+
     if int(n) < 100:
         raise ParameterError(f"n must be >= 100 for density estimation, got {n}")
     if not specs:

@@ -76,11 +76,24 @@ class ResponseDataset:
         return int(self.responses.shape[1])
 
     def save_csv(self, path, header: bool = False) -> None:
-        with open(path, "w", encoding="utf-8", newline="") as fh:
+        """Write the matrix as CSV: ``0``/``1`` joined by ``,``, rows ended by ``\\n``.
+
+        The optional header row names the items ``item_1,...,item_I``.
+        """
+        responses = np.asarray(self.responses)
+        if ((responses != 0) & (responses != 1)).any():
+            raise ParameterError("responses must be 0 or 1 to be written as CSV")
+        # One byte per character: a digit then its separator, "," or "\n".
+        buf = np.full((self.n_persons, 2 * self.n_items), ord(","), dtype=np.uint8)
+        digits = buf[:, 0::2]
+        digits[...] = responses
+        digits += ord("0")
+        buf[:, -1] = ord("\n")
+        with open(path, "wb") as fh:
             if header:
-                fh.write(",".join(f"item_{i + 1}" for i in range(self.n_items)) + "\n")
-            for row in self.responses:
-                fh.write(",".join(str(int(v)) for v in row) + "\n")
+                names = ",".join(f"item_{i + 1}" for i in range(self.n_items))
+                fh.write(f"{names}\n".encode("utf-8"))
+            fh.write(buf)
 
 
 def _draw_abilities(latent: LatentSpec, n_persons: int, seed: int) -> np.ndarray:

@@ -1,5 +1,10 @@
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 from scipy import stats
 
 from irtcalib import (
@@ -200,3 +205,58 @@ def test_pool_dict_roundtrip():
     np.testing.assert_array_equal(clone.beta, pool.beta)
     np.testing.assert_array_equal(clone.lambda0, pool.lambda0)
     assert clone.achieved_spearman == pool.achieved_spearman
+
+
+# Few distinct values, so ties are common; signed zeros tie with each other.
+_TIE_VALUES = [-2.5, -1.0, -0.0, 0.0, 1e-300, 0.5, 3.0]
+tied_samples = st.one_of(
+    arrays(np.float64, st.integers(2, 200), elements=st.sampled_from(_TIE_VALUES)),
+    st.builds(np.full, st.integers(2, 200), st.sampled_from(_TIE_VALUES)),
+)
+
+
+@settings(deadline=None)
+@given(x=tied_samples)
+def test_rank_uniform_bit_identical_to_scipy_rankdata(x):
+    expected = stats.rankdata(x, method="average") / (x.size + 1)
+    assert rank_uniform(x).tobytes() == expected.tobytes()
+
+
+def test_rank_uniform_nan_makes_every_rank_nan():
+    x = np.array([0.5, np.nan, -1.0])
+    expected = stats.rankdata(x, method="average") / 4
+    assert np.isnan(expected).all() and np.isnan(rank_uniform(x)).all()
+
+
+@settings(deadline=None)
+@given(
+    betas=tied_samples,
+    method=st.sampled_from(["copula", "conditional", "independent"]),
+    sigma_log=st.sampled_from([0.0, 0.3]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_achieved_spearman_bit_identical_to_scipy(betas, method, sigma_log, seed):
+    cfg = PoolConfig(model="twopl", source="custom", n_items=betas.size, betas=betas,
+                     gen_method=method, discrimination=DiscriminationSpec(sigma_log=sigma_log),
+                     seed=seed)
+    try:
+        pool = build_pool(cfg)
+    except DegenerateInputError:
+        assert method == "conditional" and betas.std(ddof=1) == 0
+        return
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", stats.ConstantInputWarning)
+        expected = stats.spearmanr(pool.beta, np.log(pool.lambda0)).statistic
+    if np.isnan(expected):
+        assert np.isnan(pool.achieved_spearman)
+    else:
+        assert pool.achieved_spearman == expected
+
+
+def test_constant_difficulties_give_nan_spearman_without_warning():
+    cfg = PoolConfig(model="twopl", source="custom", n_items=5, betas=[0.7] * 5, seed=21)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        pool = build_pool(cfg)
+    assert np.isnan(pool.achieved_spearman)
+    assert np.isnan(ItemPool.from_dict(pool.to_dict()).achieved_spearman)

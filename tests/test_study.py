@@ -1,7 +1,11 @@
+import os
+import tempfile
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from irtcalib import (
     ConfigurationError,
@@ -9,6 +13,7 @@ from irtcalib import (
     EqcConfig,
     InsufficientDataError,
     LatentSpec,
+    ParameterError,
     PoolConfig,
     ResponseDataset,
     ScaleInterval,
@@ -301,3 +306,38 @@ def test_compare_rejects_mismatched_targets(flagship_result):
     other = eqc_calibrate(replace(flagship_result.config, target_rho=0.6))
     with pytest.raises(ConfigurationError):
         compare_calibrations(flagship_result, other)
+
+
+def _row_by_row_csv(responses, header):
+    """The response writer as a per-row Python loop: the byte-level reference."""
+    lines = []
+    if header:
+        lines.append(",".join(f"item_{i + 1}" for i in range(responses.shape[1])))
+    lines += [",".join(str(int(v)) for v in row) for row in responses]
+    return "".join(line + "\n" for line in lines).encode("utf-8")
+
+
+def _dataset(responses):
+    n, i = responses.shape
+    return ResponseDataset(responses=responses, theta_true=np.zeros(n),
+                           pool=make_rasch_pool(np.zeros(i)), c_applied=1.0, seed=0)
+
+
+@settings(deadline=None, max_examples=50)
+@given(n=st.integers(1, 500), i=st.integers(1, 60), header=st.booleans(), seed=st.integers(0, 2**32 - 1))
+@example(n=1, i=1, header=False, seed=0)
+@example(n=1, i=1, header=True, seed=1)
+def test_save_csv_matches_row_by_row_writer(n, i, header, seed):
+    responses = (np.random.default_rng(seed).random((n, i)) < 0.5).astype(np.int8)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "r.csv")
+        _dataset(responses).save_csv(path, header=header)
+        with open(path, "rb") as fh:
+            assert fh.read() == _row_by_row_csv(responses, header)
+
+
+def test_save_csv_rejects_non_binary_responses(tmp_path):
+    responses = np.array([[0, 1], [2, 0]], dtype=np.int8)
+    with pytest.raises(ParameterError):
+        _dataset(responses).save_csv(tmp_path / "r.csv")
+    assert not (tmp_path / "r.csv").exists()
