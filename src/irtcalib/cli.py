@@ -226,9 +226,11 @@ def cmd_calibrate(args) -> int:
         seed=args.seed,
     )
 
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        eqc_result = eqc_calibrate(eqc_cfg)
+    eqc_result = None  # solved only when read: EQC itself, or SAC's EQC warm start
+    if args.algorithm == "eqc" or args.warm_start == "eqc":
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            eqc_result = eqc_calibrate(eqc_cfg)
 
     if args.algorithm == "eqc":
         result = eqc_result
@@ -247,7 +249,7 @@ def cmd_calibrate(args) -> int:
             burn_in=args.burn_in if args.burn_in is not None else args.n_iter // 2,
             m_per_iter=args.m_per_iter,
             interval=interval,
-            c_init=(eqc_result if args.warm_start == "eqc" else None),
+            c_init=eqc_result,
             seed=rng.child_seed(args.seed, "cli/sac"),
         )
         result = sac_calibrate(sac_cfg)

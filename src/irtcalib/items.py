@@ -60,7 +60,7 @@ class DiscriminationSpec:
 
 @dataclass
 class ItemPool:
-    """A realized set of item parameters: difficulties and baseline discriminations."""
+    """Realized difficulties and discriminations; ``achieved_spearman`` is computed from them."""
 
     model: str
     beta: np.ndarray
@@ -69,7 +69,6 @@ class ItemPool:
     gen_method: str = "fixed"
     seed: int | None = None
     target_spearman: float | None = None
-    achieved_spearman: float | None = None
 
     def __post_init__(self):
         self.beta = np.asarray(self.beta, dtype=float)
@@ -90,6 +89,13 @@ class ItemPool:
     @property
     def n_items(self) -> int:
         return int(self.beta.size)
+
+    @property
+    def achieved_spearman(self) -> float | None:
+        """Spearman(beta, log lambda0) of a generated 2PL pool of at least 2 items, else None."""
+        if self.model != "twopl" or self.gen_method == "fixed" or self.n_items < 2:
+            return None
+        return _spearman(self.beta, np.log(self.lambda0))
 
     def to_dict(self) -> dict:
         return {
@@ -113,7 +119,6 @@ class ItemPool:
             gen_method=d.get("gen_method", "fixed"),
             seed=d.get("seed"),
             target_spearman=d.get("target_spearman"),
-            achieved_spearman=d.get("achieved_spearman"),
         )
 
 
@@ -434,10 +439,6 @@ def build_pool(config: PoolConfig) -> ItemPool:
     else:
         lam = independent_discriminations(beta.size, config.discrimination, rng=rng)
 
-    achieved = None
-    if config.model == "twopl" and method != "fixed" and beta.size >= 2:
-        achieved = _spearman(beta, np.log(lam))
-
     return ItemPool(
         model=config.model,
         beta=beta,
@@ -446,5 +447,4 @@ def build_pool(config: PoolConfig) -> ItemPool:
         gen_method=method,
         seed=config.seed,
         target_spearman=(config.discrimination.rho if method in ("copula", "conditional") else None),
-        achieved_spearman=achieved,
     )

@@ -41,12 +41,15 @@ def _check_seed(seed: int) -> int:
     return seed
 
 
-def stream(seed: int, tag: str, *indices: int) -> np.random.Generator:
-    """Return the generator for stream identity ``(seed, tag, *indices)``."""
+def _seed_sequence(seed: int, tag: str, indices) -> np.random.SeedSequence:
     seed = _check_seed(seed)
     key = (_tag_code(tag),) + tuple(int(i) for i in indices)
-    seq = np.random.SeedSequence(entropy=seed, spawn_key=key)
-    return np.random.Generator(np.random.Philox(seq))
+    return np.random.SeedSequence(entropy=seed, spawn_key=key)
+
+
+def stream(seed: int, tag: str, *indices: int) -> np.random.Generator:
+    """Return the generator for stream identity ``(seed, tag, *indices)``."""
+    return np.random.Generator(np.random.Philox(_seed_sequence(seed, tag, indices)))
 
 
 def child_seed(seed: int, tag: str, *indices: int) -> int:
@@ -55,7 +58,4 @@ def child_seed(seed: int, tag: str, *indices: int) -> int:
     Used where a sub-configuration carries its own ``seed`` field (pool
     generation inside a calibration, per-replicate dataset seeds, ...).
     """
-    seed = _check_seed(seed)
-    key = (_tag_code(tag),) + tuple(int(i) for i in indices)
-    seq = np.random.SeedSequence(entropy=seed, spawn_key=key)
-    return int(seq.generate_state(1, np.uint64)[0])
+    return int(_seed_sequence(seed, tag, indices).generate_state(1, np.uint64)[0])

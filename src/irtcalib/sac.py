@@ -1,11 +1,11 @@
 """Stochastic scale calibration by projected Robbins-Monro iteration.
 
-Each iteration draws a fresh latent batch (and, by default, a fresh pool
-realization), measures the reliability of the current scale on it, and moves
-the scale against the signed error with a decaying step; the reported scale
-is the average of the post-burn-in iterates. Unlike the quadrature method
-this integrates over all generation randomness and can target the
-error-variance metric directly.
+Each iteration draws a fresh latent batch and a fresh pool realization
+(unless ``items`` is a fixed :class:`ItemPool`), measures the reliability of
+the current scale on it, and moves the scale against the signed error with a
+decaying step; the reported scale is the average of the post-burn-in iterates.
+Unlike the quadrature method this integrates over all generation randomness
+and can target the error-variance metric directly.
 
 The reported ``achieved_rho`` comes from an independent evaluation stream:
 ``eval_m / m_per_iter`` blocks, each shaped exactly like an iteration batch,
@@ -54,7 +54,6 @@ class SacConfig:
     m_per_iter: int = 1000
     interval: ScaleInterval = field(default_factory=lambda: ScaleInterval(0.3, 3.0))
     c_init: Any = None  # float, a calibration result (warm start), or None for the midpoint
-    redraw_items: bool = True
     eval_m: int | None = None  # None -> 10 * m_per_iter
     seed: int = 0
 
@@ -147,7 +146,7 @@ class SacResult:
             "eval_m": self.eval_m,
             "clamp_fraction": self.clamp_fraction,
             "c_init": cfg.resolved_c_init(),
-            "redraw_items": cfg.redraw_items,
+            "redraw_items": True,
             "seed": cfg.seed,
             "bracket": {"c_lower": cfg.interval.c_lower, "c_upper": cfg.interval.c_upper},
             "latent": cfg.latent.to_dict(),
@@ -158,6 +157,9 @@ class SacResult:
     def from_dict(d: Mapping[str, Any]) -> "SacResult":
         if d.get("result_type") != "sac":
             raise ConfigurationError(f"expected a sac result document, got {d.get('result_type')!r}")
+        if not d["redraw_items"]:
+            raise ConfigurationError(
+                "a sac result run on a frozen pool (redraw_items false) cannot be reproduced")
         pool = ItemPool.from_dict(d["pool"])
         cfg = SacConfig(
             target_rho=float(d["target_rho"]),
@@ -172,7 +174,6 @@ class SacResult:
             m_per_iter=int(d["m_per_iter"]),
             interval=ScaleInterval(float(d["bracket"]["c_lower"]), float(d["bracket"]["c_upper"])),
             c_init=float(d["c_init"]),
-            redraw_items=bool(d["redraw_items"]),
             eval_m=int(d["eval_m"]),
             seed=int(d["seed"]),
         )
@@ -219,16 +220,18 @@ def _iterate(
     return trace_c, trace_rho, clamps
 
 
-def _frozen_pool(config: SacConfig) -> ItemPool:
+def _pool(config: SacConfig, tag: str, n: int) -> ItemPool:
     if isinstance(config.items, ItemPool):
         return config.items
-    return build_pool(replace(config.items, seed=child_seed(config.seed, "sac/pool", 0)))
-
-
-def _pool_for_iteration(config: SacConfig, frozen: ItemPool, tag: str, n: int) -> ItemPool:
-    if not config.redraw_items or isinstance(config.items, ItemPool):
-        return frozen
     return build_pool(replace(config.items, seed=child_seed(config.seed, tag, n)))
+
+
+def _batch(config: SacConfig, rng: np.random.Generator, tag: str, n: int, c: float):
+    """Draw ``m_per_iter`` abilities from ``rng`` and summarise them at scale ``c`` on
+    pool ``(tag, n)``; returns ``(summary, pool)``."""
+    theta = sample_latent(config.latent, config.m_per_iter, rng=rng).theta
+    pool = _pool(config, tag, n)
+    return reliability_summary(theta, pool, c), pool
 
 
 def sac_calibrate(config: SacConfig) -> SacResult:
@@ -239,13 +242,10 @@ def sac_calibrate(config: SacConfig) -> SacResult:
     large but finite error variances are propagated as ordinary noise.
     """
     c0 = config.resolved_c_init()
-    frozen = _frozen_pool(config)
     theta_rng = stream(config.seed, "sac/theta")
 
     def rho_of(n: int, c: float) -> float:
-        theta = sample_latent(config.latent, config.m_per_iter, rng=theta_rng).theta
-        pool = _pool_for_iteration(config, frozen, "sac/pool", n)
-        summary = reliability_summary(theta, pool, c)
+        summary, _ = _batch(config, theta_rng, "sac/pool", n, c)
         if config.metric != METRIC_AVG_INFO and summary.underflow:
             raise DivergedObjectiveError(
                 f"error-variance objective diverged at iteration {n} (c={c}): "
@@ -259,13 +259,8 @@ def sac_calibrate(config: SacConfig) -> SacResult:
     # Independent evaluation: blocks shaped like iteration batches, fresh streams.
     eval_rng = stream(config.seed, "sac/eval")
     n_blocks = max(1, config.resolved_eval_m() // config.m_per_iter)
-    block_values = []
-    for b in range(n_blocks):
-        theta = sample_latent(config.latent, config.m_per_iter, rng=eval_rng).theta
-        pool = _pool_for_iteration(config, frozen, "sac/eval-pool", b)
-        block_values.append(metric_value(reliability_summary(theta, pool, c_star), config.metric))
-    achieved = float(np.mean(block_values))
-    eval_pool = _pool_for_iteration(config, frozen, "sac/eval-pool", 0)
+    blocks = [_batch(config, eval_rng, "sac/eval-pool", b, c_star) for b in range(n_blocks)]
+    achieved = float(np.mean([metric_value(summary, config.metric) for summary, _ in blocks]))
 
     clamp_fraction = clamps / config.n_iter
     status = STATUS_BOUNDARY_CHATTER if clamp_fraction > _BOUNDARY_CHATTER_FRACTION else STATUS_OK
@@ -278,7 +273,7 @@ def sac_calibrate(config: SacConfig) -> SacResult:
         metric=config.metric,
         status=status,
         clamp_fraction=clamp_fraction,
-        pool=eval_pool,
+        pool=blocks[0][1],
         config=config,
     )
 

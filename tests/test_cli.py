@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from irtcalib import cli
 from irtcalib.cli import main
 from irtcalib.eqc import CalibrationResult
 
@@ -81,6 +82,24 @@ def test_calibrate_sac_algorithm(tmp_path, capsys):
     doc = json.loads(path.read_text())
     assert doc["result_type"] == "sac"
     assert "Iterations" in capsys.readouterr().out
+
+
+def test_calibrate_sac_midpoint_skips_eqc_solve(tmp_path, monkeypatch):
+    def unread_solve(config):
+        raise AssertionError("a midpoint warm start must not run the EQC solve")
+
+    monkeypatch.setattr(cli, "eqc_calibrate", unread_solve)
+    path = tmp_path / "sac.json"
+    argv = ["calibrate", "--target", "0.6", "--items", "15", "--model", "rasch",
+            "--algorithm", "sac", "--warm-start", "midpoint", "--n-iter", "40",
+            "--m-per-iter", "100", "--c-lower", "0.1", "--c-upper", "10", "--seed", "3"]
+    assert run(argv + ["--out", str(path)]) == 0
+    doc = json.loads(path.read_text())
+    assert doc["result_type"] == "sac"
+    assert doc["c_init"] == pytest.approx(5.05)
+    # The EQC flags are still validated although the solve is skipped.
+    assert run(argv + ["--m", "50"]) == 2
+    assert run(argv + ["--tolerance", "0"]) == 2
 
 
 def test_calibrate_eqc_msem_rejected(capsys):

@@ -1,8 +1,9 @@
+import json
 import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy import stats
@@ -260,3 +261,33 @@ def test_constant_difficulties_give_nan_spearman_without_warning():
         pool = build_pool(cfg)
     assert np.isnan(pool.achieved_spearman)
     assert np.isnan(ItemPool.from_dict(pool.to_dict()).achieved_spearman)
+
+
+# Every legal (model, gen_method) pair; "fixed" 2PL pools carry explicit lambdas.
+_MODEL_METHODS = [("rasch", "fixed"), ("twopl", "copula"), ("twopl", "conditional"),
+                  ("twopl", "independent"), ("twopl", "fixed")]
+
+
+@settings(deadline=None)
+@given(
+    model_method=st.sampled_from(_MODEL_METHODS),
+    source=st.sampled_from(["parametric", "empirical_pool", "custom"]),
+    n_items=st.integers(1, 40),
+    constant=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_built_pool_roundtrips_through_json(model_method, source, n_items, constant, seed):
+    model, method = model_method
+    draws = np.random.default_rng(seed)
+    betas = np.full(n_items, 0.7) if constant else draws.normal(size=n_items)
+    lambdas = draws.lognormal(0.0, 0.3, n_items) if (model, method) == ("twopl", "fixed") else None
+    cfg = PoolConfig(model=model, source=source, n_items=n_items, gen_method=method,
+                     betas=betas if source == "custom" else None, lambdas=lambdas, seed=seed)
+    try:
+        pool = build_pool(cfg)
+    except (InsufficientDataError, DegenerateInputError):
+        reject()
+    doc = pool.to_dict()
+    clone = ItemPool.from_dict(json.loads(json.dumps(doc))).to_dict()
+    # json.dumps compares floats by repr, so NaN matches NaN and -0.0 differs from 0.0.
+    assert json.dumps(clone) == json.dumps(doc)

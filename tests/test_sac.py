@@ -19,6 +19,8 @@ from irtcalib import (
     sac_deviation_study,
     step_size,
 )
+from irtcalib import sac
+from irtcalib.items import build_pool
 from irtcalib.sac import _iterate
 from irtcalib.rng import child_seed
 
@@ -261,3 +263,40 @@ def test_result_roundtrip_and_trace_csv(tmp_path):
     lines = path.read_text().splitlines()
     assert lines[0] == "n,c_n,rho_hat_n"
     assert len(lines) == 41
+
+
+def _small_twopl_run(**changes):
+    return sac_calibrate(replace(BASE, items=PoolConfig(model="twopl", n_items=12), n_iter=30,
+                                 burn_in=15, m_per_iter=100, **changes))
+
+
+def test_twopl_result_roundtrip():
+    doc = json.loads(json.dumps(_small_twopl_run().to_dict()))
+    assert doc["redraw_items"] is True
+    assert SacResult.from_dict(doc).to_dict() == doc
+
+
+def test_frozen_pool_document_rejected():
+    doc = _small_twopl_run().to_dict()
+    doc["redraw_items"] = False
+    with pytest.raises(ConfigurationError, match="redraw_items"):
+        SacResult.from_dict(doc)
+
+
+def test_builds_one_pool_per_iteration_and_evaluation_block(monkeypatch):
+    built = []
+
+    def counting_build_pool(config):
+        built.append(config.seed)
+        return build_pool(config)
+
+    monkeypatch.setattr(sac, "build_pool", counting_build_pool)
+    result = _small_twopl_run(eval_m=350)  # 350 // 100 = 3 evaluation blocks
+    assert len(built) == 30 + 3
+    cfg = result.config
+    expected = build_pool(replace(cfg.items, seed=child_seed(cfg.seed, "sac/eval-pool", 0)))
+    assert result.pool.to_dict() == expected.to_dict()
+
+    built.clear()
+    sac_calibrate(replace(cfg, items=result.pool))
+    assert built == []
