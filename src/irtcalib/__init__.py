@@ -76,6 +76,7 @@ from .study import (
     ValidationRecord,
     compare_calibrations,
     make_desk_grid,
+    make_grid,
     realized_reliability,
     run_validation_study,
     simulate_responses,

@@ -33,6 +33,7 @@ from .eqc import (
     STATUS_SUCCESS,
     eqc_calibrate,
     feasibility_report,
+    infeasible_message,
 )
 from .errors import (
     ConfigurationError,
@@ -50,6 +51,7 @@ from .study import (
     FULL_PROFILE,
     StudyCondition,
     compare_calibrations,
+    make_grid,
     run_validation_study,
     simulate_responses,
 )
@@ -238,7 +240,7 @@ def cmd_calibrate(args) -> int:
     else:
         if args.warm_start == "eqc" and eqc_result.status != STATUS_SUCCESS:
             _print_eqc_summary(eqc_result)
-            print(_infeasible_message(eqc_result), file=sys.stderr)
+            print(infeasible_message(eqc_result), file=sys.stderr)
             return EXIT_INFEASIBLE
         sac_cfg = SacConfig(
             target_rho=args.target,
@@ -262,20 +264,9 @@ def cmd_calibrate(args) -> int:
         print(f"result written to {args.out}")
 
     if getattr(result, "status", STATUS_SUCCESS) in ("boundary_low", "boundary_high"):
-        print(_infeasible_message(result), file=sys.stderr)
+        print(infeasible_message(result), file=sys.stderr)
         return EXIT_INFEASIBLE
     return EXIT_OK
-
-
-def _infeasible_message(result: CalibrationResult) -> str:
-    cfg = result.config
-    return (
-        f"infeasible target: {cfg.target_rho} lies outside the attainable bracket "
-        f"[{_fmt(result.rho_lower)}, {_fmt(result.rho_upper)}] for c in "
-        f"[{cfg.interval.c_lower}, {cfg.interval.c_upper}]; the boundary solution "
-        f"c = {result.c_star} was returned. Adjust the target, the test length, "
-        "or widen the calibration interval."
-    )
 
 
 # ----------------------------------------------------------------------------
@@ -387,33 +378,16 @@ def _conditions_from_config(cfg: dict) -> list[StudyCondition]:
             raise _config_error(f"shapes[{i}]", f"unknown keys {sorted(extra)}")
         shapes.append(LatentSpec.from_dict(s))
     targets = {int(k): float(v) for k, v in cfg["targets"].items()}
-    conditions = []
-    cid = 0
-    for algorithm in cfg.get("algorithms", ["eqc"]):
-        for latent in shapes:
-            for model in cfg["models"]:
-                for source in cfg["item_sources"]:
-                    for n_items in cfg["test_lengths"]:
-                        if n_items not in targets:
-                            raise _config_error("targets", f"no target given for test length {n_items}")
-                        for n_persons in cfg["n_persons"]:
-                            conditions.append(
-                                StudyCondition(
-                                    condition_id=cid,
-                                    latent=latent,
-                                    model=model,
-                                    item_source=source,
-                                    n_items=int(n_items),
-                                    n_persons=int(n_persons),
-                                    target_rho=targets[n_items],
-                                    algorithm=algorithm,
-                                    replications=int(cfg.get("replications", 200)),
-                                    pool_path=cfg.get("pool_file"),
-                                    allow_any_target=bool(cfg.get("allow_any_target", False)),
-                                )
-                            )
-                            cid += 1
-    return conditions
+    for n_items in cfg["test_lengths"]:
+        if n_items not in targets:
+            raise _config_error("targets", f"no target given for test length {n_items}")
+    return make_grid(
+        shapes, cfg["models"], cfg["item_sources"], cfg["test_lengths"], cfg["n_persons"], targets,
+        algorithms=cfg.get("algorithms", ["eqc"]),
+        replications=int(cfg.get("replications", 200)),
+        pool_path=cfg.get("pool_file"),
+        allow_any_target=bool(cfg.get("allow_any_target", False)),
+    )
 
 
 def cmd_validate(args) -> int:
@@ -497,12 +471,7 @@ def _parse_shape_list(text: str, seed: int) -> list[LatentSpec]:
         if not chunk:
             continue
         name, _, params_text = chunk.partition(":")
-        params = _parse_kv(params_text.replace(";", ",")) if params_text else {}
-        if "df" in params:
-            params["nu"] = params.pop("df")
-        if not params:
-            params = dict(VALIDATION_SHAPE_PARAMS.get(name, {}))
-        specs.append(LatentSpec(shape=name, shape_params=params, seed=rng.child_seed(seed, "shapes", i)))
+        specs.append(_latent_from_args(name, params_text.replace(";", ","), rng.child_seed(seed, "shapes", i)))
     return specs
 
 

@@ -1,11 +1,16 @@
 """Deterministic scale calibration on a frozen Monte Carlo quadrature.
 
 One latent sample and one pool realization are drawn up front and frozen;
-conditional on them the empirical reliability function is smooth, strictly
-increasing in the scale, and a bracketing scalar root-finder (Brent) pins
-the scale that hits the target. Targets outside the bracket
-``(rho(c_lower), rho(c_upper))`` return the nearer bound with a boundary
-status and a :class:`~irtcalib.errors.FeasibilityWarning` instead of failing.
+conditional on them the empirical reliability function is smooth in the
+scale, and a bracketing scalar root-finder (Brent) pins the scale that hits
+the target. The function increases with the scale while most of the latent
+mass lies within ``|c*lambda0*(theta - beta)| < 2.399`` of the items (where
+:func:`~irtcalib.psychometrics.phi` is positive); with items far from the
+latent mass it can peak and fall inside the bracket, and the boundary check
+below then misreads a reachable target as infeasible (ROADMAP open item 3).
+Targets outside the bracket ``(rho(c_lower), rho(c_upper))`` return the
+nearer bound with a boundary status and a
+:class:`~irtcalib.errors.FeasibilityWarning` instead of failing.
 
 Only the average-information metric is supported here: the error-variance
 objective can be non-monotone in the scale for sparse item grids, which
@@ -200,16 +205,7 @@ def eqc_calibrate(config: EqcConfig) -> CalibrationResult:
             raise NumericalError(f"root-finding did not converge: {exc}") from exc
 
     achieved = frozen.rho(c_star)
-    if status != STATUS_SUCCESS:
-        warnings.warn(
-            f"target reliability {target} lies outside the attainable bracket "
-            f"[{rho_lo:.4f}, {rho_hi:.4f}] on c in [{c_lo}, {c_hi}]; returning the "
-            f"boundary solution c = {c_star}. Adjust the target, the test length, "
-            "or the calibration interval.",
-            FeasibilityWarning,
-            stacklevel=2,
-        )
-    return CalibrationResult(
+    result = CalibrationResult(
         c_star=float(c_star),
         achieved_rho=achieved,
         abs_error=abs(achieved - target),
@@ -221,6 +217,21 @@ def eqc_calibrate(config: EqcConfig) -> CalibrationResult:
         evaluations=frozen.evaluations,
         metric=config.metric,
         config=config,
+    )
+    if status != STATUS_SUCCESS:
+        warnings.warn(infeasible_message(result), FeasibilityWarning, stacklevel=2)
+    return result
+
+
+def infeasible_message(result: CalibrationResult) -> str:
+    """Why a boundary-status result was returned, and what to change."""
+    cfg = result.config
+    return (
+        f"infeasible target: {cfg.target_rho} lies outside the attainable bracket "
+        f"[{result.rho_lower:.4f}, {result.rho_upper:.4f}] for c in "
+        f"[{cfg.interval.c_lower}, {cfg.interval.c_upper}]; the boundary solution "
+        f"c = {result.c_star} was returned. Adjust the target, the test length, "
+        "or widen the calibration interval."
     )
 
 

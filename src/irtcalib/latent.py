@@ -28,7 +28,15 @@ import numpy as np
 from .errors import EmptyRequestError, ParameterError
 from .rng import stream
 
-SHAPES = ("normal", "bimodal", "skew_pos", "heavy_tail", "mixture")
+# The shape_params keys each shape takes.
+_SHAPE_KEYS = {
+    "normal": (),
+    "bimodal": ("delta",),
+    "skew_pos": ("k",),
+    "heavy_tail": ("nu",),
+    "mixture": ("components",),
+}
+SHAPES = tuple(_SHAPE_KEYS)
 
 VALIDATION_SHAPE_PARAMS = {
     "normal": {},
@@ -75,6 +83,12 @@ class LatentSpec:
         if not (np.isfinite(self.sigma) and self.sigma > 0):
             raise ParameterError(f"sigma must be positive, got {self.sigma}")
         p = self.shape_params
+        for key in p:
+            if key not in _SHAPE_KEYS[self.shape]:
+                raise ParameterError(
+                    f"shape_params.{key} is not a parameter of shape {self.shape!r} "
+                    f"(it takes {list(_SHAPE_KEYS[self.shape])})"
+                )
         if self.shape == "bimodal":
             delta = p.get("delta")
             if delta is None or not 0 < delta < 1:

@@ -94,7 +94,7 @@ def test_information(theta, pool: ItemPool, c: float):
 def test_information_dc(theta, pool: ItemPool, c: float):
     """Analytic derivative of test information with respect to the scale ``c``.
 
-    Per item: ``c * lambda0^2 * h(x) * (2 - x*tanh(x/2))`` with
+    Per item: ``c * lambda0^2 * h(x) * phi(x)`` (see :func:`phi`) with
     ``x = c*lambda0*(theta - beta)``; matches central finite differences of
     :func:`test_information`.
     """
@@ -103,7 +103,7 @@ def test_information_dc(theta, pool: ItemPool, c: float):
     arr = np.atleast_1d(np.asarray(theta, dtype=float))
     lam0 = pool.lambda0
     x = (c * lam0)[None, :] * (arr[:, None] - pool.beta[None, :])
-    terms = c * lam0[None, :] ** 2 * logistic_kernel(x) * (2.0 - x * np.tanh(x / 2.0))
+    terms = c * lam0[None, :] ** 2 * logistic_kernel(x) * phi(x)
     out = terms.sum(axis=1)
     return float(out[0]) if np.ndim(theta) == 0 else out
 

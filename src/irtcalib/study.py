@@ -24,10 +24,11 @@ estimation stack; it reads no responses, so the harness draws none.
 
 from __future__ import annotations
 
+import itertools
 import logging
 import warnings
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -36,7 +37,7 @@ import numpy as np
 from .eqc import STATUS_SUCCESS, VALIDATION_INTERVAL, EqcConfig, eqc_calibrate
 from .errors import ConfigurationError, EmptyRequestError, InsufficientDataError, ParameterError
 from .items import ItemPool, PoolConfig
-from .latent import LatentSpec, sample_latent
+from .latent import VALIDATION_SHAPE_PARAMS, LatentSpec, sample_latent
 from .psychometrics import (
     METRIC_AVG_INFO,
     METRIC_MSEM,
@@ -233,12 +234,44 @@ FULL_PROFILE = StudyProfile(label="full", n_iter=1000, m_per_iter=2000, replicat
 
 MID_RANGE_TARGETS = {15: 0.45, 30: 0.55, 60: 0.65}
 
-DESK_SHAPES = (
-    LatentSpec(shape="normal"),
-    LatentSpec(shape="bimodal", shape_params={"delta": 0.8}),
-    LatentSpec(shape="skew_pos", shape_params={"k": 4.0}),
-    LatentSpec(shape="heavy_tail", shape_params={"nu": 5.0}),
-)
+DESK_SHAPES = tuple(LatentSpec(shape=s, shape_params=dict(p)) for s, p in VALIDATION_SHAPE_PARAMS.items())
+
+
+def make_grid(
+    shapes,
+    models,
+    item_sources,
+    test_lengths,
+    n_persons,
+    targets: dict[int, float],
+    algorithms=("eqc",),
+    replications: int = 200,
+    pool_path: str | None = None,
+    allow_any_target: bool = False,
+) -> list[StudyCondition]:
+    """Cross the factors into conditions numbered from 0.
+
+    The crossing order is algorithm, shape, model, item source, test length,
+    sample size, the last varying fastest; ``targets`` maps each test length
+    to its target reliability.
+    """
+    cells = itertools.product(algorithms, shapes, models, item_sources, test_lengths, n_persons)
+    return [
+        StudyCondition(
+            condition_id=cid,
+            latent=latent,
+            model=model,
+            item_source=source,
+            n_items=int(n_items),
+            n_persons=int(n),
+            target_rho=targets[n_items],
+            algorithm=algorithm,
+            replications=replications,
+            pool_path=pool_path,
+            allow_any_target=allow_any_target,
+        )
+        for cid, (algorithm, latent, model, source, n_items, n) in enumerate(cells)
+    ]
 
 
 def make_desk_grid(
@@ -248,29 +281,8 @@ def make_desk_grid(
     targets: dict[int, float] | None = None,
 ) -> list[StudyCondition]:
     """The stratified desk grid: 4 shapes x 2 models x 2 sources x 3 lengths."""
-    targets = targets or MID_RANGE_TARGETS
-    conditions = []
-    cid = 0
-    for algorithm in algorithms:
-        for latent in DESK_SHAPES:
-            for model in ("rasch", "twopl"):
-                for source in ("parametric", "empirical_pool"):
-                    for n_items in (15, 30, 60):
-                        conditions.append(
-                            StudyCondition(
-                                condition_id=cid,
-                                latent=latent,
-                                model=model,
-                                item_source=source,
-                                n_items=n_items,
-                                n_persons=n_persons,
-                                target_rho=targets[n_items],
-                                algorithm=algorithm,
-                                replications=replications,
-                            )
-                        )
-                        cid += 1
-    return conditions
+    return make_grid(DESK_SHAPES, ("rasch", "twopl"), ("parametric", "empirical_pool"), (15, 30, 60),
+                     (n_persons,), targets or MID_RANGE_TARGETS, algorithms, replications)
 
 
 @dataclass
@@ -289,6 +301,7 @@ class ConditionSummary:
     delta: float
     mean_realized: float
     sd_realized: float
+    realized: np.ndarray = field(repr=False, compare=False)  # one value per replicate
 
 
 @dataclass
@@ -348,13 +361,11 @@ def _run_group(args):
     master_seed, profile, group = args
     calibration, reason = _calibrate(master_seed, profile, group[0])
     if calibration is None:
-        return [], [], [(c.condition_id, reason) for c in group]
+        return [], [(c.condition_id, reason) for c in group]
 
-    records: list[ValidationRecord] = []
     summaries: list[ConditionSummary] = []
     c_star = float(calibration.c_star)
     for condition in group:
-        delta = calibration.achieved_rho - condition.target_rho
         metric = _record_metric(condition.algorithm)
         n_reps = profile.replications or condition.replications
         realized = np.empty(n_reps)
@@ -363,16 +374,6 @@ def _run_group(args):
             theta = _draw_abilities(condition.latent, condition.n_persons, rep_seed)
             sample = SimpleNamespace(theta_true=theta, pool=calibration.pool, c_applied=c_star)
             realized[k] = realized_reliability(sample, metric)
-            records.append(
-                ValidationRecord(
-                    condition_id=condition.condition_id,
-                    replicate=k,
-                    c_star=c_star,
-                    achieved_rho_design=float(calibration.achieved_rho),
-                    realized_rho=float(realized[k]),
-                    delta=float(delta),
-                )
-            )
         summaries.append(
             ConditionSummary(
                 condition_id=condition.condition_id,
@@ -386,24 +387,44 @@ def _run_group(args):
                 replications=n_reps,
                 c_star=c_star,
                 achieved_rho_design=float(calibration.achieved_rho),
-                delta=float(delta),
+                delta=float(calibration.achieved_rho - condition.target_rho),
                 mean_realized=float(np.mean(realized)),
-                sd_realized=float(np.std(realized, ddof=1)) if n_reps > 1 else float("nan"),
+                sd_realized=_sd(realized),
+                realized=realized,
             )
         )
-    return records, summaries, []
+    return summaries, []
 
 
-def _write_csv(path, header: list[str], rows) -> None:
+def _sd(values: np.ndarray) -> float:
+    return float(np.std(values, ddof=1)) if values.size > 1 else float("nan")
+
+
+# Column order of each output table; the aggregators build their rows from it.
+_RECORD_COLUMNS = tuple(f.name for f in fields(ValidationRecord))
+_ALGORITHM_COLUMNS = (
+    "algorithm", "n_conditions", "mean_delta", "sd_delta", "mae", "max_abs_delta",
+    "pct_within_001", "pct_within_002", "pct_within_005",
+)
+_TARGET_COLUMNS = ("target_rho", "algorithm", "n_conditions", "mean_achieved", "sd_achieved", "mean_delta")
+_REPLICATION_SD_COLUMNS = (
+    "condition_id", "algorithm", "shape", "model", "item_source", "n_items", "n_persons",
+    "target_rho", "replications", "mean_realized", "sd_realized",
+)
+
+
+def _write_csv(path, columns, rows) -> None:
+    """Write ``row[c]`` for each column of each mapping; floats as ``repr``."""
+
     def fmt(v) -> str:
         if isinstance(v, float):
             return repr(float(v))
         return str(v)
 
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(",".join(header) + "\n")
+        fh.write(",".join(columns) + "\n")
         for row in rows:
-            fh.write(",".join(fmt(v) for v in row) + "\n")
+            fh.write(",".join(fmt(row[c]) for c in columns) + "\n")
 
 
 def _aggregate_by_algorithm(conditions: list[ConditionSummary]) -> list[dict]:
@@ -411,19 +432,16 @@ def _aggregate_by_algorithm(conditions: list[ConditionSummary]) -> list[dict]:
     for algorithm in sorted({c.algorithm for c in conditions}):
         deltas = np.asarray([c.delta for c in conditions if c.algorithm == algorithm])
         abs_d = np.abs(deltas)
-        rows.append(
-            {
-                "algorithm": algorithm,
-                "n_conditions": int(deltas.size),
-                "mean_delta": float(np.mean(deltas)),
-                "sd_delta": float(np.std(deltas, ddof=1)) if deltas.size > 1 else float("nan"),
-                "mae": float(np.mean(abs_d)),
-                "max_abs_delta": float(np.max(abs_d)),
-                "pct_within_001": float(100.0 * np.mean(abs_d < 0.01)),
-                "pct_within_002": float(100.0 * np.mean(abs_d < 0.02)),
-                "pct_within_005": float(100.0 * np.mean(abs_d < 0.05)),
-            }
+        values = (
+            algorithm,
+            int(deltas.size),
+            float(np.mean(deltas)),
+            _sd(deltas),
+            float(np.mean(abs_d)),
+            float(np.max(abs_d)),
+            *(float(100.0 * np.mean(abs_d < tol)) for tol in (0.01, 0.02, 0.05)),
         )
+        rows.append(dict(zip(_ALGORITHM_COLUMNS, values)))
     return rows
 
 
@@ -434,16 +452,15 @@ def _aggregate_by_target(conditions: list[ConditionSummary]) -> list[dict]:
         achieved = np.asarray(
             [c.achieved_rho_design for c in conditions if (c.target_rho, c.algorithm) == (target, algorithm)]
         )
-        rows.append(
-            {
-                "target_rho": target,
-                "algorithm": algorithm,
-                "n_conditions": int(achieved.size),
-                "mean_achieved": float(np.mean(achieved)),
-                "sd_achieved": float(np.std(achieved, ddof=1)) if achieved.size > 1 else float("nan"),
-                "mean_delta": float(np.mean(achieved - target)),
-            }
+        values = (
+            target,
+            algorithm,
+            int(achieved.size),
+            float(np.mean(achieved)),
+            _sd(achieved),
+            float(np.mean(achieved - target)),
         )
+        rows.append(dict(zip(_TARGET_COLUMNS, values)))
     return rows
 
 
@@ -459,8 +476,9 @@ def run_validation_study(
     Work is grouped by calibration key so conditions differing only in sample
     size share one calibration. With ``n_jobs > 1`` groups run in separate
     processes; outputs are byte-identical to a serial run because every
-    record derives only from ``(master_seed, condition)`` and rows are sorted
-    before writing.
+    value derives only from ``(master_seed, condition)`` and the condition
+    summaries are sorted by id before the per-replicate records are read off
+    them.
     """
     if not conditions:
         raise EmptyRequestError("condition list is empty")
@@ -481,18 +499,20 @@ def run_validation_study(
     else:
         outputs = [_run_group(w) for w in work]
 
-    records: list[ValidationRecord] = []
     summaries: list[ConditionSummary] = []
     skipped: list[tuple[int, str]] = []
-    for recs, sums, skips in outputs:
-        records.extend(recs)
+    for sums, skips in outputs:
         summaries.extend(sums)
         skipped.extend(skips)
-    records.sort(key=lambda r: (r.condition_id, r.replicate))
     summaries.sort(key=lambda s: s.condition_id)
     skipped.sort(key=lambda s: s[0])
     for cid, reason in skipped:
         logger.warning("condition %d skipped: %s", cid, reason)
+    records = [
+        ValidationRecord(s.condition_id, k, s.c_star, s.achieved_rho_design, float(rho), s.delta)
+        for s in summaries
+        for k, rho in enumerate(s.realized)
+    ]
 
     paths = {
         "records": out / "records.csv",
@@ -500,68 +520,12 @@ def run_validation_study(
         "summary_by_target": out / "summary_by_target.csv",
         "replication_sd": out / "replication_sd.csv",
     }
-    _write_csv(
-        paths["records"],
-        ["condition_id", "replicate", "c_star", "achieved_rho_design", "realized_rho", "delta"],
-        (
-            [r.condition_id, r.replicate, r.c_star, r.achieved_rho_design, r.realized_rho, r.delta]
-            for r in records
-        ),
-    )
     algorithm_rows = _aggregate_by_algorithm(summaries)
-    _write_csv(
-        paths["summary_by_algorithm"],
-        [
-            "algorithm",
-            "n_conditions",
-            "mean_delta",
-            "sd_delta",
-            "mae",
-            "max_abs_delta",
-            "pct_within_001",
-            "pct_within_002",
-            "pct_within_005",
-        ],
-        ([*row.values()] for row in algorithm_rows),
-    )
     target_rows = _aggregate_by_target(summaries)
-    _write_csv(
-        paths["summary_by_target"],
-        ["target_rho", "algorithm", "n_conditions", "mean_achieved", "sd_achieved", "mean_delta"],
-        ([*row.values()] for row in target_rows),
-    )
-    _write_csv(
-        paths["replication_sd"],
-        [
-            "condition_id",
-            "algorithm",
-            "shape",
-            "model",
-            "item_source",
-            "n_items",
-            "n_persons",
-            "target_rho",
-            "replications",
-            "mean_realized",
-            "sd_realized",
-        ],
-        (
-            [
-                s.condition_id,
-                s.algorithm,
-                s.shape,
-                s.model,
-                s.item_source,
-                s.n_items,
-                s.n_persons,
-                s.target_rho,
-                s.replications,
-                s.mean_realized,
-                s.sd_realized,
-            ]
-            for s in summaries
-        ),
-    )
+    _write_csv(paths["records"], _RECORD_COLUMNS, map(vars, records))
+    _write_csv(paths["summary_by_algorithm"], _ALGORITHM_COLUMNS, algorithm_rows)
+    _write_csv(paths["summary_by_target"], _TARGET_COLUMNS, target_rows)
+    _write_csv(paths["replication_sd"], _REPLICATION_SD_COLUMNS, map(vars, summaries))
     return StudySummary(
         records=records,
         conditions=summaries,

@@ -199,6 +199,46 @@ def test_validate_desk_profile(tmp_path, capsys):
         assert (tmp_path / "out" / name).exists()
 
 
+def test_validate_grid_matches_explicit_conditions(tmp_path):
+    # The grid config and the condition list it stands for, numbered in the
+    # documented crossing order, write byte-identical outputs.
+    shapes = [{"shape": "normal"}, {"shape": "skew_pos", "shape_params": {"k": 4.0}}]
+    targets = {15: 0.45, 30: 0.55}
+    grid = {
+        "master_seed": 13,
+        "replications": 3,
+        "algorithms": ["eqc", "sac_info"],
+        "shapes": shapes,
+        "models": ["rasch"],
+        "item_sources": ["parametric"],
+        "test_lengths": [15, 30],
+        "n_persons": [60, 100],
+        "targets": {str(k): v for k, v in targets.items()},
+    }
+    explicit = {
+        "master_seed": 13,
+        "conditions": [
+            {"latent": latent, "model": "rasch", "item_source": "parametric", "n_items": n_items,
+             "n_persons": n_persons, "target_rho": targets[n_items], "algorithm": algorithm,
+             "replications": 3}
+            for algorithm in grid["algorithms"]
+            for latent in shapes
+            for n_items in grid["test_lengths"]
+            for n_persons in grid["n_persons"]
+        ],
+    }
+    for name, cfg in (("grid", grid), ("explicit", explicit)):
+        cfg_path = tmp_path / f"{name}.json"
+        cfg_path.write_text(json.dumps(cfg))
+        assert run(["validate", "--config", str(cfg_path), "--out-dir", str(tmp_path / name),
+                    "--profile", "desk", "--threads", "1"]) == 0
+    for name in ("records.csv", "summary_by_algorithm.csv", "summary_by_target.csv",
+                 "replication_sd.csv", "study_summary.json"):
+        assert (tmp_path / "grid" / name).read_bytes() == (tmp_path / "explicit" / name).read_bytes()
+    ids = [line.split(",")[0] for line in (tmp_path / "grid" / "replication_sd.csv").read_text().splitlines()[1:]]
+    assert ids == [str(i) for i in range(16)]
+
+
 def test_validate_full_profile_echo(tmp_path, capsys):
     cfg = {
         "master_seed": 12,
@@ -282,6 +322,25 @@ def test_shapes_deterministic(tmp_path):
                     "--out", str(out)]) == 0
         outs.append(out.read_bytes())
     assert outs[0] == outs[1]
+
+
+def test_shapes_applies_mu_and_sigma(tmp_path):
+    out = tmp_path / "dens.csv"
+    assert run(["shapes", "--shapes", "normal:sigma=2,bimodal:delta=0.7;mu=1", "--n", "20000",
+                "--seed", "4", "--out", str(out)]) == 0
+    meta = json.loads((tmp_path / "dens.csv.meta.json").read_text())
+    normal, bimodal = meta["shapes"]
+    assert (normal["shape_params"], normal["mu"], normal["sigma"]) == ({}, 0.0, 2.0)
+    assert (bimodal["shape_params"], bimodal["mu"], bimodal["sigma"]) == ({"delta": 0.7}, 1.0, 1.0)
+    assert meta["moments"]["normal"]["sample"]["var"] == pytest.approx(4.0, abs=0.25)
+    assert meta["moments"]["bimodal"]["sample"]["mean"] == pytest.approx(1.0, abs=0.05)
+
+
+def test_calibrate_rejects_parameter_the_shape_does_not_take(capsys):
+    code = run(["calibrate", "--target", "0.5", "--latent-shape", "normal",
+                "--latent-params", "delta=0.8", "--m", "500"])
+    assert code == 2
+    assert "delta" in capsys.readouterr().err
 
 
 def test_unknown_flag_exits_2():

@@ -141,6 +141,7 @@ def test_seed_determinism():
         ("skew_pos", {"k": -1.0}, "k"),
         ("heavy_tail", {"nu": 1.5}, "nu"),
         ("mixture", {"components": []}, "components"),
+        ("normal", {"delta": 0.8}, "delta"),
     ],
 )
 def test_invalid_shape_params_name_the_field(shape, params, field):

@@ -189,6 +189,35 @@ def test_desk_grid_is_48_conditions():
     assert {c.latent.shape for c in grid} == {"normal", "bimodal", "skew_pos", "heavy_tail"}
 
 
+def test_desk_grid_matches_nested_loop_reference():
+    reference = []
+    for algorithm in study.ALGORITHMS:
+        for latent in study.DESK_SHAPES:
+            for model in ("rasch", "twopl"):
+                for source in ("parametric", "empirical_pool"):
+                    for n_items in (15, 30, 60):
+                        reference.append(
+                            StudyCondition(
+                                condition_id=len(reference),
+                                latent=latent,
+                                model=model,
+                                item_source=source,
+                                n_items=n_items,
+                                n_persons=500,
+                                target_rho=study.MID_RANGE_TARGETS[n_items],
+                                algorithm=algorithm,
+                                replications=200,
+                            )
+                        )
+    assert make_desk_grid(algorithms=study.ALGORITHMS) == reference
+    assert study.DESK_SHAPES == (
+        LatentSpec(shape="normal"),
+        LatentSpec(shape="bimodal", shape_params={"delta": 0.8}),
+        LatentSpec(shape="skew_pos", shape_params={"k": 4.0}),
+        LatentSpec(shape="heavy_tail", shape_params={"nu": 5.0}),
+    )
+
+
 # --- study harness --------------------------------------------------------------
 
 
