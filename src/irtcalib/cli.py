@@ -49,6 +49,7 @@ from .sac import SacConfig, SacResult, sac_calibrate
 from .study import (
     DESK_PROFILE,
     FULL_PROFILE,
+    SCHEMA_VERSION as STUDY_SCHEMA_VERSION,
     StudyCondition,
     compare_calibrations,
     make_grid,
@@ -420,6 +421,7 @@ def cmd_validate(args) -> int:
         n_jobs=args.threads,
     )
     doc = {
+        "schema_version": STUDY_SCHEMA_VERSION,
         "echo": summary.echo,
         "skipped": [{"condition_id": cid, "reason": reason} for cid, reason in summary.skipped],
         "by_algorithm": summary.algorithm_rows,

@@ -7,7 +7,7 @@ the target. The function increases with the scale while most of the latent
 mass lies within ``|c*lambda0*(theta - beta)| < 2.399`` of the items (where
 :func:`~irtcalib.psychometrics.phi` is positive); with items far from the
 latent mass it can peak and fall inside the bracket, and the boundary check
-below then misreads a reachable target as infeasible (ROADMAP open item 3).
+below then misreads a reachable target as infeasible (ROADMAP open item 1).
 Targets outside the bracket ``(rho(c_lower), rho(c_upper))`` return the
 nearer bound with a boundary status and a
 :class:`~irtcalib.errors.FeasibilityWarning` instead of failing.

@@ -20,6 +20,7 @@ the summary carries an ``underflow`` flag instead of silent NaNs.
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -68,18 +69,61 @@ def item_information(theta, beta, lam):
     return float(out) if np.ndim(out) == 0 else out
 
 
-def _test_info_values(theta: np.ndarray, pool: ItemPool, c: float) -> np.ndarray:
-    """Per-person test information at scale ``c``; in-place kernel math, one GEMV."""
-    lam = c * pool.lambda0
-    x = np.subtract.outer(theta, pool.beta)
+# Rows of theta per kernel block: a power of two, never derived from the item
+# count. GEMV then groups rows as one (M, I) call would, so the blocked result
+# is bit-identical to the single-shot formula. 2048 keeps SAC's batches of up
+# to 2000 draws in one block.
+_BLOCK_ROWS = 2048
+_local = threading.local()
+
+
+def _workspace(n_arrays: int, rows: int, n: int) -> list[np.ndarray]:
+    """``n_arrays`` C-contiguous ``(rows, n)`` arrays in one per-thread buffer.
+
+    The buffer is reused across calls and grows only; each array starts on
+    a 64-byte boundary, which keeps the vectorized loops on aligned loads.
+    """
+    stride = -(-rows * n // 8) * 8  # whole 64-byte lines
+    buf = getattr(_local, "buf", None)
+    if buf is None or buf.size < n_arrays * stride:
+        raw = np.empty(n_arrays * stride + 8)
+        start = -raw.ctypes.data % 64 // 8
+        buf = _local.buf = raw[start : start + n_arrays * stride]
+    return [buf[k * stride : k * stride + rows * n].reshape(rows, n) for k in range(n_arrays)]
+
+
+def _blocks(m: int):
+    """``(start, stop)`` row ranges of the kernel blocks over ``m`` persons."""
+    bounds = list(range(0, m, _BLOCK_ROWS)) + [m]
+    if len(bounds) > 2 and bounds[-1] - bounds[-2] == 1:
+        del bounds[-2]  # numpy runs a 1-row matmul as a dot product, summed in another order
+    return zip(bounds[:-1], bounds[1:])
+
+
+def _kernel_block(theta: np.ndarray, beta: np.ndarray, lam: np.ndarray) -> np.ndarray:
+    """The logistic kernel ``h`` at ``lam*(theta - beta)``, built in the workspace."""
+    x, denom = _workspace(2, theta.size, beta.size)
+    np.subtract.outer(theta, beta, out=x)
     x *= lam
-    np.abs(x, out=x)
-    np.negative(x, out=x)
-    np.exp(x, out=x)  # now exp(-|x|)
-    denom = x + 1.0
+    np.abs(x, x)
+    np.negative(x, x)
+    np.exp(x, x)  # now exp(-|x|)
+    np.add(x, 1.0, denom)
     denom *= denom
     x /= denom  # now the kernel h
-    return x @ (lam * lam)
+    return x
+
+
+def _test_info_values(theta: np.ndarray, pool: ItemPool, c: float) -> np.ndarray:
+    """Per-person test information at scale ``c``: one GEMV per row block, no temporaries."""
+    lam = c * pool.lambda0
+    weights = lam * lam
+    if theta.size <= _BLOCK_ROWS + 1:
+        return _kernel_block(theta, pool.beta, lam) @ weights
+    out = np.empty(theta.size)
+    for start, stop in _blocks(theta.size):
+        np.matmul(_kernel_block(theta[start:stop], pool.beta, lam), weights, out[start:stop])
+    return out
 
 
 def test_information(theta, pool: ItemPool, c: float):
@@ -96,15 +140,31 @@ def test_information_dc(theta, pool: ItemPool, c: float):
 
     Per item: ``c * lambda0^2 * h(x) * phi(x)`` (see :func:`phi`) with
     ``x = c*lambda0*(theta - beta)``; matches central finite differences of
-    :func:`test_information`.
+    :func:`test_information`. With ``a = exp(-|x|)``, ``h = a/(1+a)^2`` and
+    ``x*tanh(x/2) = |x|(1-a)/(1+a)``, so one exponential serves both factors.
     """
     if c <= 0:
         raise ParameterError(f"scale c must be positive, got {c}")
     arr = np.atleast_1d(np.asarray(theta, dtype=float))
-    lam0 = pool.lambda0
-    x = (c * lam0)[None, :] * (arr[:, None] - pool.beta[None, :])
-    terms = c * lam0[None, :] ** 2 * logistic_kernel(x) * phi(x)
-    out = terms.sum(axis=1)
+    lam = c * pool.lambda0
+    weights = c * pool.lambda0**2
+    out = np.empty(arr.size)
+    for start, stop in _blocks(arr.size):
+        u, a, t = _workspace(3, stop - start, pool.n_items)
+        np.subtract.outer(arr[start:stop], pool.beta, out=u)
+        u *= lam
+        np.abs(u, u)  # |x|
+        np.negative(u, a)
+        np.exp(a, a)  # a = exp(-|x|)
+        np.subtract(1.0, a, t)
+        u *= t
+        np.add(a, 1.0, t)
+        u /= t  # x*tanh(x/2)
+        np.subtract(2.0, u, u)  # phi
+        t *= t
+        a /= t  # h
+        u *= a
+        np.matmul(u, weights, out[start:stop])
     return float(out[0]) if np.ndim(theta) == 0 else out
 
 

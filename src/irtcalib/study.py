@@ -16,6 +16,12 @@ because calibration does not consume the generated-data sample size;
 conditions differing only in ``n_persons`` therefore share one calibration,
 matched seed for seed.
 
+Work is grouped by structural cell: the structural factors without the
+algorithm. Each cell solves EQC once, seeded as its ``eqc`` condition; the
+``eqc`` rows report that solve and the cell's ``sac_info``/``sac_msem``
+calibrations (each on its own seed) warm-start from it, so the EQC-vs-SAC
+comparison is paired within a cell.
+
 Realized reliability is a plug-in using the true abilities and the true
 calibrated parameters, not a re-estimated quantity: it isolates exactly the
 finite-sample variability of interest without involving an external
@@ -34,7 +40,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from .eqc import STATUS_SUCCESS, VALIDATION_INTERVAL, EqcConfig, eqc_calibrate
+from .eqc import STATUS_SUCCESS, VALIDATION_INTERVAL, CalibrationResult, EqcConfig, eqc_calibrate
 from .errors import ConfigurationError, EmptyRequestError, InsufficientDataError, ParameterError
 from .items import ItemPool, PoolConfig
 from .latent import VALIDATION_SHAPE_PARAMS, LatentSpec, sample_latent
@@ -53,6 +59,11 @@ from .sac import SacConfig, sac_calibrate
 logger = logging.getLogger("irtcalib.study")
 
 ALGORITHMS = ("eqc", "sac_info", "sac_msem")
+
+# Version of the study's output layout and seeding, written to
+# study_summary.json. 2: each structural cell solves EQC once, and its SAC
+# calibrations warm-start from that solve.
+SCHEMA_VERSION = 2
 
 # Target windows judged attainable for each standard test length.
 ADAPTIVE_TARGET_RANGE = {15: (0.30, 0.60), 30: (0.40, 0.70), 60: (0.50, 0.80)}
@@ -165,6 +176,7 @@ class StudyCondition:
             raise ParameterError(f"replications must be >= 1, got {self.replications}")
         if not 0.0 < self.target_rho < 1.0:
             raise ParameterError(f"target_rho must lie in (0, 1), got {self.target_rho}")
+        self.pool_config()  # rejects a bad model, item source or test length before any calibration
         window = ADAPTIVE_TARGET_RANGE.get(self.n_items)
         if window and not self.allow_any_target:
             lo, hi = window
@@ -182,14 +194,18 @@ class StudyCondition:
             pool_path=self.pool_path,
         )
 
-    def calibration_key(self) -> str:
-        """Structural identity of the calibration; excludes n_persons and id."""
+    def cell_key(self) -> str:
+        """Structural cell: every calibration factor but the algorithm."""
         lat = self.latent
         params = ",".join(f"{k}={lat.shape_params[k]}" for k in sorted(lat.shape_params))
         return (
             f"{lat.shape}[{params}]mu={lat.mu},sigma={lat.sigma}|{self.model}|{self.item_source}"
-            f"|{self.pool_path}|I={self.n_items}|rho={self.target_rho}|{self.algorithm}"
+            f"|{self.pool_path}|I={self.n_items}|rho={self.target_rho}"
         )
+
+    def calibration_key(self) -> str:
+        """Structural identity of the calibration; excludes n_persons and id."""
+        return f"{self.cell_key()}|{self.algorithm}"
 
 
 @dataclass
@@ -315,20 +331,33 @@ class StudySummary:
     echo: dict
 
 
-def _calibrate(master_seed: int, profile: StudyProfile, condition: StudyCondition):
-    """Calibrate one structural cell; returns (result, reason-if-skipped)."""
-    key = condition.calibration_key()
+def _solve_eqc(master_seed: int, profile: StudyProfile, condition: StudyCondition) -> CalibrationResult:
+    """The one EQC solve of the condition's structural cell.
+
+    Seeded by the cell's ``eqc`` calibration key, whatever the condition's
+    algorithm, so ``eqc`` rows and SAC warm starts come from the same solve.
+    """
     eqc_cfg = EqcConfig(
         target_rho=condition.target_rho,
         latent=condition.latent,
         items=condition.pool_config(),
         m_quadrature=profile.m_quadrature,
         interval=profile.interval,
-        seed=child_seed(master_seed, "study/eqc/" + key),
+        seed=child_seed(master_seed, "study/eqc/" + condition.cell_key() + "|eqc"),
     )
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        eqc_result = eqc_calibrate(eqc_cfg)
+        return eqc_calibrate(eqc_cfg)
+
+
+def _calibrate(master_seed: int, profile: StudyProfile, condition: StudyCondition, eqc_result=None):
+    """Calibrate one condition; returns (result, reason-if-skipped).
+
+    ``eqc_result`` is the cell's :func:`_solve_eqc` result, solved here when
+    not given: an ``eqc`` condition returns it, and SAC warm-starts from it.
+    """
+    if eqc_result is None:
+        eqc_result = _solve_eqc(master_seed, profile, condition)
     if eqc_result.status != STATUS_SUCCESS and not condition.allow_any_target:
         return None, (
             f"target {condition.target_rho} infeasible on "
@@ -347,7 +376,7 @@ def _calibrate(master_seed: int, profile: StudyProfile, condition: StudyConditio
         m_per_iter=profile.m_per_iter,
         interval=profile.interval,
         c_init=eqc_result,
-        seed=child_seed(master_seed, "study/sac/" + key),
+        seed=child_seed(master_seed, "study/sac/" + condition.calibration_key()),
     )
     return sac_calibrate(sac_cfg), None
 
@@ -357,43 +386,53 @@ def _record_metric(algorithm: str) -> str:
 
 
 def _run_group(args):
-    """Worker: one calibration shared by all conditions in the group."""
-    master_seed, profile, group = args
-    calibration, reason = _calibrate(master_seed, profile, group[0])
-    if calibration is None:
-        return [], [(c.condition_id, reason) for c in group]
+    """Worker: one structural cell, its one EQC solve and one calibration per algorithm."""
+    master_seed, profile, cell = args
+    eqc_result = _solve_eqc(master_seed, profile, cell[0])
+    groups: dict[str, list[StudyCondition]] = {}
+    for condition in cell:
+        groups.setdefault(condition.algorithm, []).append(condition)
 
     summaries: list[ConditionSummary] = []
+    skipped: list[tuple[int, str]] = []
+    for group in groups.values():
+        calibration, reason = _calibrate(master_seed, profile, group[0], eqc_result)
+        if calibration is None:
+            skipped += [(c.condition_id, reason) for c in group]
+        else:
+            summaries += [_summarize(master_seed, profile, c, calibration) for c in group]
+    return summaries, skipped
+
+
+def _summarize(master_seed: int, profile: StudyProfile, condition: StudyCondition,
+               calibration) -> ConditionSummary:
+    """Draw the condition's replicates and summarize their realized reliability."""
     c_star = float(calibration.c_star)
-    for condition in group:
-        metric = _record_metric(condition.algorithm)
-        n_reps = profile.replications or condition.replications
-        realized = np.empty(n_reps)
-        for k in range(n_reps):
-            rep_seed = child_seed(master_seed, "study/replicate", condition.condition_id, k)
-            theta = _draw_abilities(condition.latent, condition.n_persons, rep_seed)
-            sample = SimpleNamespace(theta_true=theta, pool=calibration.pool, c_applied=c_star)
-            realized[k] = realized_reliability(sample, metric)
-        summaries.append(
-            ConditionSummary(
-                condition_id=condition.condition_id,
-                algorithm=condition.algorithm,
-                shape=condition.latent.shape,
-                model=condition.model,
-                item_source=condition.item_source,
-                n_items=condition.n_items,
-                n_persons=condition.n_persons,
-                target_rho=condition.target_rho,
-                replications=n_reps,
-                c_star=c_star,
-                achieved_rho_design=float(calibration.achieved_rho),
-                delta=float(calibration.achieved_rho - condition.target_rho),
-                mean_realized=float(np.mean(realized)),
-                sd_realized=_sd(realized),
-                realized=realized,
-            )
-        )
-    return summaries, []
+    metric = _record_metric(condition.algorithm)
+    n_reps = profile.replications or condition.replications
+    realized = np.empty(n_reps)
+    for k in range(n_reps):
+        rep_seed = child_seed(master_seed, "study/replicate", condition.condition_id, k)
+        theta = _draw_abilities(condition.latent, condition.n_persons, rep_seed)
+        sample = SimpleNamespace(theta_true=theta, pool=calibration.pool, c_applied=c_star)
+        realized[k] = realized_reliability(sample, metric)
+    return ConditionSummary(
+        condition_id=condition.condition_id,
+        algorithm=condition.algorithm,
+        shape=condition.latent.shape,
+        model=condition.model,
+        item_source=condition.item_source,
+        n_items=condition.n_items,
+        n_persons=condition.n_persons,
+        target_rho=condition.target_rho,
+        replications=n_reps,
+        c_star=c_star,
+        achieved_rho_design=float(calibration.achieved_rho),
+        delta=float(calibration.achieved_rho - condition.target_rho),
+        mean_realized=float(np.mean(realized)),
+        sd_realized=_sd(realized),
+        realized=realized,
+    )
 
 
 def _sd(values: np.ndarray) -> float:
@@ -473,12 +512,14 @@ def run_validation_study(
 ) -> StudySummary:
     """Run every condition, write the four output CSVs, and return the summary.
 
-    Work is grouped by calibration key so conditions differing only in sample
-    size share one calibration. With ``n_jobs > 1`` groups run in separate
-    processes; outputs are byte-identical to a serial run because every
-    value derives only from ``(master_seed, condition)`` and the condition
-    summaries are sorted by id before the per-replicate records are read off
-    them.
+    Work is grouped by structural cell (:meth:`StudyCondition.cell_key`):
+    each cell solves EQC once, its ``eqc`` conditions use that solve and its
+    ``sac_info``/``sac_msem`` calibrations warm-start from it, and conditions
+    differing only in sample size share one calibration. With ``n_jobs > 1``
+    cells run in separate processes; outputs are byte-identical to a serial
+    run because every value derives only from ``(master_seed, condition)``
+    and the condition summaries are sorted by id before the per-replicate
+    records are read off them.
     """
     if not conditions:
         raise EmptyRequestError("condition list is empty")
@@ -488,10 +529,10 @@ def run_validation_study(
     out = Path(output_dir)
     out.mkdir(parents=True, exist_ok=True)
 
-    groups: dict[str, list[StudyCondition]] = {}
+    cells: dict[str, list[StudyCondition]] = {}
     for condition in conditions:
-        groups.setdefault(condition.calibration_key(), []).append(condition)
-    work = [(master_seed, profile, group) for group in groups.values()]
+        cells.setdefault(condition.cell_key(), []).append(condition)
+    work = [(master_seed, profile, cell) for cell in cells.values()]
 
     if n_jobs > 1 and len(work) > 1:
         with ProcessPoolExecutor(max_workers=n_jobs) as pool:

@@ -239,6 +239,49 @@ def test_validate_grid_matches_explicit_conditions(tmp_path):
     assert ids == [str(i) for i in range(16)]
 
 
+def test_validate_rejects_unknown_model_before_calibrating(tmp_path, monkeypatch, capsys):
+    from irtcalib import study
+
+    def no_calibration(config):
+        raise AssertionError("calibration ran")
+
+    monkeypatch.setattr(study, "eqc_calibrate", no_calibration)
+    monkeypatch.setattr(study, "sac_calibrate", no_calibration)
+    cfg = {
+        "algorithms": ["sac_info"],
+        "shapes": [{"shape": "normal"}],
+        "models": ["rasch", "3pl"],
+        "item_sources": ["parametric"],
+        "test_lengths": [15, 30, 60],
+        "n_persons": [100],
+        "targets": {"15": 0.45, "30": 0.55, "60": 0.65},
+    }
+    cfg_path = tmp_path / "study.json"
+    cfg_path.write_text(json.dumps(cfg))
+    out_dir = tmp_path / "out"
+    code = run(["validate", "--config", str(cfg_path), "--out-dir", str(out_dir), "--threads", "1"])
+    assert code == 2
+    assert "3pl" in capsys.readouterr().err
+    assert not out_dir.exists()
+
+
+def test_validate_summary_records_schema_version(tmp_path):
+    cfg = {
+        "replications": 2,
+        "shapes": [{"shape": "normal"}],
+        "models": ["rasch"],
+        "item_sources": ["parametric"],
+        "test_lengths": [15],
+        "n_persons": [60],
+        "targets": {"15": 0.45},
+    }
+    cfg_path = tmp_path / "study.json"
+    cfg_path.write_text(json.dumps(cfg))
+    assert run(["validate", "--config", str(cfg_path), "--out-dir", str(tmp_path / "out"), "--threads", "1"]) == 0
+    summary = json.loads((tmp_path / "out" / "study_summary.json").read_text())
+    assert summary["schema_version"] == 2
+
+
 def test_validate_full_profile_echo(tmp_path, capsys):
     cfg = {
         "master_seed": 12,

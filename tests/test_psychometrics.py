@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy import optimize
@@ -30,6 +30,7 @@ from irtcalib import (
 from irtcalib.study import ResponseDataset
 from irtcalib import test_information as total_information
 from irtcalib import test_information_dc as total_information_dc
+from irtcalib import psychometrics
 from irtcalib.psychometrics import _strictly_increasing, metric_value
 from irtcalib.rng import stream
 
@@ -142,6 +143,71 @@ def test_dc_derivative_at_peak():
 def test_dc_derivative_negative_beyond_root():
     pool = make_rasch_pool([0.0])
     assert total_information_dc(5.0, pool, 1.0) < 0.0
+
+
+def _single_shot_information(theta, pool, c):
+    """The information kernel as one (M, I) pass: the bit-level reference."""
+    lam = c * pool.lambda0
+    x = np.subtract.outer(theta, pool.beta)
+    x *= lam
+    np.abs(x, out=x)
+    np.negative(x, out=x)
+    np.exp(x, out=x)
+    denom = x + 1.0
+    denom *= denom
+    x /= denom
+    return x @ (lam * lam)
+
+
+def _broadcast_information_dc(theta, pool, c):
+    """dJ/dc as per-item broadcast terms, logistic_kernel times phi."""
+    lam0 = pool.lambda0
+    x = (c * lam0)[None, :] * (theta[:, None] - pool.beta[None, :])
+    return (c * lam0[None, :] ** 2 * logistic_kernel(x) * phi(x)).sum(axis=1)
+
+
+# M is a whole number of blocks plus a tail of 0, 1 or block - 1 rows, or any
+# size up to a few blocks. M * I stays below about 460,000 cells, above which
+# OpenBLAS splits a GEMV across threads and the single-shot reference's own
+# bits depend on the thread count.
+_BLOCK = psychometrics._BLOCK_ROWS
+_kernel_sizes = st.one_of(
+    st.builds(lambda k, tail: k * _BLOCK + tail, st.integers(0, 2), st.sampled_from([0, 1, _BLOCK - 1])),
+    st.integers(1, 3 * _BLOCK),
+)
+
+
+@settings(deadline=None, max_examples=60)
+@given(m=_kernel_sizes, n_items=st.integers(1, 60), log_c=st.floats(np.log(0.05), np.log(20.0)),
+       seed=st.integers(0, 2**32 - 1))
+@example(m=2 * _BLOCK + 1, n_items=60, log_c=0.0, seed=0)
+@example(m=3 * _BLOCK - 1, n_items=60, log_c=1.0, seed=1)
+def test_blocked_kernel_bit_identical_to_single_shot(m, n_items, log_c, seed):
+    rng = np.random.default_rng(seed)
+    pool = ItemPool(model="twopl", beta=rng.normal(0, 1.5, n_items), lambda0=np.exp(rng.normal(0, 0.3, n_items)))
+    theta = rng.normal(0, 1.3, m)
+    c = float(np.exp(log_c))
+    expected = _single_shot_information(theta, pool, c)
+    assert np.array_equal(total_information(theta, pool, c), expected)
+    np.testing.assert_allclose(total_information_dc(theta, pool, c),
+                               _broadcast_information_dc(theta, pool, c), rtol=1e-12, atol=1e-14)
+
+
+def test_kernel_allocates_no_person_by_item_temporaries():
+    import tracemalloc
+
+    rng = np.random.default_rng(5)
+    pool = ItemPool(model="twopl", beta=rng.normal(0, 1, 60), lambda0=np.exp(rng.normal(0, 0.3, 60)))
+    theta = rng.normal(0, 1, 20_000)  # one (M, I) temporary would be 9.6 MB
+    for kernel in (total_information, total_information_dc):
+        kernel(theta, pool, 1.2)  # sizes the per-thread workspace
+        tracemalloc.start()
+        try:
+            kernel(theta, pool, 1.2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * theta.nbytes
 
 
 def test_dc_derivative_matches_finite_differences():

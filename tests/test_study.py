@@ -25,6 +25,7 @@ from irtcalib import (
     realized_reliability,
     reliability_summary,
     run_validation_study,
+    sac_calibrate,
     simulate_responses,
 )
 from irtcalib import study
@@ -302,6 +303,65 @@ def test_replicate_regenerates_from_public_api(tmp_path, algorithm, metric):
         seed = child_seed(master_seed, "study/replicate", condition.condition_id, record.replicate)
         dataset = simulate_responses(calibration, condition.latent, condition.n_persons, seed)
         assert record.realized_rho == realized_reliability(dataset, metric)
+
+
+def small_grid(algorithms):
+    # Two structural cells at two sample sizes; eqc conditions come first, so
+    # their ids do not depend on which SAC algorithms follow.
+    return study.make_grid([LatentSpec()], ["rasch"], ["parametric"], [15, 30], [60, 100],
+                           {15: 0.45, 30: 0.55}, algorithms=algorithms, replications=3)
+
+
+def test_eqc_solved_once_per_structural_cell(tmp_path, monkeypatch):
+    solves = []
+
+    def counting_eqc(config):
+        solves.append(config.seed)
+        return eqc_calibrate(config)
+
+    monkeypatch.setattr(study, "eqc_calibrate", counting_eqc)
+    conditions = small_grid(study.ALGORITHMS)
+    run_validation_study(conditions, tmp_path, master_seed=3, profile=SMALL_PROFILE)
+    assert len({c.cell_key() for c in conditions}) == 2
+    assert len(solves) == 2 and len(set(solves)) == 2
+
+
+def test_sac_warm_starts_from_cell_eqc_solve(tmp_path, monkeypatch):
+    c_inits = {}
+
+    def recording_sac(config):
+        c_inits[(config.target_rho, config.metric)] = config.resolved_c_init()
+        return sac_calibrate(config)
+
+    monkeypatch.setattr(study, "sac_calibrate", recording_sac)
+    summary = run_validation_study(small_grid(study.ALGORITHMS), tmp_path, master_seed=3, profile=SMALL_PROFILE)
+    eqc_c = {c.target_rho: c.c_star for c in summary.conditions if c.algorithm == "eqc"}
+    assert len(c_inits) == 4
+    for (target, _metric), c_init in c_inits.items():
+        assert c_init == eqc_c[target]
+
+
+def test_eqc_rows_unchanged_by_sac_algorithms(tmp_path):
+    def eqc_lines(out, name, ids):
+        lines = (out / name).read_text().splitlines()
+        return [lines[0]] + [line for line in lines[1:] if int(line.split(",")[0]) in ids]
+
+    alone = small_grid(("eqc",))
+    ids = {c.condition_id for c in alone}
+    run_validation_study(alone, tmp_path / "eqc", master_seed=4, profile=SMALL_PROFILE)
+    run_validation_study(small_grid(study.ALGORITHMS), tmp_path / "all", master_seed=4, profile=SMALL_PROFILE)
+    for name in ("records.csv", "replication_sd.csv"):
+        expected = eqc_lines(tmp_path / "eqc", name, ids)
+        assert len(expected) > 1
+        assert eqc_lines(tmp_path / "all", name, ids) == expected
+
+
+@pytest.mark.parametrize("field, value", [("model", "3pl"), ("item_source", "bank")])
+def test_condition_rejects_unknown_model_or_source(field, value):
+    base = dict(condition_id=0, latent=LatentSpec(), model="rasch", item_source="parametric",
+                n_items=15, n_persons=100, target_rho=0.45)
+    with pytest.raises(ParameterError):
+        StudyCondition(**{**base, field: value})
 
 
 def test_sample_size_invariance_of_calibration(tmp_path):
