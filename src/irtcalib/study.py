@@ -516,10 +516,11 @@ def run_validation_study(
     each cell solves EQC once, its ``eqc`` conditions use that solve and its
     ``sac_info``/``sac_msem`` calibrations warm-start from it, and conditions
     differing only in sample size share one calibration. With ``n_jobs > 1``
-    cells run in separate processes; outputs are byte-identical to a serial
-    run because every value derives only from ``(master_seed, condition)``
-    and the condition summaries are sorted by id before the per-replicate
-    records are read off them.
+    cells run in separate processes (a cell is the unit of work, so
+    processes beyond the number of cells stay idle); outputs are
+    byte-identical to a serial run because every value derives only from
+    ``(master_seed, condition)`` and the condition summaries are sorted by
+    id before the per-replicate records are read off them.
     """
     if not conditions:
         raise EmptyRequestError("condition list is empty")

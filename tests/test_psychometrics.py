@@ -189,25 +189,40 @@ def test_blocked_kernel_bit_identical_to_single_shot(m, n_items, log_c, seed):
     c = float(np.exp(log_c))
     expected = _single_shot_information(theta, pool, c)
     assert np.array_equal(total_information(theta, pool, c), expected)
-    np.testing.assert_allclose(total_information_dc(theta, pool, c),
-                               _broadcast_information_dc(theta, pool, c), rtol=1e-12, atol=1e-14)
+    assert np.array_equal(total_information_dc(theta, pool, c), _broadcast_information_dc(theta, pool, c))
+
+
+def _traced_peak(fn, *args):
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def test_kernel_allocates_no_person_by_item_temporaries():
-    import tracemalloc
-
     rng = np.random.default_rng(5)
     pool = ItemPool(model="twopl", beta=rng.normal(0, 1, 60), lambda0=np.exp(rng.normal(0, 0.3, 60)))
-    theta = rng.normal(0, 1, 20_000)  # one (M, I) temporary would be 9.6 MB
+    theta = rng.normal(0, 1, 20_000)
+    total_information(theta, pool, 1.2)  # sizes the per-thread workspace
+    assert _traced_peak(total_information, theta, pool, 1.2) < 4 * theta.nbytes
+    # test_information_dc keeps block-sized temporaries, never one (M, I) array.
+    assert _traced_peak(total_information_dc, theta, pool, 1.2) < theta.nbytes * pool.n_items
+
+
+def test_information_keeps_the_shape_of_theta():
+    rng = np.random.default_rng(6)
+    pool = ItemPool(model="twopl", beta=rng.normal(0, 1, 30), lambda0=np.exp(rng.normal(0, 0.3, 30)))
+    theta = rng.normal(0, 1, (3, 700))
     for kernel in (total_information, total_information_dc):
-        kernel(theta, pool, 1.2)  # sizes the per-thread workspace
-        tracemalloc.start()
-        try:
-            kernel(theta, pool, 1.2)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 4 * theta.nbytes
+        grid = kernel(theta, pool, 0.8)
+        assert grid.shape == theta.shape
+        assert np.array_equal(grid, kernel(theta.ravel(), pool, 0.8).reshape(theta.shape))
+    np.testing.assert_allclose(total_information(theta, pool, 0.8),
+                               _single_shot_information(theta, pool, 0.8), rtol=1e-13)
 
 
 def test_dc_derivative_matches_finite_differences():
