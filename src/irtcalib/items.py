@@ -73,18 +73,7 @@ class ItemPool:
     def __post_init__(self):
         self.beta = np.asarray(self.beta, dtype=float)
         self.lambda0 = np.asarray(self.lambda0, dtype=float)
-        if self.model not in MODELS:
-            raise ParameterError(f"model must be one of {MODELS}, got {self.model!r}")
-        if self.beta.size == 0:
-            raise ParameterError("pool must contain at least one item")
-        if self.beta.shape != self.lambda0.shape:
-            raise ParameterError("beta and lambda0 must have equal length")
-        if not np.all(np.isfinite(self.beta)) or not np.all(np.isfinite(self.lambda0)):
-            raise ParameterError("item parameters must be finite")
-        if np.any(self.lambda0 <= 0):
-            raise ParameterError("lambda0 must be positive for every item")
-        if self.model == "rasch" and not np.all(self.lambda0 == 1.0):
-            raise ParameterError("rasch pools require lambda0 = 1 for every item")
+        _check_item_parameters(self.model, self.beta, self.lambda0)
 
     @property
     def n_items(self) -> int:
@@ -120,6 +109,22 @@ class ItemPool:
             seed=d.get("seed"),
             target_spearman=d.get("target_spearman"),
         )
+
+
+def _check_item_parameters(model: str, beta: np.ndarray, lambda0: np.ndarray) -> None:
+    """Reject parameters no pool may hold; ``beta``/``lambda0`` are one pool or a batch of them."""
+    if model not in MODELS:
+        raise ParameterError(f"model must be one of {MODELS}, got {model!r}")
+    if beta.size == 0:
+        raise ParameterError("pool must contain at least one item")
+    if beta.shape != lambda0.shape:
+        raise ParameterError("beta and lambda0 must have equal length")
+    if not np.all(np.isfinite(beta)) or not np.all(np.isfinite(lambda0)):
+        raise ParameterError("item parameters must be finite")
+    if np.any(lambda0 <= 0):
+        raise ParameterError("lambda0 must be positive for every item")
+    if model == "rasch" and not np.all(lambda0 == 1.0):
+        raise ParameterError("rasch pools require lambda0 = 1 for every item")
 
 
 def bundled_pool_path() -> str:
@@ -207,39 +212,47 @@ def gen_difficulties(
     seed: int = 0,
     pool_path=None,
     rng: np.random.Generator | None = None,
+    n_pools: int | None = None,
 ) -> np.ndarray:
-    """Draw ``n_items`` difficulties from the parametric or empirical source."""
+    """Draw ``n_items`` difficulties from the parametric or empirical source.
+
+    With ``n_pools`` the result is an ``(n_pools, n_items)`` batch drawn in
+    one call, row by row; its first row is the ``n_pools=None`` draw.
+    """
     n_items = int(n_items)
     if n_items < 1:
         raise ParameterError(f"n_items must be >= 1, got {n_items}")
+    size = n_items if n_pools is None else (int(n_pools), n_items)
     if rng is None:
         rng = stream(seed, "difficulties")
     if source == "parametric":
         params = params or {}
-        return rng.normal(params.get("mu", 0.0), params.get("sigma", 1.0), n_items)
+        return rng.normal(params.get("mu", 0.0), params.get("sigma", 1.0), size)
     if source == "empirical_pool":
         beta = _load_pool_cached(pool_path if pool_path is not None else bundled_pool_path())
-        return rng.choice(beta, size=n_items, replace=True)
+        return rng.choice(beta, size=size, replace=True)
     raise ParameterError(f"difficulty source must be 'parametric' or 'empirical_pool', got {source!r}")
 
 
 def _average_ranks(x: np.ndarray) -> np.ndarray:
-    """1-based ranks of a 1-D array, ties sharing the mean of their ranks.
+    """1-based ranks along the last axis, ties sharing the mean of their ranks.
 
-    The ranks are half-integers, so every step is exact and the result is
-    bit-identical to ``scipy.stats.rankdata(x, method="average")``; as there,
-    any NaN makes every rank NaN.
+    The ranks are half-integers, so every step is exact and each row is
+    bit-identical to ``scipy.stats.rankdata(row, method="average")``; as
+    there, a NaN makes every rank of its row NaN.
     """
-    n = x.size
-    if np.isnan(x).any():
-        return np.full(n, np.nan)
-    order = np.argsort(x, kind="stable")
-    y = x[order]
-    first = np.flatnonzero(np.concatenate(([True], y[1:] != y[:-1])))
-    counts = np.diff(first, append=n)
-    ranks = np.empty(n)
-    ranks[order] = np.repeat(first + 1 + (counts - 1) / 2, counts)
-    return ranks
+    n = x.shape[-1]
+    order = np.argsort(x, axis=-1, kind="stable")
+    y = np.take_along_axis(x, order, axis=-1)
+    starts = np.ones(x.shape, dtype=bool)  # where a tie group starts; every row starts one
+    np.not_equal(y[..., 1:], y[..., :-1], out=starts[..., 1:])
+    first = np.flatnonzero(starts)
+    counts = np.diff(first, append=starts.size)
+    sorted_ranks = np.repeat(first % n + 1 + (counts - 1) / 2, counts)
+    ranks = np.empty(x.shape)
+    np.put_along_axis(ranks, order, sorted_ranks.reshape(x.shape), axis=-1)
+    nan_rows = np.isnan(x).any(axis=-1, keepdims=True)
+    return np.where(nan_rows, np.nan, ranks) if nan_rows.any() else ranks
 
 
 def _spearman(x: np.ndarray, y: np.ndarray) -> float:
@@ -254,9 +267,9 @@ def _spearman(x: np.ndarray, y: np.ndarray) -> float:
 
 
 def rank_uniform(betas: np.ndarray) -> np.ndarray:
-    """Nonparametric CDF transform: average ranks mapped to rank/(n+1)."""
+    """Nonparametric CDF transform along the last axis: average ranks mapped to rank/(n+1)."""
     betas = np.asarray(betas, dtype=float)
-    return _average_ranks(betas) / (betas.size + 1)
+    return _average_ranks(betas) / (betas.shape[-1] + 1)
 
 
 def copula_discriminations(
@@ -270,16 +283,17 @@ def copula_discriminations(
     Five-step construction: (1) u = rank(beta)/(n+1); (2) z_beta = ndtri(u);
     (3) z_lam = rho*z_beta + sqrt(1-rho^2)*z_indep; (4) v = ndtr(z_lam);
     (5) log lambda = mu_log + sigma_log*ndtri(v). The difficulty vector is
-    never modified, so its marginal is preserved exactly.
+    never modified, so its marginal is preserved exactly. A 2-D ``betas`` is a
+    batch of pools, one per row, ranked row by row.
     """
-    betas = np.asarray(betas, dtype=float)
-    if betas.size < 2:
+    betas = np.atleast_1d(np.asarray(betas, dtype=float))
+    if betas.shape[-1] < 2:
         raise InsufficientDataError("copula needs at least 2 items to form ranks")
     if rng is None:
         rng = stream(seed, "discriminations")
     u = rank_uniform(betas)
     z_beta = ndtri(u)
-    z_indep = rng.standard_normal(betas.size)
+    z_indep = rng.standard_normal(betas.shape)
     z_lam = spec.rho * z_beta + np.sqrt(1.0 - spec.rho**2) * z_indep
     v = ndtr(z_lam)
     log_lam = spec.mu_log + spec.sigma_log * ndtri(v)
@@ -292,30 +306,37 @@ def conditional_discriminations(
     seed: int = 0,
     rng: np.random.Generator | None = None,
 ) -> np.ndarray:
-    """Conditional-normal regression on empirically standardized difficulties."""
-    betas = np.asarray(betas, dtype=float)
-    if betas.size < 2:
+    """Conditional-normal regression on empirically standardized difficulties.
+
+    A 2-D ``betas`` is a batch of pools, each row standardized on its own.
+    """
+    betas = np.atleast_1d(np.asarray(betas, dtype=float))
+    if betas.shape[-1] < 2:
         raise InsufficientDataError("conditional method needs at least 2 items")
-    sd = betas.std(ddof=1)
-    if sd == 0:
+    sd = betas.std(ddof=1, axis=-1, keepdims=True)
+    if np.any(sd == 0):
         raise DegenerateInputError("difficulties have zero variance; cannot standardize")
     if rng is None:
         rng = stream(seed, "discriminations")
-    b_std = (betas - betas.mean()) / sd
-    z = rng.standard_normal(betas.size)
+    b_std = (betas - betas.mean(axis=-1, keepdims=True)) / sd
+    z = rng.standard_normal(betas.shape)
     log_lam = spec.mu_log + spec.sigma_log * (spec.rho * b_std + np.sqrt(1.0 - spec.rho**2) * z)
     return np.exp(log_lam)
 
 
 def independent_discriminations(
-    n_items: int,
+    n_items,
     spec: DiscriminationSpec,
     seed: int = 0,
     rng: np.random.Generator | None = None,
 ) -> np.ndarray:
+    """Log-normal discriminations independent of difficulty.
+
+    ``n_items`` is an item count, or the shape of a batch of pools.
+    """
     if rng is None:
         rng = stream(seed, "discriminations")
-    return np.exp(spec.mu_log + spec.sigma_log * rng.standard_normal(int(n_items)))
+    return np.exp(spec.mu_log + spec.sigma_log * rng.standard_normal(n_items))
 
 
 @dataclass(frozen=True)
@@ -407,18 +428,20 @@ class PoolConfig:
         )
 
 
-def build_pool(config: PoolConfig) -> ItemPool:
-    """Assemble difficulties and discriminations into an :class:`ItemPool`.
+def draw_pools(
+    config: PoolConfig, n_pools: int, rng: np.random.Generator
+) -> tuple[np.ndarray, np.ndarray]:
+    """``n_pools`` pool realizations of ``config`` as ``(n_pools, I)`` arrays ``(beta, lambda0)``.
 
-    All randomness comes from a single pool-generation stream: difficulties
-    first, then (for dependent methods) one independent normal per item in
-    item order, so pools are reproducible from ``config.seed`` alone.
+    All difficulties are drawn first, in one call, then (for dependent
+    methods) one independent normal per item, row by row; so the one-row
+    batch is exactly the pool :func:`build_pool` draws from the same ``rng``.
+    The whole batch passes the checks every :class:`ItemPool` applies.
     """
-    rng = stream(config.seed, "pool")
     method = config.resolved_method()
-
     if config.source == "custom":
-        beta = np.asarray(config.betas, dtype=float)
+        custom = np.asarray(config.betas, dtype=float)
+        beta = np.broadcast_to(custom, (n_pools, custom.size))
     else:
         beta = gen_difficulties(
             config.source,
@@ -426,23 +449,38 @@ def build_pool(config: PoolConfig) -> ItemPool:
             params={"mu": config.difficulty_mu, "sigma": config.difficulty_sigma},
             pool_path=config.pool_path,
             rng=rng,
+            n_pools=n_pools,
         )
 
     if config.model == "rasch":
-        lam = np.ones_like(beta)
+        lam = np.ones(beta.shape)
     elif method == "fixed":
-        lam = np.asarray(config.lambdas, dtype=float)
+        fixed = np.asarray(config.lambdas, dtype=float)
+        lam = np.broadcast_to(fixed, (n_pools, fixed.size))
     elif method == "copula":
         lam = copula_discriminations(beta, config.discrimination, rng=rng)
     elif method == "conditional":
         lam = conditional_discriminations(beta, config.discrimination, rng=rng)
     else:
-        lam = independent_discriminations(beta.size, config.discrimination, rng=rng)
+        lam = independent_discriminations(beta.shape, config.discrimination, rng=rng)
+    _check_item_parameters(config.model, beta, lam)
+    return beta, lam
 
+
+def build_pool(config: PoolConfig) -> ItemPool:
+    """Assemble difficulties and discriminations into an :class:`ItemPool`.
+
+    All randomness comes from a single pool-generation stream: difficulties
+    first, then (for dependent methods) one independent normal per item in
+    item order, so pools are reproducible from ``config.seed`` alone. The
+    pool is the one-row case of :func:`draw_pools`.
+    """
+    method = config.resolved_method()
+    beta, lam = draw_pools(config, 1, stream(config.seed, "pool"))
     return ItemPool(
         model=config.model,
-        beta=beta,
-        lambda0=lam,
+        beta=beta[0],
+        lambda0=lam[0],
         source=config.source,
         gen_method=method,
         seed=config.seed,

@@ -1,27 +1,41 @@
 """Stochastic scale calibration by projected Robbins-Monro iteration.
 
-Each iteration draws a fresh latent batch and a fresh pool realization
-(unless ``items`` is a fixed :class:`ItemPool`), measures the reliability of
-the current scale on it, and moves the scale against the signed error with a
-decaying step; the reported scale is the average of the post-burn-in iterates.
-Unlike the quadrature method this integrates over all generation randomness
-and can target the error-variance metric directly.
+Each iteration draws a fresh latent batch, measures the reliability of the
+current scale on it with that iteration's pool realization (the same fixed
+pool every time when ``items`` is an :class:`ItemPool`), and moves the scale
+against the signed error with a decaying step; the reported scale is the
+average of the post-burn-in iterates. Unlike the quadrature method this
+integrates over all generation randomness and can target the error-variance
+metric directly.
+
+The pools do not depend on the scale, so all ``n_iter`` of them are drawn
+up front in one batch from the stream ``"sac/pools"`` (row ``n - 1`` serves
+iteration ``n``); the abilities are drawn one batch per iteration from the
+sequential stream ``"sac/theta"``.
 
 The reported ``achieved_rho`` comes from an independent evaluation stream:
-``eval_m / m_per_iter`` blocks, each shaped exactly like an iteration batch,
-whose metric values are averaged. This estimates the same functional the
-iteration equilibrates on.
+``eval_m / m_per_iter`` blocks, each shaped exactly like an iteration batch
+and each on its own pool (``build_pool`` at ``child_seed(seed,
+"sac/eval-pool", b)``), whose metric values are averaged. This estimates
+the same functional the iteration equilibrates on.
+
+On heavy-tailed abilities the error-variance metric is itself heavy-tailed:
+``1/J`` grows like ``exp(c*lambda*|theta|)`` while the tails of Student t
+fall off polynomially, so ``E[1/J]`` is infinite at every scale and a rare
+batch with an extreme ability collapses its ``w_bar``. The scale stays
+right, but the average over the evaluation blocks misses the target now and
+then (the README gives measurements).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Any, Callable, Mapping, Union
+from typing import Any, Callable, Mapping, NamedTuple, Union
 
 import numpy as np
 
 from .errors import ConfigurationError, DivergedObjectiveError, ParameterError
-from .items import ItemPool, PoolConfig, build_pool
+from .items import ItemPool, PoolConfig, build_pool, draw_pools
 from .latent import LatentSpec, sample_latent
 from .psychometrics import (
     METRIC_AVG_INFO,
@@ -129,7 +143,8 @@ class SacResult:
         cfg = self.config
         return {
             "result_type": "sac",
-            "schema_version": 1,
+            # 2: iteration pools are drawn in one batch; 1: one build_pool per iteration
+            "schema_version": 2,
             "target_rho": cfg.target_rho,
             "achieved_rho": self.achieved_rho,
             "abs_error": abs(self.achieved_rho - cfg.target_rho),
@@ -220,18 +235,40 @@ def _iterate(
     return trace_c, trace_rho, clamps
 
 
-def _pool(config: SacConfig, tag: str, n: int) -> ItemPool:
+class _PoolRow(NamedTuple):
+    """One pool of a batch: the ``beta``/``lambda0`` rows the kernel reads."""
+
+    beta: np.ndarray
+    lambda0: np.ndarray
+
+    @property
+    def n_items(self) -> int:
+        return self.beta.size
+
+
+def _iteration_pools(config: SacConfig) -> tuple[np.ndarray, np.ndarray]:
+    """``(n_iter, I)`` difficulties and discriminations; row ``n - 1`` serves iteration ``n``.
+
+    Generated pools are drawn in one batch from the ``"sac/pools"`` stream; a
+    fixed :class:`ItemPool` is broadcast to every row.
+    """
+    items = config.items
+    if isinstance(items, ItemPool):
+        shape = (config.n_iter, items.n_items)
+        return np.broadcast_to(items.beta, shape), np.broadcast_to(items.lambda0, shape)
+    return draw_pools(items, config.n_iter, stream(config.seed, "sac/pools"))
+
+
+def _eval_pool(config: SacConfig, block: int) -> ItemPool:
     if isinstance(config.items, ItemPool):
         return config.items
-    return build_pool(replace(config.items, seed=child_seed(config.seed, tag, n)))
+    return build_pool(replace(config.items, seed=child_seed(config.seed, "sac/eval-pool", block)))
 
 
-def _batch(config: SacConfig, rng: np.random.Generator, tag: str, n: int, c: float):
-    """Draw ``m_per_iter`` abilities from ``rng`` and summarise them at scale ``c`` on
-    pool ``(tag, n)``; returns ``(summary, pool)``."""
+def _summary(config: SacConfig, rng: np.random.Generator, pool, c: float):
+    """Draw ``m_per_iter`` abilities from ``rng`` and summarise them at scale ``c`` on ``pool``."""
     theta = sample_latent(config.latent, config.m_per_iter, rng=rng).theta
-    pool = _pool(config, tag, n)
-    return reliability_summary(theta, pool, c), pool
+    return reliability_summary(theta, pool, c)
 
 
 def sac_calibrate(config: SacConfig) -> SacResult:
@@ -243,9 +280,10 @@ def sac_calibrate(config: SacConfig) -> SacResult:
     """
     c0 = config.resolved_c_init()
     theta_rng = stream(config.seed, "sac/theta")
+    betas, lambdas = _iteration_pools(config)
 
     def rho_of(n: int, c: float) -> float:
-        summary, _ = _batch(config, theta_rng, "sac/pool", n, c)
+        summary = _summary(config, theta_rng, _PoolRow(betas[n - 1], lambdas[n - 1]), c)
         if config.metric != METRIC_AVG_INFO and summary.underflow:
             raise DivergedObjectiveError(
                 f"error-variance objective diverged at iteration {n} (c={c}): "
@@ -259,8 +297,9 @@ def sac_calibrate(config: SacConfig) -> SacResult:
     # Independent evaluation: blocks shaped like iteration batches, fresh streams.
     eval_rng = stream(config.seed, "sac/eval")
     n_blocks = max(1, config.resolved_eval_m() // config.m_per_iter)
-    blocks = [_batch(config, eval_rng, "sac/eval-pool", b, c_star) for b in range(n_blocks)]
-    achieved = float(np.mean([metric_value(summary, config.metric) for summary, _ in blocks]))
+    pools = [_eval_pool(config, b) for b in range(n_blocks)]
+    achieved = float(np.mean([metric_value(_summary(config, eval_rng, pool, c_star), config.metric)
+                              for pool in pools]))
 
     clamp_fraction = clamps / config.n_iter
     status = STATUS_BOUNDARY_CHATTER if clamp_fraction > _BOUNDARY_CHATTER_FRACTION else STATUS_OK
@@ -273,7 +312,7 @@ def sac_calibrate(config: SacConfig) -> SacResult:
         metric=config.metric,
         status=status,
         clamp_fraction=clamp_fraction,
-        pool=blocks[0][1],
+        pool=pools[0],
         config=config,
     )
 

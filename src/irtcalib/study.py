@@ -62,8 +62,9 @@ ALGORITHMS = ("eqc", "sac_info", "sac_msem")
 
 # Version of the study's output layout and seeding, written to
 # study_summary.json. 2: each structural cell solves EQC once, and its SAC
-# calibrations warm-start from that solve.
-SCHEMA_VERSION = 2
+# calibrations warm-start from that solve. 3: SAC draws its iteration pools
+# in one batch (SacResult schema 2), so SAC rows change; eqc rows do not.
+SCHEMA_VERSION = 3
 
 # Target windows judged attainable for each standard test length.
 ADAPTIVE_TARGET_RANGE = {15: (0.30, 0.60), 30: (0.40, 0.70), 60: (0.50, 0.80)}

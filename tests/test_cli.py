@@ -279,7 +279,7 @@ def test_validate_summary_records_schema_version(tmp_path):
     cfg_path.write_text(json.dumps(cfg))
     assert run(["validate", "--config", str(cfg_path), "--out-dir", str(tmp_path / "out"), "--threads", "1"]) == 0
     summary = json.loads((tmp_path / "out" / "study_summary.json").read_text())
-    assert summary["schema_version"] == 2
+    assert summary["schema_version"] == 3
 
 
 def test_validate_full_profile_echo(tmp_path, capsys):

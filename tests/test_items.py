@@ -1,5 +1,7 @@
+import hashlib
 import json
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -26,7 +28,7 @@ from irtcalib import (
     load_pool_csv,
     save_pool_csv,
 )
-from irtcalib.items import make_synthetic_pool, rank_uniform
+from irtcalib.items import _average_ranks, make_synthetic_pool, rank_uniform
 from irtcalib.rng import stream
 
 
@@ -223,6 +225,29 @@ def test_rank_uniform_bit_identical_to_scipy_rankdata(x):
     assert rank_uniform(x).tobytes() == expected.tobytes()
 
 
+@st.composite
+def tied_batches(draw):
+    """2-D samples whose rows have ties, are constant, or hold a NaN."""
+    rows, cols = draw(st.integers(1, 8)), draw(st.integers(1, 40))
+    x = draw(arrays(np.float64, (rows, cols), elements=st.sampled_from(_TIE_VALUES)))
+    for row in x:
+        kind = draw(st.sampled_from(["ties", "constant", "nan"]))
+        if kind == "constant":
+            row[:] = row[0]
+        elif kind == "nan":
+            row[draw(st.integers(0, cols - 1))] = np.nan
+    return x
+
+
+@settings(deadline=None)
+@given(x=tied_batches())
+def test_row_wise_ranks_match_one_dimensional_ranks_and_scipy(x):
+    ranks = _average_ranks(x)
+    for row, row_ranks in zip(x, ranks):
+        np.testing.assert_array_equal(row_ranks, _average_ranks(row))
+    np.testing.assert_array_equal(ranks, stats.rankdata(x, method="average", axis=1))
+
+
 def test_rank_uniform_nan_makes_every_rank_nan():
     x = np.array([0.5, np.nan, -1.0])
     expected = stats.rankdata(x, method="average") / 4
@@ -291,3 +316,34 @@ def test_built_pool_roundtrips_through_json(model_method, source, n_items, const
     clone = ItemPool.from_dict(json.loads(json.dumps(doc))).to_dict()
     # json.dumps compares floats by repr, so NaN matches NaN and -0.0 differs from 0.0.
     assert json.dumps(clone) == json.dumps(doc)
+
+
+# sha256 of json.dumps(build_pool(config).to_dict()) for every case below,
+# recorded before build_pool became the one-row case of draw_pools: a single
+# pool must keep its bits.
+_POOL_DIGESTS_PATH = Path(__file__).parent / "data" / "build_pool_sha256.json"
+
+
+def pool_digest_configs():
+    """``(key, PoolConfig)`` over model x source x legal gen_method x n_items x seed."""
+    for model, method in _MODEL_METHODS:
+        for source in ("parametric", "empirical_pool", "custom"):
+            for n_items in (2, 3, 30):
+                for seed in (0, 11, 2**63 + 5):
+                    betas = [(-1) ** i * (i % 4) * 0.5 for i in range(n_items)]  # ties from 4 items on
+                    lambdas = [1.0 + 0.1 * (i % 3) for i in range(n_items)]
+                    yield f"{model}/{source}/{method}/{n_items}/{seed}", PoolConfig(
+                        model=model, source=source, n_items=n_items, gen_method=method,
+                        betas=betas if source == "custom" else None,
+                        lambdas=lambdas if (model, method) == ("twopl", "fixed") else None, seed=seed)
+
+
+def pool_digest(config: PoolConfig) -> str:
+    return hashlib.sha256(json.dumps(build_pool(config).to_dict()).encode("utf-8")).hexdigest()
+
+
+def test_build_pool_keeps_its_bytes():
+    expected = json.loads(_POOL_DIGESTS_PATH.read_text())
+    actual = {key: pool_digest(config) for key, config in pool_digest_configs()}
+    assert len(actual) == 135
+    assert {k for k in actual if actual[k] != expected.get(k)} == set()

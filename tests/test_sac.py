@@ -1,4 +1,5 @@
 import json
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
@@ -20,9 +21,10 @@ from irtcalib import (
     step_size,
 )
 from irtcalib import sac
-from irtcalib.items import build_pool
+from irtcalib.items import build_pool, draw_pools
+from irtcalib.psychometrics import reliability_summary
 from irtcalib.sac import _iterate
-from irtcalib.rng import child_seed
+from irtcalib.rng import child_seed, stream
 
 from conftest import make_rasch_pool
 
@@ -276,6 +278,15 @@ def test_twopl_result_roundtrip():
     assert SacResult.from_dict(doc).to_dict() == doc
 
 
+def test_schema_version_one_document_loads():
+    doc = json.loads(json.dumps(_small_twopl_run().to_dict()))
+    assert doc["schema_version"] == 2
+    doc["schema_version"] = 1
+    clone = SacResult.from_dict(doc)
+    assert clone.c_star == doc["c_star"]
+    assert clone.to_dict() == {**doc, "schema_version": 2}
+
+
 def test_frozen_pool_document_rejected():
     doc = _small_twopl_run().to_dict()
     doc["redraw_items"] = False
@@ -284,19 +295,56 @@ def test_frozen_pool_document_rejected():
 
 
 def test_builds_one_pool_per_iteration_and_evaluation_block(monkeypatch):
-    built = []
+    # Iteration pools are the rows of one batch drawn up front; build_pool
+    # runs only for the evaluation blocks.
+    calls = Counter()
+    seen = []
 
-    def counting_build_pool(config):
-        built.append(config.seed)
-        return build_pool(config)
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
 
-    monkeypatch.setattr(sac, "build_pool", counting_build_pool)
+    for name in ("build_pool", "child_seed", "stream"):
+        monkeypatch.setattr(sac, name, counting(name, getattr(sac, name)))
+    monkeypatch.setattr(sac, "reliability_summary",
+                        lambda theta, pool, c: seen.append(pool) or reliability_summary(theta, pool, c))
     result = _small_twopl_run(eval_m=350)  # 350 // 100 = 3 evaluation blocks
-    assert len(built) == 30 + 3
+    assert calls["build_pool"] == 3
     cfg = result.config
+    beta, lam = draw_pools(cfg.items, cfg.n_iter, stream(cfg.seed, "sac/pools"))
+    assert len(seen) == 30 + 3
+    for n, pool in enumerate(seen[:30]):
+        assert (pool.beta.tobytes(), pool.lambda0.tobytes()) == (beta[n].tobytes(), lam[n].tobytes())
     expected = build_pool(replace(cfg.items, seed=child_seed(cfg.seed, "sac/eval-pool", 0)))
     assert result.pool.to_dict() == expected.to_dict()
 
-    built.clear()
+    counts_at_30 = dict(calls)
+    calls.clear()
+    sac_calibrate(replace(cfg, n_iter=60))
+    assert dict(calls) == counts_at_30
+
+    calls.clear()
     sac_calibrate(replace(cfg, items=result.pool))
-    assert built == []
+    assert calls["build_pool"] == 0
+
+
+_CUSTOM_BETAS = [-1.5, -0.5, 0.0, 0.0, 0.5, 1.0, 1.0, 2.0]  # ties, as resampling makes
+_ITEM_RECIPES = [("rasch", "fixed")] + [("twopl", m) for m in ("copula", "conditional", "independent", "fixed")]
+
+
+@pytest.mark.parametrize("source", ["parametric", "empirical_pool", "custom"])
+@pytest.mark.parametrize("model, method", _ITEM_RECIPES)
+def test_runs_on_every_gen_method_and_source(model, method, source):
+    items = PoolConfig(model=model, source=source, n_items=8, gen_method=method,
+                       betas=_CUSTOM_BETAS if source == "custom" else None,
+                       lambdas=[0.8, 1.2] * 4 if (model, method) == ("twopl", "fixed") else None)
+    cfg = replace(BASE, items=items, n_iter=40, burn_in=20, m_per_iter=200, eval_m=600)
+    result = sac_calibrate(cfg)
+    assert cfg.interval.c_lower <= result.c_star <= cfg.interval.c_upper
+    assert 0.0 < result.achieved_rho < 1.0
+    assert result.pool.to_dict() == build_pool(
+        replace(items, seed=child_seed(cfg.seed, "sac/eval-pool", 0))).to_dict()
+    assert result.pool.gen_method == method
+    np.testing.assert_array_equal(sac_calibrate(cfg).trace_c, result.trace_c)

@@ -1,5 +1,6 @@
 import os
 import tempfile
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
 
 import numpy as np
@@ -268,6 +269,27 @@ def test_parallel_matches_serial(tmp_path):
     run_validation_study(conds, tmp_path / "serial", master_seed=6, profile=SMALL_PROFILE, n_jobs=1)
     run_validation_study(conds, tmp_path / "par", master_seed=6, profile=SMALL_PROFILE, n_jobs=3)
     for name in ("records", "replication_sd"):
+        assert (tmp_path / "serial" / f"{name}.csv").read_bytes() == (tmp_path / "par" / f"{name}.csv").read_bytes()
+
+
+def test_process_pool_matches_serial(tmp_path, monkeypatch):
+    # Two structural cells (two test lengths), each with eqc and sac_info, so
+    # n_jobs=2 hands the cells to worker processes.
+    conds = study.make_grid([LatentSpec()], ["rasch"], ["parametric"], [15, 30], [100],
+                            {15: 0.45, 30: 0.55}, algorithms=("eqc", "sac_info"), replications=3)
+    tiny = StudyProfile(label="tiny", m_quadrature=2000, n_iter=20, m_per_iter=100)
+    started = []
+
+    def recording_executor(*args, **kwargs):
+        started.append(kwargs)
+        return ProcessPoolExecutor(*args, **kwargs)
+
+    monkeypatch.setattr(study, "ProcessPoolExecutor", recording_executor)
+    run_validation_study(conds, tmp_path / "serial", master_seed=4, profile=tiny, n_jobs=1)
+    assert started == []
+    run_validation_study(conds, tmp_path / "par", master_seed=4, profile=tiny, n_jobs=2)
+    assert started == [{"max_workers": 2}]
+    for name in ("records", "summary_by_algorithm", "summary_by_target", "replication_sd"):
         assert (tmp_path / "serial" / f"{name}.csv").read_bytes() == (tmp_path / "par" / f"{name}.csv").read_bytes()
 
 
