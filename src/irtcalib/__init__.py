@@ -73,7 +73,6 @@ from .study import (
     ResponseDataset,
     StudyCondition,
     StudyProfile,
-    ValidationRecord,
     compare_calibrations,
     make_desk_grid,
     make_grid,

@@ -30,6 +30,8 @@ from . import __version__, rng
 from .eqc import (
     CalibrationResult,
     EqcConfig,
+    STATUS_BOUNDARY_HIGH,
+    STATUS_BOUNDARY_LOW,
     STATUS_SUCCESS,
     eqc_calibrate,
     feasibility_report,
@@ -124,15 +126,11 @@ def _pool_config_from_args(args) -> PoolConfig:
         model=args.model,
         source=source,
         n_items=args.items,
-        gen_method=getattr(args, "gen_method", None),
-        difficulty_mu=getattr(args, "difficulty_mu", 0.0),
-        difficulty_sigma=getattr(args, "difficulty_sigma", 1.0),
-        pool_path=getattr(args, "pool_file", None),
-        discrimination=DiscriminationSpec(
-            mu_log=getattr(args, "mu_log", 0.0),
-            sigma_log=getattr(args, "sigma_log", 0.3),
-            rho=getattr(args, "rho", -0.3),
-        ),
+        gen_method=args.gen_method,
+        difficulty_mu=args.difficulty_mu,
+        difficulty_sigma=args.difficulty_sigma,
+        pool_path=args.pool_file,
+        discrimination=DiscriminationSpec(mu_log=args.mu_log, sigma_log=args.sigma_log, rho=args.rho),
     )
 
 
@@ -264,7 +262,7 @@ def cmd_calibrate(args) -> int:
         _write_json(args.out, doc)
         print(f"result written to {args.out}")
 
-    if getattr(result, "status", STATUS_SUCCESS) in ("boundary_low", "boundary_high"):
+    if result.status in (STATUS_BOUNDARY_LOW, STATUS_BOUNDARY_HIGH):
         print(infeasible_message(result), file=sys.stderr)
         return EXIT_INFEASIBLE
     return EXIT_OK
@@ -422,7 +420,7 @@ def cmd_validate(args) -> int:
     )
     doc = {
         "schema_version": STUDY_SCHEMA_VERSION,
-        "echo": summary.echo,
+        "echo": echo,
         "skipped": [{"condition_id": cid, "reason": reason} for cid, reason in summary.skipped],
         "by_algorithm": summary.algorithm_rows,
         "by_target": summary.target_rows,

@@ -119,6 +119,9 @@ class CalibrationResult:
     def from_dict(d: Mapping[str, Any]) -> "CalibrationResult":
         if d.get("result_type") != "eqc":
             raise ConfigurationError(f"expected an eqc result document, got {d.get('result_type')!r}")
+        if d.get("schema_version") != 1:
+            raise ConfigurationError(
+                f"unsupported eqc result schema_version {d.get('schema_version')!r}; expected 1")
         pool = ItemPool.from_dict(d["pool"])
         cfg = EqcConfig(
             target_rho=float(d["target_rho"]),

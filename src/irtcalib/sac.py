@@ -172,6 +172,9 @@ class SacResult:
     def from_dict(d: Mapping[str, Any]) -> "SacResult":
         if d.get("result_type") != "sac":
             raise ConfigurationError(f"expected a sac result document, got {d.get('result_type')!r}")
+        if d.get("schema_version") not in (1, 2):
+            raise ConfigurationError(
+                f"unsupported sac result schema_version {d.get('schema_version')!r}; expected 1 or 2")
         if not d["redraw_items"]:
             raise ConfigurationError(
                 "a sac result run on a frozen pool (redraw_items false) cannot be reproduced")

@@ -34,7 +34,7 @@ import itertools
 import logging
 import warnings
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -209,16 +209,6 @@ class StudyCondition:
         return f"{self.cell_key()}|{self.algorithm}"
 
 
-@dataclass
-class ValidationRecord:
-    condition_id: int
-    replicate: int
-    c_star: float
-    achieved_rho_design: float
-    realized_rho: float
-    delta: float
-
-
 @dataclass(frozen=True)
 class StudyProfile:
     """Calibration effort shared by every condition of a study run."""
@@ -323,13 +313,11 @@ class ConditionSummary:
 
 @dataclass
 class StudySummary:
-    records: list[ValidationRecord]
     conditions: list[ConditionSummary]
     skipped: list[tuple[int, str]]
     algorithm_rows: list[dict]
     target_rows: list[dict]
     paths: dict
-    echo: dict
 
 
 def _solve_eqc(master_seed: int, profile: StudyProfile, condition: StudyCondition) -> CalibrationResult:
@@ -441,7 +429,7 @@ def _sd(values: np.ndarray) -> float:
 
 
 # Column order of each output table; the aggregators build their rows from it.
-_RECORD_COLUMNS = tuple(f.name for f in fields(ValidationRecord))
+_RECORD_COLUMNS = ("condition_id", "replicate", "c_star", "achieved_rho_design", "realized_rho", "delta")
 _ALGORITHM_COLUMNS = (
     "algorithm", "n_conditions", "mean_delta", "sd_delta", "mae", "max_abs_delta",
     "pct_within_001", "pct_within_002", "pct_within_005",
@@ -465,6 +453,14 @@ def _write_csv(path, columns, rows) -> None:
         fh.write(",".join(columns) + "\n")
         for row in rows:
             fh.write(",".join(fmt(row[c]) for c in columns) + "\n")
+
+
+def _record_rows(conditions: list[ConditionSummary]):
+    """One ``records.csv`` row per replicate of each condition, in the order given."""
+    for c in conditions:
+        for k, rho in enumerate(c.realized):
+            values = (c.condition_id, k, c.c_star, c.achieved_rho_design, float(rho), c.delta)
+            yield dict(zip(_RECORD_COLUMNS, values))
 
 
 def _aggregate_by_algorithm(conditions: list[ConditionSummary]) -> list[dict]:
@@ -551,11 +547,6 @@ def run_validation_study(
     skipped.sort(key=lambda s: s[0])
     for cid, reason in skipped:
         logger.warning("condition %d skipped: %s", cid, reason)
-    records = [
-        ValidationRecord(s.condition_id, k, s.c_star, s.achieved_rho_design, float(rho), s.delta)
-        for s in summaries
-        for k, rho in enumerate(s.realized)
-    ]
 
     paths = {
         "records": out / "records.csv",
@@ -565,18 +556,16 @@ def run_validation_study(
     }
     algorithm_rows = _aggregate_by_algorithm(summaries)
     target_rows = _aggregate_by_target(summaries)
-    _write_csv(paths["records"], _RECORD_COLUMNS, map(vars, records))
+    _write_csv(paths["records"], _RECORD_COLUMNS, _record_rows(summaries))
     _write_csv(paths["summary_by_algorithm"], _ALGORITHM_COLUMNS, algorithm_rows)
     _write_csv(paths["summary_by_target"], _TARGET_COLUMNS, target_rows)
     _write_csv(paths["replication_sd"], _REPLICATION_SD_COLUMNS, map(vars, summaries))
     return StudySummary(
-        records=records,
         conditions=summaries,
         skipped=skipped,
         algorithm_rows=algorithm_rows,
         target_rows=target_rows,
         paths={k: str(v) for k, v in paths.items()},
-        echo={"master_seed": master_seed, "n_conditions": len(conditions), **profile.echo()},
     )
 
 

@@ -144,6 +144,21 @@ def test_generate_zero_persons(eqc_json, tmp_path):
                 "--out", str(tmp_path / "x.csv")]) == 2
 
 
+@pytest.mark.parametrize("version", [None, 2])
+def test_generate_rejects_unknown_schema_version(eqc_json, tmp_path, capsys, version):
+    doc = json.loads(eqc_json.read_text())
+    if version is None:
+        del doc["schema_version"]
+    else:
+        doc["schema_version"] = version
+    path = tmp_path / "future.json"
+    path.write_text(json.dumps(doc))
+    out = tmp_path / "x.csv"
+    assert run(["generate", "--calibration", str(path), "--n", "5", "--out", str(out)]) == 2
+    assert f"schema_version {version!r}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_generate_missing_calibration(tmp_path):
     assert run(["generate", "--calibration", str(tmp_path / "nope.json"),
                 "--n", "5", "--out", str(tmp_path / "x.csv")]) == 5

@@ -178,6 +178,18 @@ def test_pool_generation_failure_propagates():
         eqc_calibrate(cfg)
 
 
+@pytest.mark.parametrize("version", [None, 0, 2, 3])
+def test_result_document_with_unknown_schema_version_rejected(version):
+    doc = eqc_calibrate(replace(FLAGSHIP, m_quadrature=1000)).to_dict()
+    assert doc["schema_version"] == 1
+    if version is None:
+        del doc["schema_version"]
+    else:
+        doc["schema_version"] = version
+    with pytest.raises(ConfigurationError, match=f"schema_version {version!r}"):
+        CalibrationResult.from_dict(doc)
+
+
 def test_result_json_roundtrip(tmp_path):
     result = eqc_calibrate(FLAGSHIP)
     doc = result.to_dict()

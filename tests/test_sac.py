@@ -287,6 +287,17 @@ def test_schema_version_one_document_loads():
     assert clone.to_dict() == {**doc, "schema_version": 2}
 
 
+@pytest.mark.parametrize("version", [None, 0, 3])
+def test_unknown_schema_version_rejected(version):
+    doc = _small_twopl_run().to_dict()
+    if version is None:
+        del doc["schema_version"]
+    else:
+        doc["schema_version"] = version
+    with pytest.raises(ConfigurationError, match=f"schema_version {version!r}"):
+        SacResult.from_dict(doc)
+
+
 def test_frozen_pool_document_rejected():
     doc = _small_twopl_run().to_dict()
     doc["redraw_items"] = False

@@ -1,5 +1,7 @@
+import csv
 import os
 import tempfile
+import tracemalloc
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
 
@@ -245,16 +247,58 @@ def small_conditions(algorithm="eqc", n_persons=(100,), replications=4):
     return conds
 
 
+RECORDS_HEADER = "condition_id,replicate,c_star,achieved_rho_design,realized_rho,delta"
+
+
+def read_records(out_dir) -> list[dict]:
+    with open(out_dir / "records.csv", newline="") as fh:
+        return list(csv.DictReader(fh))
+
+
 def test_study_outputs_and_bookkeeping(tmp_path):
-    summary = run_validation_study(small_conditions(), tmp_path, master_seed=5, profile=SMALL_PROFILE)
+    run_validation_study(small_conditions(), tmp_path, master_seed=5, profile=SMALL_PROFILE)
     for name in ("records", "summary_by_algorithm", "summary_by_target", "replication_sd"):
         assert (tmp_path / f"{name}.csv").exists()
-    assert len(summary.records) == 4
-    for record in summary.records:
-        assert record.delta == record.achieved_rho_design - 0.6
+    records = read_records(tmp_path)
+    assert len(records) == 4
+    for record in records:
+        assert float(record["delta"]) == float(record["achieved_rho_design"]) - 0.6
     header = (tmp_path / "records.csv").read_text().splitlines()[0]
-    assert header == "condition_id,replicate,c_star,achieved_rho_design,realized_rho,delta"
+    assert header == RECORDS_HEADER
     assert "runtime" not in header
+
+
+def test_records_csv_is_read_off_the_condition_summaries(tmp_path):
+    # Two structural cells x every algorithm x two sample sizes: 12 conditions.
+    summary = run_validation_study(small_grid(study.ALGORITHMS), tmp_path, master_seed=8, profile=SMALL_PROFILE)
+    conditions = summary.conditions
+    assert [c.condition_id for c in conditions] == list(range(12))
+    lines = [RECORDS_HEADER]
+    for c in conditions:
+        for k, rho in enumerate(c.realized):
+            lines.append(f"{c.condition_id},{k},{c.c_star!r},{c.achieved_rho_design!r},{float(rho)!r},{c.delta!r}")
+    assert len(lines) == 1 + 12 * 3
+    assert (tmp_path / "records.csv").read_bytes() == ("\n".join(lines) + "\n").encode()
+
+
+def test_records_are_not_held_in_memory(tmp_path):
+    # One eqc condition with many cheap replicates. The writer streams its
+    # rows, so the traced peak stays near 0.2 MB; one object per replicate
+    # held until the file is written would take it to about 1.2 MB.
+    (condition,) = small_conditions(n_persons=(2,), replications=4000)
+    profile = StudyProfile(label="tiny", m_quadrature=200)
+    # An untraced warm-up run takes one-off costs (lazy imports, the kernel
+    # workspace) out of the traced peak.
+    run_validation_study([condition], tmp_path / "warm", master_seed=2, profile=replace(profile, replications=2))
+    tracemalloc.start()
+    try:
+        summary = run_validation_study([condition], tmp_path, master_seed=2, profile=profile)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert summary.conditions[0].replications == 4000
+    assert len(read_records(tmp_path)) == 4000
+    assert peak < 500_000
 
 
 def test_study_reruns_are_byte_identical(tmp_path):
@@ -308,23 +352,26 @@ def test_infeasible_condition_skipped_with_warning(tmp_path, caplog):
         summary = run_validation_study([bad], tmp_path, profile=profile)
     assert summary.skipped and summary.skipped[0][0] == 0
     assert "skipped" in caplog.text
-    assert summary.records == []
+    assert summary.conditions == []
+    assert (tmp_path / "records.csv").read_text() == RECORDS_HEADER + "\n"
 
 
 @pytest.mark.parametrize("algorithm, metric", [("eqc", "avg_info"), ("sac_msem", "msem")])
 def test_replicate_regenerates_from_public_api(tmp_path, algorithm, metric):
     # Each record's realized value is the realized reliability of the full
-    # response dataset simulate_responses builds from the replicate's seed.
+    # response dataset simulate_responses builds from the replicate's seed,
+    # bit for bit: the CSV holds repr(x), and float(repr(x)) == x.
     master_seed = 9
     (condition,) = small_conditions(algorithm=algorithm, n_persons=(60,), replications=3)
-    summary = run_validation_study([condition], tmp_path, master_seed=master_seed, profile=SMALL_PROFILE)
+    run_validation_study([condition], tmp_path, master_seed=master_seed, profile=SMALL_PROFILE)
     calibration, reason = study._calibrate(master_seed, SMALL_PROFILE, condition)
     assert reason is None
-    assert len(summary.records) == 3
-    for record in summary.records:
-        seed = child_seed(master_seed, "study/replicate", condition.condition_id, record.replicate)
+    records = read_records(tmp_path)
+    assert len(records) == 3
+    for record in records:
+        seed = child_seed(master_seed, "study/replicate", condition.condition_id, int(record["replicate"]))
         dataset = simulate_responses(calibration, condition.latent, condition.n_persons, seed)
-        assert record.realized_rho == realized_reliability(dataset, metric)
+        assert float(record["realized_rho"]) == realized_reliability(dataset, metric)
 
 
 def small_grid(algorithms):
