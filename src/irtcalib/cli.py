@@ -65,7 +65,7 @@ EXIT_INFEASIBLE = 3
 EXIT_NUMERICAL = 4
 EXIT_IO = 5
 
-_METRIC_ALIASES = {"info": METRIC_AVG_INFO, "avg_info": METRIC_AVG_INFO, "msem": METRIC_MSEM}
+_METRIC_ALIASES = {"info": METRIC_AVG_INFO, "msem": METRIC_MSEM}
 
 logger = logging.getLogger("irtcalib.cli")
 
@@ -574,8 +574,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out-dir", required=True)
     p.add_argument("--profile", choices=("desk", "full"), default="desk")
     p.add_argument("--master-seed", type=int, default=None, help="override the config's master_seed")
-    p.add_argument("--threads", type=int,
-                   default=int(os.environ.get("IRTCALIB_THREADS", os.cpu_count() or 1)))
+    p.add_argument("--threads", type=int, default=os.cpu_count() or 1)
     p.set_defaults(func=cmd_validate)
 
     p = sub.add_parser("compare", help="compare two stored calibration results")

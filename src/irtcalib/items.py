@@ -384,49 +384,6 @@ class PoolConfig:
             return self.gen_method
         return "fixed" if self.model == "rasch" else "copula"
 
-    def to_dict(self) -> dict:
-        d = {
-            "model": self.model,
-            "source": self.source,
-            "n_items": self.n_items,
-            "gen_method": self.resolved_method(),
-            "difficulty_mu": self.difficulty_mu,
-            "difficulty_sigma": self.difficulty_sigma,
-            "pool_path": self.pool_path,
-            "seed": self.seed,
-            "discrimination": {
-                "mu_log": self.discrimination.mu_log,
-                "sigma_log": self.discrimination.sigma_log,
-                "rho": self.discrimination.rho,
-            },
-        }
-        if self.betas is not None:
-            d["betas"] = [float(b) for b in self.betas]
-        if self.lambdas is not None:
-            d["lambdas"] = [float(l) for l in self.lambdas]
-        return d
-
-    @staticmethod
-    def from_dict(d: Mapping[str, Any]) -> "PoolConfig":
-        disc = d.get("discrimination", {})
-        return PoolConfig(
-            model=d.get("model", "rasch"),
-            source=d.get("source", "parametric"),
-            n_items=int(d.get("n_items", 30)),
-            gen_method=d.get("gen_method"),
-            difficulty_mu=float(d.get("difficulty_mu", 0.0)),
-            difficulty_sigma=float(d.get("difficulty_sigma", 1.0)),
-            pool_path=d.get("pool_path"),
-            discrimination=DiscriminationSpec(
-                mu_log=float(disc.get("mu_log", 0.0)),
-                sigma_log=float(disc.get("sigma_log", 0.3)),
-                rho=float(disc.get("rho", -0.3)),
-            ),
-            betas=d.get("betas"),
-            lambdas=d.get("lambdas"),
-            seed=int(d.get("seed", 0)),
-        )
-
 
 def draw_pools(
     config: PoolConfig, n_pools: int, rng: np.random.Generator

@@ -143,9 +143,7 @@ class LatentSample:
 
     @property
     def sample_moments(self) -> dict:
-        if not hasattr(self, "_moments"):
-            self._moments = sample_moments(self.theta)
-        return self._moments
+        return sample_moments(self.theta)
 
 
 def sample_moments(x: np.ndarray) -> dict:

@@ -186,13 +186,6 @@ class ScaleInterval:
     def midpoint(self) -> float:
         return 0.5 * (self.c_lower + self.c_upper)
 
-    def to_dict(self) -> dict:
-        return {"c_lower": self.c_lower, "c_upper": self.c_upper}
-
-    @staticmethod
-    def from_dict(d) -> "ScaleInterval":
-        return ScaleInterval(float(d["c_lower"]), float(d["c_upper"]))
-
 
 @dataclass
 class ReliabilitySummary:
@@ -245,7 +238,7 @@ def reliability_summary(
 
 
 def _summary_and_info(theta_sample, pool: ItemPool, c: float, sigma2: float | None):
-    theta = np.asarray(getattr(theta_sample, "theta", theta_sample), dtype=float)
+    theta = np.asarray(theta_sample, dtype=float)
     if theta.size == 0:
         raise EmptyRequestError("theta sample must be nonempty")
     if sigma2 is None:
@@ -316,7 +309,7 @@ def monotonicity_scan(
     """
     if grid_size < 3:
         raise ParameterError(f"grid_size must be >= 3, got {grid_size}")
-    theta = np.asarray(getattr(latent_sample, "theta", latent_sample), dtype=float)
+    theta = np.asarray(latent_sample, dtype=float)
     grid_c = np.geomspace(interval.c_lower, interval.c_upper, int(grid_size))
     values = [metric_value(reliability_summary(theta, pool, c), metric) for c in grid_c]
     return MonotonicityScan(

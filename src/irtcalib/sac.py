@@ -333,12 +333,20 @@ def sac_deviation_study(config: SacConfig, n_seeds: int) -> dict:
     for i in range(n_seeds):
         run_cfg = replace(config, seed=child_seed(config.seed, "sac/study", i))
         deltas[i] = sac_calibrate(run_cfg).achieved_rho - config.target_rho
+    stats = deviation_statistics(deltas)
+    del stats["max_abs_delta"]
+    return {"n_seeds": int(n_seeds), **stats}
+
+
+def deviation_statistics(deltas: np.ndarray) -> dict:
+    """Mean, SD (``ddof=1``; NaN for one value), MAE, max ``|delta|`` and the
+    percentages of ``|delta|`` below 0.01 / 0.02 / 0.05, in that key order."""
     abs_d = np.abs(deltas)
     return {
-        "n_seeds": int(n_seeds),
         "mean_delta": float(np.mean(deltas)),
-        "sd_delta": float(np.std(deltas, ddof=1)),
+        "sd_delta": float(np.std(deltas, ddof=1)) if deltas.size > 1 else float("nan"),
         "mae": float(np.mean(abs_d)),
+        "max_abs_delta": float(np.max(abs_d)),
         "pct_within_001": float(100.0 * np.mean(abs_d < 0.01)),
         "pct_within_002": float(100.0 * np.mean(abs_d < 0.02)),
         "pct_within_005": float(100.0 * np.mean(abs_d < 0.05)),

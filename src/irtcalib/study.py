@@ -54,7 +54,7 @@ from .psychometrics import (
     test_information,
 )
 from .rng import child_seed, stream
-from .sac import SacConfig, sac_calibrate
+from .sac import SacConfig, deviation_statistics, sac_calibrate
 
 logger = logging.getLogger("irtcalib.study")
 
@@ -428,7 +428,7 @@ def _sd(values: np.ndarray) -> float:
     return float(np.std(values, ddof=1)) if values.size > 1 else float("nan")
 
 
-# Column order of each output table; the aggregators build their rows from it.
+# Column order of each output table; the aggregators build their rows in this order.
 _RECORD_COLUMNS = ("condition_id", "replicate", "c_star", "achieved_rho_design", "realized_rho", "delta")
 _ALGORITHM_COLUMNS = (
     "algorithm", "n_conditions", "mean_delta", "sd_delta", "mae", "max_abs_delta",
@@ -467,17 +467,7 @@ def _aggregate_by_algorithm(conditions: list[ConditionSummary]) -> list[dict]:
     rows = []
     for algorithm in sorted({c.algorithm for c in conditions}):
         deltas = np.asarray([c.delta for c in conditions if c.algorithm == algorithm])
-        abs_d = np.abs(deltas)
-        values = (
-            algorithm,
-            int(deltas.size),
-            float(np.mean(deltas)),
-            _sd(deltas),
-            float(np.mean(abs_d)),
-            float(np.max(abs_d)),
-            *(float(100.0 * np.mean(abs_d < tol)) for tol in (0.01, 0.02, 0.05)),
-        )
-        rows.append(dict(zip(_ALGORITHM_COLUMNS, values)))
+        rows.append({"algorithm": algorithm, "n_conditions": int(deltas.size), **deviation_statistics(deltas)})
     return rows
 
 

@@ -407,3 +407,10 @@ def test_unknown_flag_exits_2():
 
 def test_help_exits_0():
     assert run(["--help"]) == 0
+
+
+def test_threads_default_ignores_environment(monkeypatch, tmp_path):
+    monkeypatch.setenv("IRTCALIB_THREADS", "two")
+    code = run(["calibrate", "--target", "0.5", "--items", "10", "--m", "500",
+                "--out", str(tmp_path / "r.json")])
+    assert code == 0

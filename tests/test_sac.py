@@ -1,6 +1,7 @@
 import json
 from collections import Counter
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -359,3 +360,29 @@ def test_runs_on_every_gen_method_and_source(model, method, source):
         replace(items, seed=child_seed(cfg.seed, "sac/eval-pool", 0))).to_dict()
     assert result.pool.gen_method == method
     np.testing.assert_array_equal(sac_calibrate(cfg).trace_c, result.trace_c)
+
+
+def test_deviation_study_matches_reference_statistics(monkeypatch):
+    achieved = [0.6071, 0.5931, 0.61, 0.5999, 0.6201, 0.56, 0.6502, 0.6]
+    seeds = []
+
+    def fake_calibrate(cfg):
+        seeds.append(cfg.seed)
+        return SimpleNamespace(achieved_rho=achieved[len(seeds) - 1])
+
+    monkeypatch.setattr(sac, "sac_calibrate", fake_calibrate)
+    out = sac_deviation_study(BASE, len(achieved))
+    assert seeds == [child_seed(BASE.seed, "sac/study", i) for i in range(len(achieved))]
+    d = np.asarray(achieved) - BASE.target_rho
+    a = np.abs(d)
+    assert out == {
+        "n_seeds": len(achieved),
+        "mean_delta": float(np.mean(d)),
+        "sd_delta": float(np.std(d, ddof=1)),
+        "mae": float(np.mean(a)),
+        "pct_within_001": float(100.0 * np.mean(a < 0.01)),
+        "pct_within_002": float(100.0 * np.mean(a < 0.02)),
+        "pct_within_005": float(100.0 * np.mean(a < 0.05)),
+    }
+    assert list(out) == ["n_seeds", "mean_delta", "sd_delta", "mae",
+                         "pct_within_001", "pct_within_002", "pct_within_005"]

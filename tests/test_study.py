@@ -499,3 +499,49 @@ def test_save_csv_rejects_non_binary_responses(tmp_path):
     with pytest.raises(ParameterError):
         _dataset(responses).save_csv(tmp_path / "r.csv")
     assert not (tmp_path / "r.csv").exists()
+
+
+def _deviation_reference(deltas) -> dict:
+    """Mean, SD (ddof=1, NaN for one value), MAE, max |delta| and the shares within 0.01/0.02/0.05."""
+    d = np.asarray(deltas, dtype=float)
+    a = np.abs(d)
+    return {
+        "mean_delta": float(np.mean(d)),
+        "sd_delta": float(np.std(d, ddof=1)) if d.size > 1 else float("nan"),
+        "mae": float(np.mean(a)),
+        "max_abs_delta": float(np.max(a)),
+        "pct_within_001": float(100.0 * np.mean(a < 0.01)),
+        "pct_within_002": float(100.0 * np.mean(a < 0.02)),
+        "pct_within_005": float(100.0 * np.mean(a < 0.05)),
+    }
+
+
+def _summary_with_delta(condition_id, algorithm, delta):
+    return study.ConditionSummary(
+        condition_id=condition_id, algorithm=algorithm, shape="normal", model="rasch",
+        item_source="parametric", n_items=15, n_persons=100, target_rho=0.45, replications=1,
+        c_star=1.0, achieved_rho_design=0.45 + delta, delta=delta, mean_realized=0.45,
+        sd_realized=0.0, realized=np.array([0.45]),
+    )
+
+
+def test_by_algorithm_rows_match_reference_statistics(tmp_path):
+    deltas = {
+        "sac_msem": [0.004, -0.0125, 0.01, 0.0199, -0.05, 0.0731, -0.0002],
+        "eqc": [1e-9, -3e-10, 2.5e-9],
+        "sac_info": [-0.0333],  # one condition: its SD is NaN
+    }
+    pairs = [(algorithm, d) for algorithm, ds in deltas.items() for d in ds]
+    conditions = [_summary_with_delta(i, algorithm, d) for i, (algorithm, d) in enumerate(pairs)]
+    rows = study._aggregate_by_algorithm(conditions)
+    assert [row["algorithm"] for row in rows] == sorted(deltas)
+    for row in rows:
+        assert tuple(row) == study._ALGORITHM_COLUMNS
+        ds = deltas[row["algorithm"]]
+        np.testing.assert_equal(  # NaN equals NaN here
+            row, {"algorithm": row["algorithm"], "n_conditions": len(ds), **_deviation_reference(ds)})
+    path = tmp_path / "by_algorithm.csv"
+    study._write_csv(path, study._ALGORITHM_COLUMNS, rows)
+    table = {r["algorithm"]: r for r in csv.DictReader(path.read_text().splitlines())}
+    assert table["sac_info"]["sd_delta"] == "nan"
+    assert table["sac_msem"]["sd_delta"] == repr(_deviation_reference(deltas["sac_msem"])["sd_delta"])
