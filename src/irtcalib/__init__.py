@@ -41,6 +41,7 @@ from .items import (
     save_pool_csv,
 )
 from .psychometrics import (
+    DEFAULT_INTERVAL,
     METRIC_AVG_INFO,
     METRIC_MSEM,
     MonotonicityScan,
@@ -59,7 +60,6 @@ from .psychometrics import (
     test_information_dc,
 )
 from .eqc import (
-    DEFAULT_INTERVAL,
     VALIDATION_INTERVAL,
     CalibrationResult,
     EqcConfig,

@@ -46,7 +46,7 @@ from .errors import (
 )
 from .items import DiscriminationSpec, PoolConfig
 from .latent import VALIDATION_SHAPE_PARAMS, LatentSpec, describe_shapes, theoretical_moments
-from .psychometrics import METRIC_AVG_INFO, METRIC_MSEM, ScaleInterval
+from .psychometrics import DEFAULT_INTERVAL, METRIC_AVG_INFO, METRIC_MSEM, ScaleInterval
 from .sac import SacConfig, SacResult, sac_calibrate
 from .study import (
     DESK_PROFILE,
@@ -112,9 +112,6 @@ def _latent_from_args(shape: str, params_text: str | None, seed: int) -> LatentS
     params = _parse_kv(params_text) if params_text else {}
     mu = params.pop("mu", 0.0)
     sigma = params.pop("sigma", 1.0)
-    params.pop("seed", None)
-    if "df" in params and "nu" not in params:
-        params["nu"] = params.pop("df")
     if shape != "mixture" and not params:
         params = dict(VALIDATION_SHAPE_PARAMS.get(shape, {}))
     return LatentSpec(shape=shape, shape_params=params, mu=mu, sigma=sigma, seed=seed)
@@ -292,7 +289,9 @@ def cmd_bounds(args) -> int:
     print(f"  Reliability at c_upper   : {_fmt(report['rho_upper'])}")
     print(f"  Analytic ceiling (c_upper): {_fmt(report['analytic_ceiling'])}")
     print(f"  Reference ceiling (I/4)  : {_fmt(report['reference_ceiling'])}")
-    if args.target is not None:
+    if args.target is None:
+        report["feasible"] = None  # the 0.5 above only fills EqcConfig's required target
+    else:
         verdict = "feasible" if report["feasible"] else "infeasible"
         print(f"  Target {args.target}: {verdict}")
     if args.scan_msem:
@@ -527,8 +526,8 @@ def _add_structure_flags(p: argparse.ArgumentParser, with_target: bool) -> None:
     p.add_argument("--difficulty-mu", type=float, default=0.0)
     p.add_argument("--difficulty-sigma", type=float, default=1.0)
     p.add_argument("--m", type=int, default=10000, help="quadrature size M")
-    p.add_argument("--c-lower", type=float, default=0.3)
-    p.add_argument("--c-upper", type=float, default=3.0)
+    p.add_argument("--c-lower", type=float, default=DEFAULT_INTERVAL.c_lower)
+    p.add_argument("--c-upper", type=float, default=DEFAULT_INTERVAL.c_upper)
     p.add_argument("--seed", type=int, default=0)
 
 

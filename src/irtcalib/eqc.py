@@ -20,7 +20,7 @@ breaks root-finding; use stochastic calibration for that metric.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from typing import Any, Mapping, Union
 
 import numpy as np
@@ -28,10 +28,11 @@ import numpy as np
 from .errors import ConfigurationError, FeasibilityWarning, NumericalError, ParameterError
 from .items import ItemPool, PoolConfig, build_pool
 from .latent import LatentSpec, sample_latent
-from .psychometrics import METRIC_AVG_INFO, ScaleInterval, reliability_from_information, test_information
+from .psychometrics import (
+    DEFAULT_INTERVAL, METRIC_AVG_INFO, ScaleInterval, reliability_from_information, test_information,
+)
 from .rng import child_seed, stream
 
-DEFAULT_INTERVAL = ScaleInterval(0.3, 3.0)
 VALIDATION_INTERVAL = ScaleInterval(0.1, 10.0)
 
 STATUS_SUCCESS = "success"
@@ -49,7 +50,7 @@ class EqcConfig:
     latent: LatentSpec
     items: Union[PoolConfig, ItemPool]
     m_quadrature: int = 10_000
-    interval: ScaleInterval = field(default_factory=lambda: DEFAULT_INTERVAL)
+    interval: ScaleInterval = DEFAULT_INTERVAL
     tolerance: float = 1e-8
     metric: str = METRIC_AVG_INFO
     seed: int = 0
@@ -152,7 +153,7 @@ def _resolve_pool(items: Union[PoolConfig, ItemPool], seed: int, purpose: str) -
     """One frozen pool realization; generation seeds derive from the calibration seed."""
     if isinstance(items, ItemPool):
         return items
-    return build_pool(replace(items, seed=child_seed(seed, purpose)))
+    return build_pool(items, child_seed(seed, purpose))
 
 
 class _FrozenObjective:

@@ -208,10 +208,11 @@ def save_pool_csv(pool: ItemPool, path) -> None:
 def gen_difficulties(
     source: str,
     n_items: int,
-    params: Mapping[str, float] | None = None,
-    seed: int = 0,
+    *,
+    rng: np.random.Generator,
+    mu: float = 0.0,
+    sigma: float = 1.0,
     pool_path=None,
-    rng: np.random.Generator | None = None,
     n_pools: int | None = None,
 ) -> np.ndarray:
     """Draw ``n_items`` difficulties from the parametric or empirical source.
@@ -223,11 +224,8 @@ def gen_difficulties(
     if n_items < 1:
         raise ParameterError(f"n_items must be >= 1, got {n_items}")
     size = n_items if n_pools is None else (int(n_pools), n_items)
-    if rng is None:
-        rng = stream(seed, "difficulties")
     if source == "parametric":
-        params = params or {}
-        return rng.normal(params.get("mu", 0.0), params.get("sigma", 1.0), size)
+        return rng.normal(mu, sigma, size)
     if source == "empirical_pool":
         beta = _load_pool_cached(pool_path if pool_path is not None else bundled_pool_path())
         return rng.choice(beta, size=size, replace=True)
@@ -273,10 +271,7 @@ def rank_uniform(betas: np.ndarray) -> np.ndarray:
 
 
 def copula_discriminations(
-    betas: np.ndarray,
-    spec: DiscriminationSpec,
-    seed: int = 0,
-    rng: np.random.Generator | None = None,
+    betas: np.ndarray, spec: DiscriminationSpec, *, rng: np.random.Generator
 ) -> np.ndarray:
     """Gaussian-copula discriminations with the target rank correlation to ``betas``.
 
@@ -289,8 +284,6 @@ def copula_discriminations(
     betas = np.atleast_1d(np.asarray(betas, dtype=float))
     if betas.shape[-1] < 2:
         raise InsufficientDataError("copula needs at least 2 items to form ranks")
-    if rng is None:
-        rng = stream(seed, "discriminations")
     u = rank_uniform(betas)
     z_beta = ndtri(u)
     z_indep = rng.standard_normal(betas.shape)
@@ -301,10 +294,7 @@ def copula_discriminations(
 
 
 def conditional_discriminations(
-    betas: np.ndarray,
-    spec: DiscriminationSpec,
-    seed: int = 0,
-    rng: np.random.Generator | None = None,
+    betas: np.ndarray, spec: DiscriminationSpec, *, rng: np.random.Generator
 ) -> np.ndarray:
     """Conditional-normal regression on empirically standardized difficulties.
 
@@ -316,8 +306,6 @@ def conditional_discriminations(
     sd = betas.std(ddof=1, axis=-1, keepdims=True)
     if np.any(sd == 0):
         raise DegenerateInputError("difficulties have zero variance; cannot standardize")
-    if rng is None:
-        rng = stream(seed, "discriminations")
     b_std = (betas - betas.mean(axis=-1, keepdims=True)) / sd
     z = rng.standard_normal(betas.shape)
     log_lam = spec.mu_log + spec.sigma_log * (spec.rho * b_std + np.sqrt(1.0 - spec.rho**2) * z)
@@ -325,17 +313,12 @@ def conditional_discriminations(
 
 
 def independent_discriminations(
-    n_items,
-    spec: DiscriminationSpec,
-    seed: int = 0,
-    rng: np.random.Generator | None = None,
+    n_items, spec: DiscriminationSpec, *, rng: np.random.Generator
 ) -> np.ndarray:
     """Log-normal discriminations independent of difficulty.
 
     ``n_items`` is an item count, or the shape of a batch of pools.
     """
-    if rng is None:
-        rng = stream(seed, "discriminations")
     return np.exp(spec.mu_log + spec.sigma_log * rng.standard_normal(n_items))
 
 
@@ -358,7 +341,6 @@ class PoolConfig:
     discrimination: DiscriminationSpec = field(default_factory=DiscriminationSpec)
     betas: Sequence[float] | None = None
     lambdas: Sequence[float] | None = None
-    seed: int = 0
 
     def __post_init__(self):
         if self.model not in MODELS:
@@ -403,9 +385,10 @@ def draw_pools(
         beta = gen_difficulties(
             config.source,
             config.n_items,
-            params={"mu": config.difficulty_mu, "sigma": config.difficulty_sigma},
-            pool_path=config.pool_path,
             rng=rng,
+            mu=config.difficulty_mu,
+            sigma=config.difficulty_sigma,
+            pool_path=config.pool_path,
             n_pools=n_pools,
         )
 
@@ -424,22 +407,22 @@ def draw_pools(
     return beta, lam
 
 
-def build_pool(config: PoolConfig) -> ItemPool:
+def build_pool(config: PoolConfig, seed: int) -> ItemPool:
     """Assemble difficulties and discriminations into an :class:`ItemPool`.
 
-    All randomness comes from a single pool-generation stream: difficulties
-    first, then (for dependent methods) one independent normal per item in
-    item order, so pools are reproducible from ``config.seed`` alone. The
-    pool is the one-row case of :func:`draw_pools`.
+    All randomness comes from the single pool-generation stream of ``seed``:
+    difficulties first, then (for dependent methods) one independent normal
+    per item in item order, so pools are reproducible from ``(config, seed)``
+    alone. The pool is the one-row case of :func:`draw_pools`.
     """
     method = config.resolved_method()
-    beta, lam = draw_pools(config, 1, stream(config.seed, "pool"))
+    beta, lam = draw_pools(config, 1, stream(seed, "pool"))
     return ItemPool(
         model=config.model,
         beta=beta[0],
         lambda0=lam[0],
         source=config.source,
         gen_method=method,
-        seed=config.seed,
+        seed=seed,
         target_spearman=(config.discrimination.rho if method in ("copula", "conditional") else None),
     )

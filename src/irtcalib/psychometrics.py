@@ -187,6 +187,9 @@ class ScaleInterval:
         return 0.5 * (self.c_lower + self.c_upper)
 
 
+DEFAULT_INTERVAL = ScaleInterval(0.3, 3.0)
+
+
 @dataclass
 class ReliabilitySummary:
     """Both reliability functionals for one (sample, pool, scale) triple."""

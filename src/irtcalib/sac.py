@@ -29,7 +29,7 @@ then (the README gives measurements).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Any, Callable, Mapping, NamedTuple, Union
 
 import numpy as np
@@ -38,6 +38,7 @@ from .errors import ConfigurationError, DivergedObjectiveError, ParameterError
 from .items import ItemPool, PoolConfig, build_pool, draw_pools
 from .latent import LatentSpec, sample_latent
 from .psychometrics import (
+    DEFAULT_INTERVAL,
     METRIC_AVG_INFO,
     METRICS,
     ScaleInterval,
@@ -66,7 +67,7 @@ class SacConfig:
     step_A: float = 50.0
     step_gamma: float = 0.67
     m_per_iter: int = 1000
-    interval: ScaleInterval = field(default_factory=lambda: ScaleInterval(0.3, 3.0))
+    interval: ScaleInterval = DEFAULT_INTERVAL
     c_init: Any = None  # float, a calibration result (warm start), or None for the midpoint
     eval_m: int | None = None  # None -> 10 * m_per_iter
     seed: int = 0
@@ -265,7 +266,7 @@ def _iteration_pools(config: SacConfig) -> tuple[np.ndarray, np.ndarray]:
 def _eval_pool(config: SacConfig, block: int) -> ItemPool:
     if isinstance(config.items, ItemPool):
         return config.items
-    return build_pool(replace(config.items, seed=child_seed(config.seed, "sac/eval-pool", block)))
+    return build_pool(config.items, child_seed(config.seed, "sac/eval-pool", block))
 
 
 def _summary(config: SacConfig, rng: np.random.Generator, pool, c: float):

@@ -441,26 +441,30 @@ _REPLICATION_SD_COLUMNS = (
 )
 
 
+def _cell(v) -> str:
+    """One CSV cell: floats (numpy's too) as ``repr``, anything else as ``str``."""
+    return repr(float(v)) if isinstance(v, float) else str(v)
+
+
 def _write_csv(path, columns, rows) -> None:
-    """Write ``row[c]`` for each column of each mapping; floats as ``repr``."""
-
-    def fmt(v) -> str:
-        if isinstance(v, float):
-            return repr(float(v))
-        return str(v)
-
+    """Write ``row[c]`` for each column of each mapping, one :func:`_cell` each."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(",".join(columns) + "\n")
         for row in rows:
-            fh.write(",".join(fmt(row[c]) for c in columns) + "\n")
+            fh.write(",".join(_cell(row[c]) for c in columns) + "\n")
 
 
-def _record_rows(conditions: list[ConditionSummary]):
-    """One ``records.csv`` row per replicate of each condition, in the order given."""
-    for c in conditions:
-        for k, rho in enumerate(c.realized):
-            values = (c.condition_id, k, c.c_star, c.achieved_rho_design, float(rho), c.delta)
-            yield dict(zip(_RECORD_COLUMNS, values))
+def _write_records(path, conditions: list[ConditionSummary]) -> None:
+    """``records.csv`` as :func:`_write_csv` writes it: one row per replicate, conditions in order.
+
+    Each condition's constant cells are formatted once, so a replicate costs one f-string.
+    """
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(",".join(_RECORD_COLUMNS) + "\n")
+        for c in conditions:
+            cid, delta = _cell(c.condition_id), _cell(c.delta)
+            design = f"{_cell(c.c_star)},{_cell(c.achieved_rho_design)}"
+            fh.writelines(f"{cid},{k},{design},{rho!r},{delta}\n" for k, rho in enumerate(c.realized.tolist()))
 
 
 def _aggregate_by_algorithm(conditions: list[ConditionSummary]) -> list[dict]:
@@ -546,7 +550,7 @@ def run_validation_study(
     }
     algorithm_rows = _aggregate_by_algorithm(summaries)
     target_rows = _aggregate_by_target(summaries)
-    _write_csv(paths["records"], _RECORD_COLUMNS, _record_rows(summaries))
+    _write_records(paths["records"], summaries)
     _write_csv(paths["summary_by_algorithm"], _ALGORITHM_COLUMNS, algorithm_rows)
     _write_csv(paths["summary_by_target"], _TARGET_COLUMNS, target_rows)
     _write_csv(paths["replication_sd"], _REPLICATION_SD_COLUMNS, map(vars, summaries))

@@ -271,14 +271,13 @@ def test_criterion_09_distribution_moments():
 
 
 def test_criterion_10_copula_correlation():
-    betas = gen_difficulties("empirical_pool", 1000, seed=101)
+    betas = gen_difficulties("empirical_pool", 1000, rng=stream(101, "difficulties"))
     spec = DiscriminationSpec(rho=-0.3)
-    lam_cop = copula_discriminations(betas, spec, seed=102)
-    lam_cond = conditional_discriminations(betas, spec, seed=103)
+    lam_cop = copula_discriminations(betas, spec, rng=stream(102, "discriminations"))
+    lam_cond = conditional_discriminations(betas, spec, rng=stream(103, "discriminations"))
     r_cop = stats.spearmanr(betas, np.log(lam_cop)).statistic
     r_cond = stats.spearmanr(betas, np.log(lam_cond)).statistic
-    pool = build_pool(PoolConfig(model="twopl", source="custom", n_items=1000,
-                                 betas=betas, seed=104))
+    pool = build_pool(PoolConfig(model="twopl", source="custom", n_items=1000, betas=betas), 104)
     marginal_exact = sorted(pool.beta.tolist()) == sorted(betas.tolist())
     ok = abs(r_cop + 0.3) < 0.06 and abs(r_cond + 0.3) < 0.06 and marginal_exact
     _verdict(

@@ -401,6 +401,21 @@ def test_calibrate_rejects_parameter_the_shape_does_not_take(capsys):
     assert "delta" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("params", ["seed=3", "df=7"])
+def test_latent_params_rejects_keys_no_shape_takes(params, capsys):
+    code = run(["calibrate", "--target", "0.5", "--latent-shape", "heavy_tail",
+                "--latent-params", params, "--m", "500"])
+    assert code == 2
+    assert f"shape_params.{params.split('=')[0]} is not a parameter" in capsys.readouterr().err
+
+
+def test_bounds_without_target_gives_no_verdict(tmp_path, capsys):
+    out = tmp_path / "b.json"
+    assert run(["bounds", "--items", "30", "--model", "rasch", "--m", "2000", "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["feasible"] is None
+    assert "Target" not in capsys.readouterr().out
+
+
 def test_unknown_flag_exits_2():
     assert run(["calibrate", "--target", "0.5", "--no-such-flag"]) == 2
 

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import tempfile
 import warnings
 from pathlib import Path
 
@@ -33,17 +34,17 @@ from irtcalib.rng import stream
 
 
 def test_parametric_difficulties_standard_normal():
-    beta = gen_difficulties("parametric", 100_000, seed=1)
+    beta = gen_difficulties("parametric", 100_000, rng=stream(1, "difficulties"))
     assert np.std(beta, ddof=1) == pytest.approx(1.0, abs=0.01)
     assert np.mean(beta) == pytest.approx(0.0, abs=0.01)
 
 
 def test_single_difficulty_draw():
-    assert gen_difficulties("parametric", 1, seed=2).shape == (1,)
+    assert gen_difficulties("parametric", 1, rng=stream(2, "difficulties")).shape == (1,)
 
 
 def test_bundled_pool_sd_and_bimodality():
-    beta = gen_difficulties("empirical_pool", 100_000, seed=3)
+    beta = gen_difficulties("empirical_pool", 100_000, rng=stream(3, "difficulties"))
     assert np.std(beta, ddof=1) == pytest.approx(1.6, abs=0.05)
     kde = stats.gaussian_kde(beta[:20_000])
     grid = np.linspace(-5, 4, 400)
@@ -63,7 +64,7 @@ def test_bundled_pool_file_matches_generator():
 
 def test_missing_pool_file():
     with pytest.raises(IngestionError, match="no/such/pool.csv"):
-        gen_difficulties("empirical_pool", 10, pool_path="no/such/pool.csv")
+        gen_difficulties("empirical_pool", 10, rng=stream(0, "difficulties"), pool_path="no/such/pool.csv")
 
 
 def test_malformed_pool_row_number(tmp_path):
@@ -74,12 +75,26 @@ def test_malformed_pool_row_number(tmp_path):
 
 
 def test_pool_csv_roundtrip_lossless(tmp_path):
-    pool = build_pool(PoolConfig(model="twopl", source="parametric", n_items=37, seed=9))
+    pool = build_pool(PoolConfig(model="twopl", source="parametric", n_items=37), 9)
     path = tmp_path / "pool.csv"
     save_pool_csv(pool, path)
     beta, lam = load_pool_csv(path)
     np.testing.assert_array_equal(beta, pool.beta)
     np.testing.assert_array_equal(lam, pool.lambda0)
+
+
+@settings(deadline=None)
+@given(items=st.integers(1, 40).flatmap(lambda n: st.tuples(
+    arrays(np.float64, n, elements=st.floats(allow_nan=False, allow_infinity=False)),
+    arrays(np.float64, n, elements=st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)),
+)))
+def test_pool_csv_roundtrip_is_bit_exact(items):
+    pool = ItemPool(model="twopl", beta=items[0], lambda0=items[1])
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "pool.csv"
+        save_pool_csv(pool, path)
+        beta, lam = load_pool_csv(path)
+    assert (beta.tobytes(), lam.tobytes()) == (pool.beta.tobytes(), pool.lambda0.tobytes())
 
 
 def test_rank_uniform_three_points():
@@ -92,36 +107,36 @@ def test_rank_uniform_ties_use_average_ranks():
 
 def test_copula_needs_two_items():
     with pytest.raises(InsufficientDataError):
-        copula_discriminations(np.array([0.0]), DiscriminationSpec())
+        copula_discriminations(np.array([0.0]), DiscriminationSpec(), rng=stream(0, "discriminations"))
 
 
 def test_copula_hits_target_spearman():
-    betas = gen_difficulties("parametric", 1000, seed=4)
-    lam = copula_discriminations(betas, DiscriminationSpec(rho=-0.3), seed=5)
+    betas = gen_difficulties("parametric", 1000, rng=stream(4, "difficulties"))
+    lam = copula_discriminations(betas, DiscriminationSpec(rho=-0.3), rng=stream(5, "discriminations"))
     r = stats.spearmanr(betas, np.log(lam)).statistic
     assert r == pytest.approx(-0.3, abs=0.06)
 
 
 def test_copula_zero_rho_uncorrelated():
-    betas = gen_difficulties("parametric", 1000, seed=6)
-    lam = copula_discriminations(betas, DiscriminationSpec(rho=0.0), seed=7)
+    betas = gen_difficulties("parametric", 1000, rng=stream(6, "difficulties"))
+    lam = copula_discriminations(betas, DiscriminationSpec(rho=0.0), rng=stream(7, "discriminations"))
     assert abs(stats.spearmanr(betas, np.log(lam)).statistic) < 0.07
 
 
 def test_copula_comonotone_at_rho_one():
-    betas = gen_difficulties("parametric", 200, seed=8)
-    lam = copula_discriminations(betas, DiscriminationSpec(rho=1.0), seed=9)
+    betas = gen_difficulties("parametric", 200, rng=stream(8, "difficulties"))
+    lam = copula_discriminations(betas, DiscriminationSpec(rho=1.0), rng=stream(9, "discriminations"))
     assert stats.spearmanr(betas, np.log(lam)).statistic == pytest.approx(1.0)
 
 
 def test_copula_preserves_difficulty_marginal_and_lognormal_margin():
-    betas = gen_difficulties("empirical_pool", 2000, seed=10)
+    betas = gen_difficulties("empirical_pool", 2000, rng=stream(10, "difficulties"))
     spec = DiscriminationSpec(mu_log=0.0, sigma_log=0.3, rho=-0.3)
-    lam = copula_discriminations(betas, spec, seed=11)
+    lam = copula_discriminations(betas, spec, rng=stream(11, "discriminations"))
     # The difficulty vector is untouched by construction; the pool assembly
     # must carry it through verbatim.
     pool = build_pool(
-        PoolConfig(model="twopl", source="custom", n_items=2000, betas=betas, seed=11)
+        PoolConfig(model="twopl", source="custom", n_items=2000, betas=betas), 11
     )
     assert sorted(pool.beta.tolist()) == sorted(betas.tolist())
     ks = stats.kstest(np.log(lam), stats.norm(0.0, 0.3).cdf).statistic
@@ -129,13 +144,13 @@ def test_copula_preserves_difficulty_marginal_and_lognormal_margin():
 
 
 def test_conditional_hits_target_spearman():
-    betas = gen_difficulties("parametric", 1000, seed=12)
-    lam = conditional_discriminations(betas, DiscriminationSpec(rho=-0.3), seed=13)
+    betas = gen_difficulties("parametric", 1000, rng=stream(12, "difficulties"))
+    lam = conditional_discriminations(betas, DiscriminationSpec(rho=-0.3), rng=stream(13, "discriminations"))
     assert stats.spearmanr(betas, np.log(lam)).statistic == pytest.approx(-0.29, abs=0.06)
 
 
 def test_conditional_zero_rho_equals_independent():
-    betas = gen_difficulties("parametric", 500, seed=14)
+    betas = gen_difficulties("parametric", 500, rng=stream(14, "difficulties"))
     lam_c = conditional_discriminations(betas, DiscriminationSpec(rho=0.0), rng=stream(15, "x"))
     lam_i = independent_discriminations(500, DiscriminationSpec(rho=0.0), rng=stream(15, "x"))
     np.testing.assert_array_equal(lam_c, lam_i)
@@ -143,26 +158,26 @@ def test_conditional_zero_rho_equals_independent():
 
 def test_conditional_rejects_constant_difficulties():
     with pytest.raises(DegenerateInputError):
-        conditional_discriminations(np.zeros(10), DiscriminationSpec())
+        conditional_discriminations(np.zeros(10), DiscriminationSpec(), rng=stream(0, "discriminations"))
 
 
 @pytest.mark.parametrize("method", ["copula", "conditional"])
 @pytest.mark.parametrize("n,seed", [(200, 21), (1000, 22), (5000, 23)])
 def test_rank_correlation_targeting_tolerance(method, n, seed):
-    cfg = PoolConfig(model="twopl", source="parametric", n_items=n, gen_method=method, seed=seed)
-    pool = build_pool(cfg)
+    cfg = PoolConfig(model="twopl", source="parametric", n_items=n, gen_method=method)
+    pool = build_pool(cfg, seed)
     assert abs(pool.achieved_spearman - (-0.3)) < 3.0 / np.sqrt(n) + 0.02
 
 
 def test_independent_method_near_zero_correlation():
     pool = build_pool(
-        PoolConfig(model="twopl", source="parametric", n_items=2000, gen_method="independent", seed=24)
+        PoolConfig(model="twopl", source="parametric", n_items=2000, gen_method="independent"), 24
     )
     assert abs(pool.achieved_spearman) < 3.0 / np.sqrt(2000)
 
 
 def test_build_rasch_pool_fixes_lambda():
-    pool = build_pool(PoolConfig(model="rasch", source="parametric", n_items=30, seed=16))
+    pool = build_pool(PoolConfig(model="rasch", source="parametric", n_items=30), 16)
     assert pool.n_items == 30
     assert np.all(pool.lambda0 == 1.0)
     assert pool.achieved_spearman is None
@@ -174,21 +189,21 @@ def test_rasch_with_copula_is_a_configuration_error():
 
 
 def test_twopl_parametric_mean_lambda():
-    pool = build_pool(PoolConfig(model="twopl", source="parametric", n_items=1000, seed=17))
+    pool = build_pool(PoolConfig(model="twopl", source="parametric", n_items=1000), 17)
     # log-normal mean is exp(sigma_log^2 / 2) = exp(0.045) ~ 1.046
     assert np.mean(pool.lambda0) == pytest.approx(np.exp(0.045), abs=0.05)
     assert pool.target_spearman == -0.3
 
 
 def test_twopl_empirical_pool_beta_spread():
-    pool = build_pool(PoolConfig(model="twopl", source="empirical_pool", n_items=1000, seed=18))
+    pool = build_pool(PoolConfig(model="twopl", source="empirical_pool", n_items=1000), 18)
     # Resampled from the bundled pool, whose overall SD is matched to 1.6.
     assert np.std(pool.beta, ddof=1) == pytest.approx(1.6, abs=0.1)
 
 
 def test_build_pool_deterministic():
-    cfg = PoolConfig(model="twopl", source="empirical_pool", n_items=50, seed=19)
-    a, b = build_pool(cfg), build_pool(cfg)
+    cfg = PoolConfig(model="twopl", source="empirical_pool", n_items=50)
+    a, b = build_pool(cfg, 19), build_pool(cfg, 19)
     np.testing.assert_array_equal(a.beta, b.beta)
     np.testing.assert_array_equal(a.lambda0, b.lambda0)
 
@@ -203,7 +218,7 @@ def test_pool_invariants():
 
 
 def test_pool_dict_roundtrip():
-    pool = build_pool(PoolConfig(model="twopl", source="parametric", n_items=12, seed=20))
+    pool = build_pool(PoolConfig(model="twopl", source="parametric", n_items=12), 20)
     clone = ItemPool.from_dict(pool.to_dict())
     np.testing.assert_array_equal(clone.beta, pool.beta)
     np.testing.assert_array_equal(clone.lambda0, pool.lambda0)
@@ -263,10 +278,9 @@ def test_rank_uniform_nan_makes_every_rank_nan():
 )
 def test_achieved_spearman_bit_identical_to_scipy(betas, method, sigma_log, seed):
     cfg = PoolConfig(model="twopl", source="custom", n_items=betas.size, betas=betas,
-                     gen_method=method, discrimination=DiscriminationSpec(sigma_log=sigma_log),
-                     seed=seed)
+                     gen_method=method, discrimination=DiscriminationSpec(sigma_log=sigma_log))
     try:
-        pool = build_pool(cfg)
+        pool = build_pool(cfg, seed)
     except DegenerateInputError:
         assert method == "conditional" and betas.std(ddof=1) == 0
         return
@@ -280,10 +294,10 @@ def test_achieved_spearman_bit_identical_to_scipy(betas, method, sigma_log, seed
 
 
 def test_constant_difficulties_give_nan_spearman_without_warning():
-    cfg = PoolConfig(model="twopl", source="custom", n_items=5, betas=[0.7] * 5, seed=21)
+    cfg = PoolConfig(model="twopl", source="custom", n_items=5, betas=[0.7] * 5)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        pool = build_pool(cfg)
+        pool = build_pool(cfg, 21)
     assert np.isnan(pool.achieved_spearman)
     assert np.isnan(ItemPool.from_dict(pool.to_dict()).achieved_spearman)
 
@@ -307,9 +321,9 @@ def test_built_pool_roundtrips_through_json(model_method, source, n_items, const
     betas = np.full(n_items, 0.7) if constant else draws.normal(size=n_items)
     lambdas = draws.lognormal(0.0, 0.3, n_items) if (model, method) == ("twopl", "fixed") else None
     cfg = PoolConfig(model=model, source=source, n_items=n_items, gen_method=method,
-                     betas=betas if source == "custom" else None, lambdas=lambdas, seed=seed)
+                     betas=betas if source == "custom" else None, lambdas=lambdas)
     try:
-        pool = build_pool(cfg)
+        pool = build_pool(cfg, seed)
     except (InsufficientDataError, DegenerateInputError):
         reject()
     doc = pool.to_dict()
@@ -318,14 +332,14 @@ def test_built_pool_roundtrips_through_json(model_method, source, n_items, const
     assert json.dumps(clone) == json.dumps(doc)
 
 
-# sha256 of json.dumps(build_pool(config).to_dict()) for every case below,
+# sha256 of json.dumps(build_pool(config, seed).to_dict()) for every case below,
 # recorded before build_pool became the one-row case of draw_pools: a single
 # pool must keep its bits.
 _POOL_DIGESTS_PATH = Path(__file__).parent / "data" / "build_pool_sha256.json"
 
 
 def pool_digest_configs():
-    """``(key, PoolConfig)`` over model x source x legal gen_method x n_items x seed."""
+    """``(key, PoolConfig, seed)`` over model x source x legal gen_method x n_items x seed."""
     for model, method in _MODEL_METHODS:
         for source in ("parametric", "empirical_pool", "custom"):
             for n_items in (2, 3, 30):
@@ -335,15 +349,15 @@ def pool_digest_configs():
                     yield f"{model}/{source}/{method}/{n_items}/{seed}", PoolConfig(
                         model=model, source=source, n_items=n_items, gen_method=method,
                         betas=betas if source == "custom" else None,
-                        lambdas=lambdas if (model, method) == ("twopl", "fixed") else None, seed=seed)
+                        lambdas=lambdas if (model, method) == ("twopl", "fixed") else None), seed
 
 
-def pool_digest(config: PoolConfig) -> str:
-    return hashlib.sha256(json.dumps(build_pool(config).to_dict()).encode("utf-8")).hexdigest()
+def pool_digest(config: PoolConfig, seed: int) -> str:
+    return hashlib.sha256(json.dumps(build_pool(config, seed).to_dict()).encode("utf-8")).hexdigest()
 
 
 def test_build_pool_keeps_its_bytes():
     expected = json.loads(_POOL_DIGESTS_PATH.read_text())
-    actual = {key: pool_digest(config) for key, config in pool_digest_configs()}
+    actual = {key: pool_digest(config, seed) for key, config, seed in pool_digest_configs()}
     assert len(actual) == 135
     assert {k for k in actual if actual[k] != expected.get(k)} == set()

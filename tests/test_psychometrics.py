@@ -239,6 +239,29 @@ def test_dc_derivative_matches_finite_differences():
         assert abs(analytic - numeric) < 1e-6 * (1.0 + abs(analytic))
 
 
+# |x| below phi's root (2.3994) at every person-item cell: the regime where
+# the eqc.py docstring states that reliability increases with the scale.
+_PHI_REGIME = 2.399
+_item_params = st.integers(1, 12).flatmap(lambda n: st.tuples(
+    arrays(np.float64, n, elements=st.floats(-4, 4)),
+    arrays(np.float64, n, elements=st.floats(0.2, 3.0)),
+))
+
+
+@settings(deadline=None)
+@given(items=_item_params, theta=arrays(np.float64, st.integers(2, 30), elements=st.floats(-4, 4)),
+       share=st.floats(0.01, 0.999))
+def test_information_rises_with_scale_below_phi_root(items, theta, share):
+    beta, lam0 = items
+    pool = ItemPool(model="twopl", beta=beta, lambda0=lam0)
+    spread = np.max(np.abs(lam0 * (theta[:, None] - beta)))  # the largest |x| / c
+    c = share * min(_PHI_REGIME / spread, 100.0) if spread > 0 else share * 100.0
+    assert np.all(total_information_dc(theta, pool, c) > 0)
+    # A spread-out sample keeps the variance, and so the rise of rho, above rounding.
+    if 1.05 * c * spread < _PHI_REGIME and np.ptp(theta) >= 0.01:
+        assert reliability_summary(theta, pool, 1.05 * c).rho_tilde > reliability_summary(theta, pool, c).rho_tilde
+
+
 def test_phi_values():
     assert phi(0.0) == pytest.approx(2.0)
     assert phi(3.0) == pytest.approx(2.0 - 3.0 * math.tanh(1.5))
@@ -371,7 +394,7 @@ def test_reference_ceiling_table(n_items, expected):
 
 
 def test_scan_parametric_rho_tilde_monotone():
-    pool = build_pool(PoolConfig(model="rasch", source="parametric", n_items=30, seed=30))
+    pool = build_pool(PoolConfig(model="rasch", source="parametric", n_items=30), 30)
     theta = sample_latent(LatentSpec(seed=31), 10_000).theta
     scan = monotonicity_scan(pool, theta, "avg_info", ScaleInterval(0.1, 10.0), 25)
     assert scan.is_monotone
@@ -421,7 +444,7 @@ def test_scan_grid_size_validated():
 
 
 def test_mean_information_grows_linearly_at_large_c():
-    pool = build_pool(PoolConfig(model="rasch", source="parametric", n_items=30, seed=32))
+    pool = build_pool(PoolConfig(model="rasch", source="parametric", n_items=30), 32)
     theta = sample_latent(LatentSpec(seed=33), 100_000).theta
     j50 = np.mean(total_information(theta, pool, 50.0))
     j100 = np.mean(total_information(theta, pool, 100.0))
@@ -448,7 +471,7 @@ def test_jensen_gap_second_order_accuracy_low_variance():
 
 
 def test_jensen_gap_larger_for_heavy_tails():
-    pool = build_pool(PoolConfig(model="rasch", source="parametric", n_items=30, seed=35))
+    pool = build_pool(PoolConfig(model="rasch", source="parametric", n_items=30), 35)
     theta_n = sample_latent(LatentSpec(seed=36), 50_000).theta
     theta_t = sample_latent(
         LatentSpec(shape="heavy_tail", shape_params={"nu": 5.0}, seed=36), 50_000

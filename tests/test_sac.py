@@ -329,7 +329,7 @@ def test_builds_one_pool_per_iteration_and_evaluation_block(monkeypatch):
     assert len(seen) == 30 + 3
     for n, pool in enumerate(seen[:30]):
         assert (pool.beta.tobytes(), pool.lambda0.tobytes()) == (beta[n].tobytes(), lam[n].tobytes())
-    expected = build_pool(replace(cfg.items, seed=child_seed(cfg.seed, "sac/eval-pool", 0)))
+    expected = build_pool(cfg.items, child_seed(cfg.seed, "sac/eval-pool", 0))
     assert result.pool.to_dict() == expected.to_dict()
 
     counts_at_30 = dict(calls)
@@ -356,8 +356,7 @@ def test_runs_on_every_gen_method_and_source(model, method, source):
     result = sac_calibrate(cfg)
     assert cfg.interval.c_lower <= result.c_star <= cfg.interval.c_upper
     assert 0.0 < result.achieved_rho < 1.0
-    assert result.pool.to_dict() == build_pool(
-        replace(items, seed=child_seed(cfg.seed, "sac/eval-pool", 0))).to_dict()
+    assert result.pool.to_dict() == build_pool(items, child_seed(cfg.seed, "sac/eval-pool", 0)).to_dict()
     assert result.pool.gen_method == method
     np.testing.assert_array_equal(sac_calibrate(cfg).trace_c, result.trace_c)
 

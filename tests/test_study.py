@@ -525,6 +525,25 @@ def _summary_with_delta(condition_id, algorithm, delta):
     )
 
 
+def test_records_writer_matches_generic_csv_writer(tmp_path):
+    # numpy and Python floats, 0.0 and -0.0, NaN, a negative delta and a condition without replicates.
+    conditions = [
+        replace(_summary_with_delta(3, "eqc", -0.0125), c_star=np.float64(0.7312),
+                realized=np.array([0.0, 0.4510000000000001, -0.0, 1e-300])),
+        replace(_summary_with_delta(7, "sac_msem", np.float64(0.0)), achieved_rho_design=float("nan"),
+                realized=np.array([np.nan, 0.45])),
+        replace(_summary_with_delta(8, "sac_info", -0.05), realized=np.empty(0)),
+        _summary_with_delta(12, "sac_info", 0.02),
+    ]
+    rows = ({"condition_id": c.condition_id, "replicate": k, "c_star": c.c_star,
+             "achieved_rho_design": c.achieved_rho_design, "realized_rho": float(rho), "delta": c.delta}
+            for c in conditions for k, rho in enumerate(c.realized))
+    study._write_records(tmp_path / "records.csv", conditions)
+    study._write_csv(tmp_path / "reference.csv", study._RECORD_COLUMNS, rows)
+    assert (tmp_path / "records.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
+    assert "nan" in (tmp_path / "records.csv").read_text()
+
+
 def test_by_algorithm_rows_match_reference_statistics(tmp_path):
     deltas = {
         "sac_msem": [0.004, -0.0125, 0.01, 0.0199, -0.05, 0.0731, -0.0002],
