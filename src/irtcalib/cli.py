@@ -108,13 +108,13 @@ def _parse_kv(text: str) -> dict:
     return out
 
 
-def _latent_from_args(shape: str, params_text: str | None, seed: int) -> LatentSpec:
+def _latent_from_args(shape: str, params_text: str | None) -> LatentSpec:
     params = _parse_kv(params_text) if params_text else {}
     mu = params.pop("mu", 0.0)
     sigma = params.pop("sigma", 1.0)
     if shape != "mixture" and not params:
         params = dict(VALIDATION_SHAPE_PARAMS.get(shape, {}))
-    return LatentSpec(shape=shape, shape_params=params, mu=mu, sigma=sigma, seed=seed)
+    return LatentSpec(shape=shape, shape_params=params, mu=mu, sigma=sigma)
 
 
 def _pool_config_from_args(args) -> PoolConfig:
@@ -201,7 +201,7 @@ def cmd_calibrate(args) -> int:
     if not 0.0 < args.target < 1.0:
         print(f"error: --target must lie in (0, 1), got {args.target}", file=sys.stderr)
         return EXIT_USAGE
-    latent = _latent_from_args(args.latent_shape, args.latent_params, args.seed)
+    latent = _latent_from_args(args.latent_shape, args.latent_params)
     items = _pool_config_from_args(args)
     interval = ScaleInterval(args.c_lower, args.c_upper)
     metric = _METRIC_ALIASES[args.metric]
@@ -270,7 +270,7 @@ def cmd_calibrate(args) -> int:
 
 
 def cmd_bounds(args) -> int:
-    latent = _latent_from_args(args.latent_shape, args.latent_params, args.seed)
+    latent = _latent_from_args(args.latent_shape, args.latent_params)
     items = _pool_config_from_args(args)
     interval = ScaleInterval(args.c_lower, args.c_upper)
     cfg = EqcConfig(
@@ -340,6 +340,16 @@ def _config_error(field: str, message: str) -> ConfigurationError:
     return ConfigurationError(f"config field '{field}': {message}")
 
 
+def _latent_from_config(field: str, block) -> LatentSpec:
+    """A latent block of a study config: an object holding only ``_CONFIG_SHAPE_KEYS``."""
+    if not isinstance(block, dict) or "shape" not in block:
+        raise _config_error(field, "must be an object with a 'shape' key")
+    extra = set(block) - _CONFIG_SHAPE_KEYS
+    if extra:
+        raise _config_error(field, f"unknown keys {sorted(extra)}")
+    return LatentSpec.from_dict(block)
+
+
 def _conditions_from_config(cfg: dict) -> list[StudyCondition]:
     if "conditions" in cfg:
         conditions = []
@@ -348,7 +358,7 @@ def _conditions_from_config(cfg: dict) -> list[StudyCondition]:
                 conditions.append(
                     StudyCondition(
                         condition_id=int(c.get("condition_id", i)),
-                        latent=LatentSpec.from_dict(c["latent"]),
+                        latent=_latent_from_config(f"conditions[{i}].latent", c["latent"]),
                         model=c["model"],
                         item_source=c["item_source"],
                         n_items=int(c["n_items"]),
@@ -367,14 +377,7 @@ def _conditions_from_config(cfg: dict) -> list[StudyCondition]:
     for key in ("shapes", "models", "item_sources", "test_lengths", "n_persons", "targets"):
         if key not in cfg:
             raise _config_error(key, "required when no explicit 'conditions' list is given")
-    shapes = []
-    for i, s in enumerate(cfg["shapes"]):
-        if not isinstance(s, dict) or "shape" not in s:
-            raise _config_error(f"shapes[{i}]", "must be an object with a 'shape' key")
-        extra = set(s) - _CONFIG_SHAPE_KEYS
-        if extra:
-            raise _config_error(f"shapes[{i}]", f"unknown keys {sorted(extra)}")
-        shapes.append(LatentSpec.from_dict(s))
+    shapes = [_latent_from_config(f"shapes[{i}]", s) for i, s in enumerate(cfg["shapes"])]
     targets = {int(k): float(v) for k, v in cfg["targets"].items()}
     for n_items in cfg["test_lengths"]:
         if n_items not in targets:
@@ -463,20 +466,22 @@ def cmd_compare(args) -> int:
 # shapes
 
 
-def _parse_shape_list(text: str, seed: int) -> list[LatentSpec]:
-    specs = []
+def _parse_shape_list(text: str, seed: int) -> tuple[list[LatentSpec], list[int]]:
+    """The specs of a ``--shapes`` list, and ``child_seed(seed, "shapes", i)`` for chunk ``i``."""
+    specs, seeds = [], []
     for i, chunk in enumerate(text.split(",")):
         chunk = chunk.strip()
         if not chunk:
             continue
         name, _, params_text = chunk.partition(":")
-        specs.append(_latent_from_args(name, params_text.replace(";", ","), rng.child_seed(seed, "shapes", i)))
-    return specs
+        specs.append(_latent_from_args(name, params_text.replace(";", ",")))
+        seeds.append(rng.child_seed(seed, "shapes", i))
+    return specs, seeds
 
 
 def cmd_shapes(args) -> int:
-    specs = _parse_shape_list(args.shapes, args.seed)
-    table = describe_shapes(specs, args.n)
+    specs, seeds = _parse_shape_list(args.shapes, args.seed)
+    table = describe_shapes(specs, args.n, seeds)
     table.to_csv(args.out)
     print(f"density table with {len(table.densities)} shape column(s) written to {args.out}")
     moment_block = {}

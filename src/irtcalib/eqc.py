@@ -93,7 +93,7 @@ class CalibrationResult:
         cfg = self.config
         return {
             "result_type": "eqc",
-            "schema_version": 1,
+            "schema_version": 2,  # 1 also held latent.seed, which no draw read
             "target_rho": cfg.target_rho,
             "achieved_rho": self.achieved_rho,
             "abs_error": self.abs_error,
@@ -120,9 +120,9 @@ class CalibrationResult:
     def from_dict(d: Mapping[str, Any]) -> "CalibrationResult":
         if d.get("result_type") != "eqc":
             raise ConfigurationError(f"expected an eqc result document, got {d.get('result_type')!r}")
-        if d.get("schema_version") != 1:
+        if d.get("schema_version") not in (1, 2):
             raise ConfigurationError(
-                f"unsupported eqc result schema_version {d.get('schema_version')!r}; expected 1")
+                f"unsupported eqc result schema_version {d.get('schema_version')!r}; expected 1 or 2")
         pool = ItemPool.from_dict(d["pool"])
         cfg = EqcConfig(
             target_rho=float(d["target_rho"]),

@@ -147,8 +147,8 @@ def make_synthetic_pool(n: int = 5000, seed: int = 902_114_551) -> np.ndarray:
     return mean + (draws - mean) * (1.6 / draws.std(ddof=0))
 
 
-# Parsed pool files keyed by (path, mtime_ns, size); resampling draws from the
-# same file thousands of times per calibration.
+# Parsed pool files keyed by (path, mtime_ns, size); a SAC calibration reads its
+# pool file about a dozen times (one draw_pools, one build_pool per evaluation block).
 _pool_cache: dict = {}
 
 
@@ -360,6 +360,15 @@ class PoolConfig:
             raise ConfigurationError("twopl with gen_method='fixed' requires explicit lambdas")
         if self.source == "custom" and self.betas is None:
             raise ConfigurationError("custom source requires explicit betas")
+        if not np.isfinite(self.difficulty_mu):
+            raise ParameterError(f"difficulty_mu must be finite, got {self.difficulty_mu}")
+        if not (np.isfinite(self.difficulty_sigma) and self.difficulty_sigma > 0):
+            raise ParameterError(f"difficulty_sigma must be positive, got {self.difficulty_sigma}")
+        if self.source != "parametric" and (self.difficulty_mu, self.difficulty_sigma) != (0.0, 1.0):
+            raise ConfigurationError(
+                f"difficulty_mu and difficulty_sigma apply only to the parametric source, "
+                f"not to {self.source!r}"
+            )
 
     def resolved_method(self) -> str:
         if self.gen_method is not None:

@@ -19,6 +19,7 @@ the first two moments of the generated abilities.
 
 from __future__ import annotations
 
+import numbers
 import warnings
 from dataclasses import dataclass, field
 from typing import Any, Mapping
@@ -67,21 +68,16 @@ def _mixture_components(params: Mapping[str, Any]):
 
 @dataclass(frozen=True)
 class LatentSpec:
-    """Shape of the latent distribution plus location, scale, and seed."""
+    """Shape of the latent distribution plus location and scale; draws use the caller's rng."""
 
     shape: str = "normal"
     shape_params: Mapping[str, Any] = field(default_factory=dict)
     mu: float = 0.0
     sigma: float = 1.0
-    seed: int = 0
 
     def __post_init__(self):
         if self.shape not in SHAPES:
             raise ParameterError(f"shape must be one of {SHAPES}, got {self.shape!r}")
-        if not np.isfinite(self.mu):
-            raise ParameterError("mu must be finite")
-        if not (np.isfinite(self.sigma) and self.sigma > 0):
-            raise ParameterError(f"sigma must be positive, got {self.sigma}")
         p = self.shape_params
         for key in p:
             if key not in _SHAPE_KEYS[self.shape]:
@@ -89,17 +85,29 @@ class LatentSpec:
                     f"shape_params.{key} is not a parameter of shape {self.shape!r} "
                     f"(it takes {list(_SHAPE_KEYS[self.shape])})"
                 )
+        scalars = [("mu", self.mu), ("sigma", self.sigma)]
+        if self.shape in ("bimodal", "skew_pos", "heavy_tail"):
+            key = _SHAPE_KEYS[self.shape][0]
+            scalars.append((f"shape_params.{key}", p.get(key)))
+        for name, value in scalars:
+            # bool is an int subclass, but True is no location, scale or shape
+            if not isinstance(value, numbers.Real) or isinstance(value, bool):
+                raise ParameterError(f"{name} must be a real number, got {value!r}")
+        if not np.isfinite(self.mu):
+            raise ParameterError("mu must be finite")
+        if not (np.isfinite(self.sigma) and self.sigma > 0):
+            raise ParameterError(f"sigma must be positive, got {self.sigma}")
         if self.shape == "bimodal":
-            delta = p.get("delta")
-            if delta is None or not 0 < delta < 1:
+            delta = p["delta"]
+            if not 0 < delta < 1:
                 raise ParameterError(f"shape_params.delta must lie in (0, 1), got {delta}")
         elif self.shape == "skew_pos":
-            k = p.get("k")
-            if k is None or k <= 0:
+            k = p["k"]
+            if k <= 0:
                 raise ParameterError(f"shape_params.k must be positive, got {k}")
         elif self.shape == "heavy_tail":
-            nu = p.get("nu")
-            if nu is None or nu <= 2:
+            nu = p["nu"]
+            if nu <= 2:
                 raise ParameterError(
                     f"shape_params.nu must exceed 2 (variance undefined), got {nu}"
                 )
@@ -119,17 +127,16 @@ class LatentSpec:
             "shape_params": dict(self.shape_params),
             "mu": self.mu,
             "sigma": self.sigma,
-            "seed": self.seed,
         }
 
     @staticmethod
     def from_dict(d: Mapping[str, Any]) -> "LatentSpec":
+        """Read a spec; the ``seed`` key of older documents governed no draw and is ignored."""
         return LatentSpec(
             shape=d["shape"],
             shape_params=dict(d.get("shape_params", {})),
             mu=float(d.get("mu", 0.0)),
             sigma=float(d.get("sigma", 1.0)),
-            seed=int(d.get("seed", 0)),
         )
 
 
@@ -182,17 +189,11 @@ def _sample_z(spec: LatentSpec, n: int, rng: np.random.Generator) -> np.ndarray:
     raise ParameterError(f"unknown shape {spec.shape!r}")
 
 
-def sample_latent(spec: LatentSpec, n: int, rng: np.random.Generator | None = None) -> LatentSample:
-    """Draw ``n`` abilities from ``spec``.
-
-    Deterministic given ``(spec, n, spec.seed)`` when ``rng`` is omitted;
-    callers that manage their own streams pass an explicit generator.
-    """
+def sample_latent(spec: LatentSpec, n: int, rng: np.random.Generator) -> LatentSample:
+    """Draw ``n`` abilities from ``spec`` with the caller's generator ``rng``."""
     n = int(n)
     if n < 1:
         raise EmptyRequestError(f"requested sample size must be >= 1, got {n}")
-    if rng is None:
-        rng = stream(spec.seed, "latent")
     z = _sample_z(spec, n, rng)
     theta = spec.mu + spec.sigma * z
     return LatentSample(theta=theta, z=z, spec=spec)
@@ -248,8 +249,9 @@ class DensityTable:
                 fh.write(",".join(row) + "\n")
 
 
-def describe_shapes(specs: list[LatentSpec], n: int, grid_size: int = 256) -> DensityTable:
-    """Sample each spec and tabulate kernel density estimates on a shared grid."""
+def describe_shapes(specs: list[LatentSpec], n: int, seeds: list[int], grid_size: int = 256) -> DensityTable:
+    """Sample spec ``k`` from ``stream(seeds[k], "latent")`` and tabulate kernel density
+    estimates on a shared grid."""
     from scipy import stats  # deferred: scipy.stats is slow to import
 
     if int(n) < 100:
@@ -259,11 +261,11 @@ def describe_shapes(specs: list[LatentSpec], n: int, grid_size: int = 256) -> De
 
     samples, labels = [], []
     counts: dict[str, int] = {}
-    for spec in specs:
+    for spec, seed in zip(specs, seeds, strict=True):
         counts[spec.shape] = counts.get(spec.shape, 0) + 1
         label = spec.shape if counts[spec.shape] == 1 else f"{spec.shape}_{counts[spec.shape]}"
         labels.append(label)
-        samples.append(sample_latent(spec, n))
+        samples.append(sample_latent(spec, n, rng=stream(seed, "latent")))
 
     lo = min(float(s.theta.min()) for s in samples)
     hi = max(float(s.theta.max()) for s in samples)

@@ -144,8 +144,9 @@ class SacResult:
         cfg = self.config
         return {
             "result_type": "sac",
+            # 3: no latent.seed or redraw_items (both constant in effect);
             # 2: iteration pools are drawn in one batch; 1: one build_pool per iteration
-            "schema_version": 2,
+            "schema_version": 3,
             "target_rho": cfg.target_rho,
             "achieved_rho": self.achieved_rho,
             "abs_error": abs(self.achieved_rho - cfg.target_rho),
@@ -162,7 +163,6 @@ class SacResult:
             "eval_m": self.eval_m,
             "clamp_fraction": self.clamp_fraction,
             "c_init": cfg.resolved_c_init(),
-            "redraw_items": True,
             "seed": cfg.seed,
             "bracket": {"c_lower": cfg.interval.c_lower, "c_upper": cfg.interval.c_upper},
             "latent": cfg.latent.to_dict(),
@@ -173,10 +173,10 @@ class SacResult:
     def from_dict(d: Mapping[str, Any]) -> "SacResult":
         if d.get("result_type") != "sac":
             raise ConfigurationError(f"expected a sac result document, got {d.get('result_type')!r}")
-        if d.get("schema_version") not in (1, 2):
+        if d.get("schema_version") not in (1, 2, 3):
             raise ConfigurationError(
-                f"unsupported sac result schema_version {d.get('schema_version')!r}; expected 1 or 2")
-        if not d["redraw_items"]:
+                f"unsupported sac result schema_version {d.get('schema_version')!r}; expected 1, 2 or 3")
+        if not d.get("redraw_items", True):
             raise ConfigurationError(
                 "a sac result run on a frozen pool (redraw_items false) cannot be reproduced")
         pool = ItemPool.from_dict(d["pool"])

@@ -23,4 +23,4 @@ def tail_gap_pool() -> ItemPool:
 
 @pytest.fixture
 def narrow_latent() -> LatentSpec:
-    return LatentSpec(sigma=0.2, seed=11)
+    return LatentSpec(sigma=0.2)

@@ -238,7 +238,7 @@ def test_criterion_07_kernel_and_ceiling_bounds():
 def test_criterion_08_metric_split_on_gap_pool():
     pool = ItemPool(model="rasch", beta=np.array([-2.5] * 15 + [2.5] * 15),
                     lambda0=np.ones(30))
-    theta = sample_latent(LatentSpec(seed=81), 20_000).theta
+    theta = sample_latent(LatentSpec(), 20_000, rng=stream(81, "latent")).theta
     grid = np.geomspace(1.0, 50.0, 25)
     rho = np.array([reliability_summary(theta, pool, c).rho_tilde for c in grid])
     w = np.array([reliability_summary(theta, pool, c).w_bar for c in grid])
@@ -253,9 +253,12 @@ def test_criterion_08_metric_split_on_gap_pool():
 
 def test_criterion_09_distribution_moments():
     n = 1_000_000
-    sk = sample_latent(LatentSpec(shape="skew_pos", shape_params={"k": 4.0}, seed=2), n).sample_moments
-    hv = sample_latent(LatentSpec(shape="heavy_tail", shape_params={"nu": 5.0}, seed=12), n).sample_moments
-    bi = sample_latent(LatentSpec(shape="bimodal", shape_params={"delta": 0.8}, seed=4), n).sample_moments
+    sk = sample_latent(LatentSpec(shape="skew_pos", shape_params={"k": 4.0}), n,
+                       rng=stream(2, "latent")).sample_moments
+    hv = sample_latent(LatentSpec(shape="heavy_tail", shape_params={"nu": 5.0}), n,
+                       rng=stream(12, "latent")).sample_moments
+    bi = sample_latent(LatentSpec(shape="bimodal", shape_params={"delta": 0.8}), n,
+                       rng=stream(4, "latent")).sample_moments
     ok = (
         abs(sk["skew"] - 1.00) < 0.02
         and abs(sk["excess_kurtosis"] - 1.5) < 0.1

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -144,7 +145,7 @@ def test_generate_zero_persons(eqc_json, tmp_path):
                 "--out", str(tmp_path / "x.csv")]) == 2
 
 
-@pytest.mark.parametrize("version", [None, 2])
+@pytest.mark.parametrize("version", [None, 3])
 def test_generate_rejects_unknown_schema_version(eqc_json, tmp_path, capsys, version):
     doc = json.loads(eqc_json.read_text())
     if version is None:
@@ -407,6 +408,76 @@ def test_latent_params_rejects_keys_no_shape_takes(params, capsys):
                 "--latent-params", params, "--m", "500"])
     assert code == 2
     assert f"shape_params.{params.split('=')[0]} is not a parameter" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("params,key", [('{"nu": "7"}', "shape_params.nu"), ('{"mu": "1"}', "mu")],
+                         ids=["nu", "mu"])
+def test_latent_params_rejects_values_that_are_not_numbers(params, key, capsys):
+    code = run(["calibrate", "--target", "0.5", "--latent-shape", "heavy_tail",
+                "--latent-params", params, "--m", "500"])
+    assert code == 2
+    assert f"{key} must be a real number" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flags,message", [
+    (["--item-source", "pool", "--difficulty-mu", "2", "--difficulty-sigma", "9"],
+     "apply only to the parametric source"),
+    (["--difficulty-sigma", "-1"], "difficulty_sigma must be positive"),
+], ids=["pool", "negative_sigma"])
+def test_difficulty_flags_rejected_where_they_cannot_apply(flags, message, capsys):
+    assert run(["calibrate", "--target", "0.5", "--m", "500", *flags]) == 2
+    assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("form", ["grid", "explicit"])
+def test_validate_rejects_unknown_latent_keys(form, tmp_path, capsys):
+    latent = {"shape": "normal", "seed": 3, "sigmaa": 2}
+    if form == "grid":
+        cfg = {"shapes": [latent], "models": ["rasch"], "item_sources": ["parametric"],
+               "test_lengths": [15], "n_persons": [60], "targets": {"15": 0.45}}
+        field = "shapes[0]"
+    else:
+        cfg = {"conditions": [{"latent": latent, "model": "rasch", "item_source": "parametric",
+                               "n_items": 15, "n_persons": 60, "target_rho": 0.45}]}
+        field = "conditions[0].latent"
+    cfg_path = tmp_path / "study.json"
+    cfg_path.write_text(json.dumps(cfg))
+    out_dir = tmp_path / "out"
+    assert run(["validate", "--config", str(cfg_path), "--out-dir", str(out_dir), "--threads", "1"]) == 2
+    assert f"config field '{field}': unknown keys ['seed', 'sigmaa']" in capsys.readouterr().err
+    assert not out_dir.exists()
+
+
+# Result documents of past schema versions, written by the package at that
+# version with these calibrate flags. Each still loads, re-serialises to the
+# document the same flags write now, and generates the same responses.
+_PAST_DOCS = [
+    ("eqc_schema_1.json",
+     ["--target", "0.5", "--items", "15", "--model", "rasch", "--latent-shape", "bimodal",
+      "--m", "500", "--c-lower", "0.1", "--c-upper", "10", "--seed", "3"]),
+    ("sac_schema_2.json",
+     ["--algorithm", "sac", "--metric", "msem", "--target", "0.5", "--items", "15",
+      "--model", "rasch", "--latent-shape", "heavy_tail", "--m", "500", "--n-iter", "40",
+      "--m-per-iter", "200", "--c-lower", "0.1", "--c-upper", "10", "--seed", "4"]),
+]
+
+
+@pytest.mark.parametrize("name,flags", _PAST_DOCS, ids=[name for name, _ in _PAST_DOCS])
+def test_past_schema_documents_load_and_generate_the_same_responses(name, flags, tmp_path):
+    old_path = Path(__file__).parent / "data" / "result_docs" / name
+    new_path = tmp_path / "new.json"
+    assert run(["calibrate", *flags, "--out", str(new_path)]) == 0
+    old, new = json.loads(old_path.read_text()), json.loads(new_path.read_text())
+    assert old["schema_version"] < new["schema_version"]
+    del new["reproducibility"]
+    assert cli._load_result(old_path).to_dict() == new
+    csvs = []
+    for path in (old_path, new_path):
+        csv = tmp_path / f"{path.stem}.csv"
+        assert run(["generate", "--calibration", str(path), "--n", "300", "--seed", "8",
+                    "--out", str(csv)]) == 0
+        csvs.append(csv.read_bytes())
+    assert csvs[0] == csvs[1]
 
 
 def test_bounds_without_target_gives_no_verdict(tmp_path, capsys):

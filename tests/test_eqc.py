@@ -178,10 +178,10 @@ def test_pool_generation_failure_propagates():
         eqc_calibrate(cfg)
 
 
-@pytest.mark.parametrize("version", [None, 0, 2, 3])
+@pytest.mark.parametrize("version", [None, 0, 3, 4])
 def test_result_document_with_unknown_schema_version_rejected(version):
     doc = eqc_calibrate(replace(FLAGSHIP, m_quadrature=1000)).to_dict()
-    assert doc["schema_version"] == 1
+    assert doc["schema_version"] == 2
     if version is None:
         del doc["schema_version"]
     else:

@@ -27,9 +27,10 @@ def test_deferred_scipy_imports_resolve():
     out = _run(
         "from irtcalib import EqcConfig, LatentSpec, PoolConfig, describe_shapes, eqc_calibrate\n"
         "from irtcalib.latent import sample_latent\n"
-        "table = describe_shapes([LatentSpec()], 200, grid_size=8)\n"
-        "moments = sample_latent(LatentSpec(shape='skew_pos', shape_params={'k': 4.0}), 500)"
-        ".sample_moments\n"
+        "from irtcalib.rng import stream\n"
+        "table = describe_shapes([LatentSpec()], 200, seeds=[0], grid_size=8)\n"
+        "moments = sample_latent(LatentSpec(shape='skew_pos', shape_params={'k': 4.0}), 500,\n"
+        "                        rng=stream(0, 'latent')).sample_moments\n"
         "result = eqc_calibrate(EqcConfig(target_rho=0.6, latent=LatentSpec(),\n"
         "                                 items=PoolConfig(n_items=10), m_quadrature=500))\n"
         "print(table.densities['normal'].shape, sorted(moments), result.status)\n"

@@ -188,6 +188,31 @@ def test_rasch_with_copula_is_a_configuration_error():
         PoolConfig(model="rasch", source="parametric", n_items=30, gen_method="copula")
 
 
+@pytest.mark.parametrize("source,extra", [
+    ("empirical_pool", {}),
+    ("custom", {"betas": [0.0, 1.0], "n_items": 2}),
+], ids=["empirical_pool", "custom"])
+@pytest.mark.parametrize("mu,sigma", [(2.0, 1.0), (0.0, 9.0)])
+def test_difficulty_moments_rejected_for_non_parametric_sources(source, extra, mu, sigma):
+    # Only the parametric source draws from Normal(mu, sigma); the others would ignore them.
+    kwargs = {"n_items": 5, **extra}
+    with pytest.raises(ConfigurationError, match="parametric"):
+        PoolConfig(source=source, difficulty_mu=mu, difficulty_sigma=sigma, **kwargs)
+    PoolConfig(source=source, **kwargs)  # the defaults stay valid
+
+
+@pytest.mark.parametrize("field,value", [
+    ("difficulty_mu", float("nan")),
+    ("difficulty_mu", float("inf")),
+    ("difficulty_sigma", 0.0),
+    ("difficulty_sigma", -1.0),
+    ("difficulty_sigma", float("inf")),
+])
+def test_difficulty_moments_must_be_finite_with_positive_sigma(field, value):
+    with pytest.raises(ParameterError, match=field):
+        PoolConfig(**{field: value})
+
+
 def test_twopl_parametric_mean_lambda():
     pool = build_pool(PoolConfig(model="twopl", source="parametric", n_items=1000), 17)
     # log-normal mean is exp(sigma_log^2 / 2) = exp(0.045) ~ 1.046

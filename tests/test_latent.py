@@ -10,6 +10,7 @@ from irtcalib import (
     sample_latent,
     theoretical_moments,
 )
+from irtcalib.rng import stream
 
 BIG_N = 1_000_000
 
@@ -62,9 +63,8 @@ def test_mixture_theoretical_moments_match_sample():
                 {"weight": 0.2, "mean": 2.0, "sd": 0.3},
             ]
         },
-        seed=3,
     )
-    sample = sample_latent(spec, BIG_N)
+    sample = sample_latent(spec, BIG_N, rng=stream(3, "latent"))
     theo = theoretical_moments(spec)
     mom = sample.sample_moments
     assert abs(mom["mean"]) < 0.01
@@ -74,28 +74,28 @@ def test_mixture_theoretical_moments_match_sample():
 
 
 def test_normal_sample_moments():
-    mom = sample_latent(LatentSpec(seed=1), BIG_N).sample_moments
+    mom = sample_latent(LatentSpec(), BIG_N, rng=stream(1, "latent")).sample_moments
     assert abs(mom["mean"]) < 0.005
     assert abs(mom["var"] - 1.0) < 0.01
 
 
 def test_skew_pos_sample_moments():
-    spec = LatentSpec(shape="skew_pos", shape_params={"k": 4.0}, seed=2)
-    mom = sample_latent(spec, BIG_N).sample_moments
+    spec = LatentSpec(shape="skew_pos", shape_params={"k": 4.0})
+    mom = sample_latent(spec, BIG_N, rng=stream(2, "latent")).sample_moments
     assert mom["skew"] == pytest.approx(1.00, abs=0.02)
     assert mom["excess_kurtosis"] == pytest.approx(1.50, abs=0.1)
 
 
 def test_bimodal_sample_moments():
-    spec = LatentSpec(shape="bimodal", shape_params={"delta": 0.8}, seed=4)
-    mom = sample_latent(spec, BIG_N).sample_moments
+    spec = LatentSpec(shape="bimodal", shape_params={"delta": 0.8})
+    mom = sample_latent(spec, BIG_N, rng=stream(4, "latent")).sample_moments
     assert mom["var"] == pytest.approx(1.0, abs=0.01)
     assert mom["excess_kurtosis"] == pytest.approx(-0.8192, abs=0.02)
 
 
 def test_heavy_tail_sample_moments():
-    spec = LatentSpec(shape="heavy_tail", shape_params={"nu": 5.0}, seed=12)
-    mom = sample_latent(spec, BIG_N).sample_moments
+    spec = LatentSpec(shape="heavy_tail", shape_params={"nu": 5.0})
+    mom = sample_latent(spec, BIG_N, rng=stream(12, "latent")).sample_moments
     assert abs(mom["var"] - 1.0) < 0.02
     # Fourth-moment convergence is slow for t(5); wide tolerance on purpose.
     assert mom["excess_kurtosis"] == pytest.approx(6.0, abs=1.0)
@@ -104,10 +104,10 @@ def test_heavy_tail_sample_moments():
 @pytest.mark.parametrize(
     "spec",
     [
-        LatentSpec(seed=10),
-        LatentSpec(shape="bimodal", shape_params={"delta": 0.8}, seed=10),
-        LatentSpec(shape="skew_pos", shape_params={"k": 4.0}, seed=10),
-        LatentSpec(shape="heavy_tail", shape_params={"nu": 5.0}, seed=10),
+        LatentSpec(),
+        LatentSpec(shape="bimodal", shape_params={"delta": 0.8}),
+        LatentSpec(shape="skew_pos", shape_params={"k": 4.0}),
+        LatentSpec(shape="heavy_tail", shape_params={"nu": 5.0}),
     ],
 )
 @pytest.mark.parametrize("mu,sigma", [(0.0, 1.0), (-1.3, 2.5)])
@@ -115,21 +115,21 @@ def test_location_scale_invariants(spec, mu, sigma):
     from dataclasses import replace
 
     shifted = replace(spec, mu=mu, sigma=sigma)
-    sample = sample_latent(shifted, BIG_N)
+    sample = sample_latent(shifted, BIG_N, rng=stream(10, "latent"))
     assert abs(sample.sample_moments["mean"] - mu) < 0.01 * max(1.0, sigma)
     assert abs(sample.sample_moments["var"] - sigma**2) < 0.02 * sigma**2
     # Equivariance: same seed, standardized spec, then shift by hand.
-    base = sample_latent(replace(spec, mu=0.0, sigma=1.0), BIG_N)
+    base = sample_latent(replace(spec, mu=0.0, sigma=1.0), BIG_N, rng=stream(10, "latent"))
     np.testing.assert_array_equal(sample.theta, mu + sigma * base.z)
     np.testing.assert_array_equal(sample.theta, shifted.mu + shifted.sigma * sample.z)
 
 
 def test_seed_determinism():
-    spec = LatentSpec(shape="skew_pos", shape_params={"k": 4.0}, seed=77)
-    a = sample_latent(spec, 10_000).theta
-    b = sample_latent(spec, 10_000).theta
+    spec = LatentSpec(shape="skew_pos", shape_params={"k": 4.0})
+    a = sample_latent(spec, 10_000, rng=stream(77, "latent")).theta
+    b = sample_latent(spec, 10_000, rng=stream(77, "latent")).theta
     np.testing.assert_array_equal(a, b)
-    c = sample_latent(LatentSpec(shape="skew_pos", shape_params={"k": 4.0}, seed=78), 10_000).theta
+    c = sample_latent(spec, 10_000, rng=stream(78, "latent")).theta
     assert not np.array_equal(a, c)
 
 
@@ -149,9 +149,24 @@ def test_invalid_shape_params_name_the_field(shape, params, field):
         LatentSpec(shape=shape, shape_params=params)
 
 
+@pytest.mark.parametrize(
+    "kwargs,field",
+    [
+        ({"mu": "1"}, "mu"),
+        ({"sigma": True}, "sigma"),
+        ({"shape": "heavy_tail", "shape_params": {"nu": "7"}}, "shape_params.nu"),
+        ({"shape": "skew_pos", "shape_params": {"k": None}}, "shape_params.k"),
+        ({"shape": "bimodal", "shape_params": {"delta": False}}, "shape_params.delta"),
+    ],
+)
+def test_non_numbers_rejected(kwargs, field):
+    with pytest.raises(ParameterError, match=f"{field} must be a real number"):
+        LatentSpec(**kwargs)
+
+
 def test_zero_draws_rejected():
     with pytest.raises(EmptyRequestError):
-        sample_latent(LatentSpec(), 0)
+        sample_latent(LatentSpec(), 0, rng=stream(0, "latent"))
 
 
 def test_sigma_must_be_positive():
@@ -160,7 +175,7 @@ def test_sigma_must_be_positive():
 
 
 def test_describe_shapes_normal_peak():
-    table = describe_shapes([LatentSpec(seed=6)], 10_000)
+    table = describe_shapes([LatentSpec()], 10_000, seeds=[6])
     peak = float(np.max(table.densities["normal"]))
     assert peak == pytest.approx(stats.norm.pdf(0.0), abs=0.05)
     peak_at = float(table.theta[np.argmax(table.densities["normal"])])
@@ -174,7 +189,7 @@ def test_describe_shapes_bimodal_modes():
         lambda z: -bimodal_density(z, delta), bounds=(0.0, 2.0), method="bounded"
     )
     mode = float(res.x)
-    table = describe_shapes([LatentSpec(shape="bimodal", shape_params={"delta": delta}, seed=8)], 100_000)
+    table = describe_shapes([LatentSpec(shape="bimodal", shape_params={"delta": delta})], 100_000, seeds=[8])
     dens = table.densities["bimodal"]
     interior = np.flatnonzero((dens[1:-1] > dens[:-2]) & (dens[1:-1] > dens[2:])) + 1
     maxima = table.theta[interior[dens[interior] > 0.2 * dens.max()]]
@@ -185,18 +200,18 @@ def test_describe_shapes_bimodal_modes():
 
 
 def test_describe_shapes_empty_list():
-    table = describe_shapes([], 1000)
+    table = describe_shapes([], 1000, seeds=[])
     assert table.theta.size == 0
     assert table.densities == {}
 
 
 def test_describe_shapes_duplicate_labels():
-    table = describe_shapes([LatentSpec(seed=1), LatentSpec(seed=2)], 500)
+    table = describe_shapes([LatentSpec(), LatentSpec()], 500, seeds=[1, 2])
     assert set(table.densities) == {"normal", "normal_2"}
 
 
 def test_density_table_csv_roundtrip(tmp_path):
-    table = describe_shapes([LatentSpec(seed=6)], 500)
+    table = describe_shapes([LatentSpec()], 500, seeds=[6])
     path = tmp_path / "dens.csv"
     table.to_csv(path)
     header = path.read_text().splitlines()[0]

@@ -341,7 +341,7 @@ def test_forced_mean_information_value():
 
 def test_reliability_summary_consistency_fields():
     pool = make_rasch_pool([0.0, 0.5])
-    theta = sample_latent(LatentSpec(seed=3), 500).theta
+    theta = sample_latent(LatentSpec(), 500, rng=stream(3, "latent")).theta
     s = reliability_summary(theta, pool, 0.8)
     assert s.rho_tilde == pytest.approx(s.sigma2_theta * s.j_bar / (s.sigma2_theta * s.j_bar + 1))
     assert s.m_points == 500
@@ -395,13 +395,13 @@ def test_reference_ceiling_table(n_items, expected):
 
 def test_scan_parametric_rho_tilde_monotone():
     pool = build_pool(PoolConfig(model="rasch", source="parametric", n_items=30), 30)
-    theta = sample_latent(LatentSpec(seed=31), 10_000).theta
+    theta = sample_latent(LatentSpec(), 10_000, rng=stream(31, "latent")).theta
     scan = monotonicity_scan(pool, theta, "avg_info", ScaleInterval(0.1, 10.0), 25)
     assert scan.is_monotone
 
 
 def test_scan_gap_pool_msem_non_monotone(scan_gap_pool, narrow_latent):
-    theta = sample_latent(narrow_latent, 20_000).theta
+    theta = sample_latent(narrow_latent, 20_000, rng=stream(11, "latent")).theta
     scan = monotonicity_scan(scan_gap_pool, theta, "msem", ScaleInterval(1.0, 50.0), 25)
     assert not scan.is_monotone
     values = dict(scan.grid)
@@ -413,7 +413,7 @@ def test_scan_gap_pool_msem_non_monotone(scan_gap_pool, narrow_latent):
 
 
 def test_msem_collapse_ordering(scan_gap_pool, narrow_latent):
-    theta = sample_latent(narrow_latent, 20_000).theta
+    theta = sample_latent(narrow_latent, 20_000, rng=stream(11, "latent")).theta
     w2 = reliability_summary(theta, scan_gap_pool, 2.0).w_bar
     w5 = reliability_summary(theta, scan_gap_pool, 5.0).w_bar
     w50 = reliability_summary(theta, scan_gap_pool, 50.0).w_bar
@@ -445,7 +445,7 @@ def test_scan_grid_size_validated():
 
 def test_mean_information_grows_linearly_at_large_c():
     pool = build_pool(PoolConfig(model="rasch", source="parametric", n_items=30), 32)
-    theta = sample_latent(LatentSpec(seed=33), 100_000).theta
+    theta = sample_latent(LatentSpec(), 100_000, rng=stream(33, "latent")).theta
     j50 = np.mean(total_information(theta, pool, 50.0))
     j100 = np.mean(total_information(theta, pool, 100.0))
     assert 1.8 <= j100 / j50 <= 2.2
@@ -464,7 +464,7 @@ def test_jensen_gap_point_mass_is_zero():
 def test_jensen_gap_second_order_accuracy_low_variance():
     # Dense difficulty grid at modest scale keeps information nearly flat.
     pool = make_rasch_pool(np.linspace(-3, 3, 40))
-    theta = sample_latent(LatentSpec(seed=34), 100_000).theta
+    theta = sample_latent(LatentSpec(), 100_000, rng=stream(34, "latent")).theta
     gaps = jensen_gap_estimate(theta, pool, 0.5)
     assert gaps["gap_exact"] > 0
     assert abs(gaps["gap_exact"] - gaps["gap_second_order"]) < 0.2 * gaps["gap_exact"]
@@ -472,9 +472,9 @@ def test_jensen_gap_second_order_accuracy_low_variance():
 
 def test_jensen_gap_larger_for_heavy_tails():
     pool = build_pool(PoolConfig(model="rasch", source="parametric", n_items=30), 35)
-    theta_n = sample_latent(LatentSpec(seed=36), 50_000).theta
+    theta_n = sample_latent(LatentSpec(), 50_000, rng=stream(36, "latent")).theta
     theta_t = sample_latent(
-        LatentSpec(shape="heavy_tail", shape_params={"nu": 5.0}, seed=36), 50_000
+        LatentSpec(shape="heavy_tail", shape_params={"nu": 5.0}), 50_000, rng=stream(36, "latent")
     ).theta
     gap_n = jensen_gap_estimate(theta_n, pool, 1.0)["gap_exact"]
     gap_t = jensen_gap_estimate(theta_t, pool, 1.0)["gap_exact"]

@@ -275,20 +275,19 @@ def _small_twopl_run(**changes):
 
 def test_twopl_result_roundtrip():
     doc = json.loads(json.dumps(_small_twopl_run().to_dict()))
-    assert doc["redraw_items"] is True
     assert SacResult.from_dict(doc).to_dict() == doc
 
 
 def test_schema_version_one_document_loads():
     doc = json.loads(json.dumps(_small_twopl_run().to_dict()))
-    assert doc["schema_version"] == 2
+    assert doc["schema_version"] == 3
     doc["schema_version"] = 1
     clone = SacResult.from_dict(doc)
     assert clone.c_star == doc["c_star"]
-    assert clone.to_dict() == {**doc, "schema_version": 2}
+    assert clone.to_dict() == {**doc, "schema_version": 3}
 
 
-@pytest.mark.parametrize("version", [None, 0, 3])
+@pytest.mark.parametrize("version", [None, 0, 4])
 def test_unknown_schema_version_rejected(version):
     doc = _small_twopl_run().to_dict()
     if version is None:

@@ -81,7 +81,7 @@ def test_near_deterministic_scale_gives_step_function():
         pool = make_rasch_pool([0.0, -1.0, 1.0, 0.5])
         c_star = 1e6
 
-    latent = LatentSpec(seed=0)
+    latent = LatentSpec()
     dataset = simulate_responses(Calib(), latent, 500, seed=3)
     theta = dataset.theta_true
     for j, beta in enumerate(dataset.pool.beta):
@@ -96,7 +96,7 @@ def test_marginal_probability_half():
         pool = make_rasch_pool([0.0])
         c_star = 1.0
 
-    dataset = simulate_responses(Calib(), LatentSpec(seed=5), 100_000, seed=6)
+    dataset = simulate_responses(Calib(), LatentSpec(), 100_000, seed=6)
     assert np.mean(dataset.responses) == pytest.approx(0.5, abs=0.01)
 
 
@@ -108,7 +108,7 @@ def test_realized_zero_for_constant_abilities():
         pool = make_rasch_pool([0.0, 1.0])
         c_star = 1.0
 
-    dataset = simulate_responses(Calib(), LatentSpec(seed=8), 50, seed=8)
+    dataset = simulate_responses(Calib(), LatentSpec(), 50, seed=8)
     dataset.theta_true = np.zeros(50)
     assert realized_reliability(dataset, "avg_info") == 0.0
     assert realized_reliability(dataset, "msem") == 0.0
