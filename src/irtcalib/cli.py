@@ -43,6 +43,8 @@ from .errors import (
     IrtcalibError,
     NumericalError,
     ParameterError,
+    real_number,
+    whole_number,
 )
 from .items import DiscriminationSpec, PoolConfig
 from .latent import VALIDATION_SHAPE_PARAMS, LatentSpec, describe_shapes, theoretical_moments
@@ -98,13 +100,19 @@ def _parse_kv(text: str) -> dict:
     if not text:
         return {}
     if text.startswith("{"):
-        return json.loads(text)
+        try:
+            return json.loads(text)
+        except json.JSONDecodeError as exc:
+            raise ParameterError(f"invalid JSON object {text!r}: {exc}") from exc
     out = {}
     for part in text.split(","):
         if "=" not in part:
             raise ParameterError(f"expected key=value pairs, got {part!r}")
         key, value = part.split("=", 1)
-        out[key.strip()] = float(value)
+        try:
+            out[key.strip()] = float(value)
+        except ValueError:
+            raise ParameterError(f"{key.strip()} must be a number, got {value!r}") from None
     return out
 
 
@@ -131,21 +139,37 @@ def _pool_config_from_args(args) -> PoolConfig:
     )
 
 
-def _load_result(path):
-    """Load a stored calibration result document of either type."""
+def _read_json(path, what: str) -> dict:
+    """The JSON object in file ``path``; ``what`` names the file in errors."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
     except OSError as exc:
-        raise IngestionError(f"cannot read calibration file {path}: {exc}") from exc
+        raise IngestionError(f"cannot read {what} {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
-        raise ConfigurationError(f"{path}: invalid JSON at line {exc.lineno} column {exc.colno}") from exc
+        raise ConfigurationError(
+            f"{path}: invalid JSON at line {exc.lineno} column {exc.colno}: {exc.msg}"
+        ) from exc
+    except ValueError as exc:  # an integer literal longer than Python converts
+        raise ConfigurationError(f"{path}: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise ConfigurationError(f"{path}: top level must be a JSON object")
+    return doc
+
+
+def _load_result(path):
+    """Load a stored calibration result document of either type."""
+    doc = _read_json(path, "calibration file")
     kind = doc.get("result_type")
-    if kind == "eqc":
-        return CalibrationResult.from_dict(doc)
-    if kind == "sac":
-        return SacResult.from_dict(doc)
-    raise ConfigurationError(f"{path}: unknown result_type {kind!r}")
+    if kind not in ("eqc", "sac"):
+        raise ConfigurationError(f"{path}: unknown result_type {kind!r}")
+    loader = CalibrationResult.from_dict if kind == "eqc" else SacResult.from_dict
+    try:
+        return loader(doc)
+    except KeyError as exc:
+        raise ConfigurationError(f"{path}: missing key {exc}") from exc
+    except (TypeError, ValueError) as exc:
+        raise ConfigurationError(f"{path}: {exc}") from exc
 
 
 def _fmt(value: float, digits: int = 4) -> str:
@@ -334,79 +358,120 @@ def cmd_generate(args) -> int:
 
 
 _CONFIG_SHAPE_KEYS = {"shape", "shape_params", "mu", "sigma"}
+_CONDITION_KEYS = {"condition_id", "latent", "model", "item_source", "n_items", "n_persons",
+                   "target_rho", "algorithm", "replications", "pool_file", "allow_any_target"}
+_GRID_KEYS = {"shapes", "models", "item_sources", "test_lengths", "n_persons", "targets",
+              "algorithms", "replications", "pool_file", "allow_any_target"}
 
 
-def _config_error(field: str, message: str) -> ConfigurationError:
-    return ConfigurationError(f"config field '{field}': {message}")
+def _config_error(field: str | None, message: str) -> ConfigurationError:
+    return ConfigurationError(f"config field '{field}': {message}" if field else f"config: {message}")
+
+
+def _check_keys(field: str | None, block: dict, allowed: set) -> None:
+    """Reject the keys of a config object (``field``; None is the top level) not in ``allowed``."""
+    extra = set(block) - allowed
+    if extra:
+        raise _config_error(field, f"unknown keys {sorted(extra)}")
+
+
+def _list(field: str, value) -> list:
+    if not isinstance(value, list):
+        raise _config_error(field, f"must be a list, got {value!r}")
+    return value
+
+
+def _whole_numbers(field: str, value) -> list[int]:
+    return [whole_number(f"{field}[{i}]", n) for i, n in enumerate(_list(field, value))]
+
+
+def _flag(field: str, value) -> bool:
+    if not isinstance(value, bool):
+        raise _config_error(field, f"must be true or false, got {value!r}")
+    return value
+
+
+def _pool_file(field: str, value) -> str | None:
+    if value is not None and not isinstance(value, str):
+        raise _config_error(field, f"must be a file path, got {value!r}")
+    return value
 
 
 def _latent_from_config(field: str, block) -> LatentSpec:
     """A latent block of a study config: an object holding only ``_CONFIG_SHAPE_KEYS``."""
     if not isinstance(block, dict) or "shape" not in block:
         raise _config_error(field, "must be an object with a 'shape' key")
-    extra = set(block) - _CONFIG_SHAPE_KEYS
-    if extra:
-        raise _config_error(field, f"unknown keys {sorted(extra)}")
+    _check_keys(field, block, _CONFIG_SHAPE_KEYS)
     return LatentSpec.from_dict(block)
 
 
 def _conditions_from_config(cfg: dict) -> list[StudyCondition]:
+    """The study's conditions; unknown keys, and values of the wrong type, are rejected."""
     if "conditions" in cfg:
+        _check_keys(None, cfg, {"conditions", "master_seed"})
         conditions = []
-        for i, c in enumerate(cfg["conditions"]):
+        for i, c in enumerate(_list("conditions", cfg["conditions"])):
+            field = f"conditions[{i}]"
+            if not isinstance(c, dict):
+                raise _config_error(field, f"must be an object, got {c!r}")
+            _check_keys(field, c, _CONDITION_KEYS)
             try:
                 conditions.append(
                     StudyCondition(
-                        condition_id=int(c.get("condition_id", i)),
-                        latent=_latent_from_config(f"conditions[{i}].latent", c["latent"]),
+                        condition_id=whole_number(f"{field}.condition_id", c.get("condition_id", i)),
+                        latent=_latent_from_config(f"{field}.latent", c["latent"]),
                         model=c["model"],
                         item_source=c["item_source"],
-                        n_items=int(c["n_items"]),
-                        n_persons=int(c["n_persons"]),
-                        target_rho=float(c["target_rho"]),
+                        n_items=whole_number(f"{field}.n_items", c["n_items"]),
+                        n_persons=whole_number(f"{field}.n_persons", c["n_persons"]),
+                        target_rho=real_number(f"{field}.target_rho", c["target_rho"]),
                         algorithm=c.get("algorithm", "eqc"),
-                        replications=int(c.get("replications", 200)),
-                        pool_path=c.get("pool_file"),
-                        allow_any_target=bool(c.get("allow_any_target", False)),
+                        replications=whole_number(f"{field}.replications", c.get("replications", 200)),
+                        pool_path=_pool_file(f"{field}.pool_file", c.get("pool_file")),
+                        allow_any_target=_flag(f"{field}.allow_any_target",
+                                               c.get("allow_any_target", False)),
                     )
                 )
             except KeyError as exc:
-                raise _config_error(f"conditions[{i}]", f"missing key {exc}") from exc
+                raise _config_error(field, f"missing key {exc}") from exc
         return conditions
 
+    _check_keys(None, cfg, _GRID_KEYS | {"master_seed"})
     for key in ("shapes", "models", "item_sources", "test_lengths", "n_persons", "targets"):
         if key not in cfg:
             raise _config_error(key, "required when no explicit 'conditions' list is given")
-    shapes = [_latent_from_config(f"shapes[{i}]", s) for i, s in enumerate(cfg["shapes"])]
-    targets = {int(k): float(v) for k, v in cfg["targets"].items()}
-    for n_items in cfg["test_lengths"]:
+    shapes = [_latent_from_config(f"shapes[{i}]", block)
+              for i, block in enumerate(_list("shapes", cfg["shapes"]))]
+    lengths = _whole_numbers("test_lengths", cfg["test_lengths"])
+    if not isinstance(cfg["targets"], dict):
+        raise _config_error("targets", f"must be an object mapping test lengths to targets, "
+                                       f"got {cfg['targets']!r}")
+    targets = {}
+    for key, value in cfg["targets"].items():
+        try:
+            length = int(key)
+        except ValueError:
+            raise _config_error("targets", f"key {key!r} is not a test length") from None
+        targets[length] = real_number(f"targets.{key}", value)
+    for n_items in lengths:
         if n_items not in targets:
             raise _config_error("targets", f"no target given for test length {n_items}")
     return make_grid(
-        shapes, cfg["models"], cfg["item_sources"], cfg["test_lengths"], cfg["n_persons"], targets,
-        algorithms=cfg.get("algorithms", ["eqc"]),
-        replications=int(cfg.get("replications", 200)),
-        pool_path=cfg.get("pool_file"),
-        allow_any_target=bool(cfg.get("allow_any_target", False)),
+        shapes, _list("models", cfg["models"]), _list("item_sources", cfg["item_sources"]), lengths,
+        _whole_numbers("n_persons", cfg["n_persons"]), targets,
+        algorithms=_list("algorithms", cfg.get("algorithms", ["eqc"])),
+        replications=whole_number("replications", cfg.get("replications", 200)),
+        pool_path=_pool_file("pool_file", cfg.get("pool_file")),
+        allow_any_target=_flag("allow_any_target", cfg.get("allow_any_target", False)),
     )
 
 
 def cmd_validate(args) -> int:
-    try:
-        with open(args.config, "r", encoding="utf-8") as fh:
-            cfg = json.load(fh)
-    except OSError as exc:
-        raise IngestionError(f"cannot read config {args.config}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ConfigurationError(
-            f"{args.config}: invalid JSON at line {exc.lineno} column {exc.colno}: {exc.msg}"
-        ) from exc
-    if not isinstance(cfg, dict):
-        raise ConfigurationError(f"{args.config}: top level must be a JSON object")
-
+    cfg = _read_json(args.config, "config")
     conditions = _conditions_from_config(cfg)
+    config_seed = whole_number("master_seed", cfg.get("master_seed", 0))
     profile = FULL_PROFILE if args.profile == "full" else DESK_PROFILE
-    master_seed = args.master_seed if args.master_seed is not None else int(cfg.get("master_seed", 0))
+    master_seed = args.master_seed if args.master_seed is not None else config_seed
 
     echo = {"master_seed": master_seed, "n_conditions": len(conditions), **profile.echo()}
     print("Validation study configuration")
@@ -606,9 +671,6 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except (ParameterError, ConfigurationError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     except NumericalError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL

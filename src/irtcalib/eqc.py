@@ -21,11 +21,13 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from typing import Any, Mapping, Union
+from typing import Any, Mapping
 
 import numpy as np
 
-from .errors import ConfigurationError, FeasibilityWarning, NumericalError, ParameterError
+from .errors import (
+    ConfigurationError, FeasibilityWarning, NumericalError, ParameterError, real_number, whole_number,
+)
 from .items import ItemPool, PoolConfig, build_pool
 from .latent import LatentSpec, sample_latent
 from .psychometrics import (
@@ -48,7 +50,7 @@ class EqcConfig:
 
     target_rho: float
     latent: LatentSpec
-    items: Union[PoolConfig, ItemPool]
+    items: PoolConfig | ItemPool
     m_quadrature: int = 10_000
     interval: ScaleInterval = DEFAULT_INTERVAL
     tolerance: float = 1e-8
@@ -124,36 +126,31 @@ class CalibrationResult:
             raise ConfigurationError(
                 f"unsupported eqc result schema_version {d.get('schema_version')!r}; expected 1 or 2")
         pool = ItemPool.from_dict(d["pool"])
+        bracket = d["bracket"]
         cfg = EqcConfig(
-            target_rho=float(d["target_rho"]),
+            target_rho=real_number("target_rho", d["target_rho"]),
             latent=LatentSpec.from_dict(d["latent"]),
             items=pool,
-            m_quadrature=int(d["m_quadrature"]),
-            interval=ScaleInterval(float(d["bracket"]["c_lower"]), float(d["bracket"]["c_upper"])),
-            tolerance=float(d["tolerance"]),
+            m_quadrature=whole_number("m_quadrature", d["m_quadrature"]),
+            interval=ScaleInterval(real_number("bracket.c_lower", bracket["c_lower"]),
+                                   real_number("bracket.c_upper", bracket["c_upper"])),
+            tolerance=real_number("tolerance", d["tolerance"]),
             metric=d["metric"],
-            seed=int(d["seed"]),
+            seed=whole_number("seed", d["seed"]),
         )
         return CalibrationResult(
-            c_star=float(d["c_star"]),
-            achieved_rho=float(d["achieved_rho"]),
-            abs_error=float(d["abs_error"]),
+            c_star=real_number("c_star", d["c_star"]),
+            achieved_rho=real_number("achieved_rho", d["achieved_rho"]),
+            abs_error=real_number("abs_error", d["abs_error"]),
             status=d["status"],
-            rho_lower=float(d["bracket"]["rho_lower"]),
-            rho_upper=float(d["bracket"]["rho_upper"]),
+            rho_lower=real_number("bracket.rho_lower", bracket["rho_lower"]),
+            rho_upper=real_number("bracket.rho_upper", bracket["rho_upper"]),
             pool=pool,
-            quadrature_sigma2=float(d["latent_variance"]),
-            evaluations=int(d["evaluations"]),
+            quadrature_sigma2=real_number("latent_variance", d["latent_variance"]),
+            evaluations=whole_number("evaluations", d["evaluations"]),
             metric=d["metric"],
             config=cfg,
         )
-
-
-def _resolve_pool(items: Union[PoolConfig, ItemPool], seed: int, purpose: str) -> ItemPool:
-    """One frozen pool realization; generation seeds derive from the calibration seed."""
-    if isinstance(items, ItemPool):
-        return items
-    return build_pool(items, child_seed(seed, purpose))
 
 
 class _FrozenObjective:
@@ -162,7 +159,7 @@ class _FrozenObjective:
     def __init__(self, config: EqcConfig):
         theta_rng = stream(config.seed, "eqc/theta")
         self.theta = sample_latent(config.latent, config.m_quadrature, rng=theta_rng).theta
-        self.pool = _resolve_pool(config.items, config.seed, "eqc/pool")
+        self.pool = build_pool(config.items, child_seed(config.seed, "eqc/pool"))
         self.sigma2 = float(np.var(self.theta, ddof=1))
         self.evaluations = 0
 

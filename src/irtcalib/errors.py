@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the number checks that raise them."""
+
+import numbers
 
 
 class IrtcalibError(Exception):
@@ -39,3 +41,25 @@ class DivergedObjectiveError(NumericalError):
 
 class FeasibilityWarning(UserWarning):
     """Requested target lies outside the attainable reliability bracket."""
+
+
+def real_number(name: str, value) -> float:
+    """``value`` as a float; anything but a real number raises :class:`ParameterError`.
+
+    A bool is an int subclass, but ``True`` is no location, scale or count.
+    """
+    if not isinstance(value, numbers.Real) or isinstance(value, bool):
+        raise ParameterError(f"{name} must be a real number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError:
+        raise ParameterError(f"{name} is an integer too large for a float") from None
+
+
+def whole_number(name: str, value) -> int:
+    """``value`` as an int; a float is accepted when integral (``500.0`` reads as 500)."""
+    integral = isinstance(value, numbers.Integral) or (
+        isinstance(value, numbers.Real) and float(value).is_integer())
+    if not integral or isinstance(value, bool):
+        raise ParameterError(f"{name} must be an integer, got {value!r}")
+    return int(value)

@@ -377,15 +377,20 @@ class PoolConfig:
 
 
 def draw_pools(
-    config: PoolConfig, n_pools: int, rng: np.random.Generator
+    config: PoolConfig | ItemPool, n_pools: int, rng: np.random.Generator
 ) -> tuple[np.ndarray, np.ndarray]:
     """``n_pools`` pool realizations of ``config`` as ``(n_pools, I)`` arrays ``(beta, lambda0)``.
 
-    All difficulties are drawn first, in one call, then (for dependent
-    methods) one independent normal per item, row by row; so the one-row
-    batch is exactly the pool :func:`build_pool` draws from the same ``rng``.
-    The whole batch passes the checks every :class:`ItemPool` applies.
+    A fixed :class:`ItemPool` is broadcast to ``n_pools`` read-only rows and
+    nothing is drawn from ``rng``. For a recipe, all difficulties are drawn
+    first, in one call, then (for dependent methods) one independent normal
+    per item, row by row; so the one-row batch is exactly the pool
+    :func:`build_pool` draws from the same ``rng``. The whole batch passes
+    the checks every :class:`ItemPool` applies.
     """
+    if isinstance(config, ItemPool):
+        shape = (n_pools, config.n_items)
+        return np.broadcast_to(config.beta, shape), np.broadcast_to(config.lambda0, shape)
     method = config.resolved_method()
     if config.source == "custom":
         custom = np.asarray(config.betas, dtype=float)
@@ -416,14 +421,17 @@ def draw_pools(
     return beta, lam
 
 
-def build_pool(config: PoolConfig, seed: int) -> ItemPool:
+def build_pool(config: PoolConfig | ItemPool, seed: int) -> ItemPool:
     """Assemble difficulties and discriminations into an :class:`ItemPool`.
 
-    All randomness comes from the single pool-generation stream of ``seed``:
-    difficulties first, then (for dependent methods) one independent normal
-    per item in item order, so pools are reproducible from ``(config, seed)``
-    alone. The pool is the one-row case of :func:`draw_pools`.
+    A fixed :class:`ItemPool` is returned as it is, and ``seed`` is not read.
+    For a recipe, all randomness comes from the single pool-generation stream
+    of ``seed``: difficulties first, then (for dependent methods) one
+    independent normal per item in item order, so pools are reproducible from
+    ``(config, seed)`` alone. The pool is the one-row case of :func:`draw_pools`.
     """
+    if isinstance(config, ItemPool):
+        return config
     method = config.resolved_method()
     beta, lam = draw_pools(config, 1, stream(seed, "pool"))
     return ItemPool(

@@ -19,14 +19,13 @@ the first two moments of the generated abilities.
 
 from __future__ import annotations
 
-import numbers
 import warnings
 from dataclasses import dataclass, field
 from typing import Any, Mapping
 
 import numpy as np
 
-from .errors import EmptyRequestError, ParameterError
+from .errors import EmptyRequestError, ParameterError, real_number
 from .rng import stream
 
 # The shape_params keys each shape takes.
@@ -47,13 +46,22 @@ VALIDATION_SHAPE_PARAMS = {
 }
 
 
+_COMPONENT_KEYS = ("weight", "mean", "sd")
+
+
 def _mixture_components(params: Mapping[str, Any]):
     comps = params.get("components")
-    if not comps:
+    if not isinstance(comps, (list, tuple)) or not comps:
         raise ParameterError("shape_params.components must be a nonempty list for mixture")
-    w = np.asarray([c["weight"] for c in comps], dtype=float)
-    m = np.asarray([c["mean"] for c in comps], dtype=float)
-    s = np.asarray([c["sd"] for c in comps], dtype=float)
+    for i, comp in enumerate(comps):
+        name = f"shape_params.components[{i}]"
+        if not isinstance(comp, Mapping) or set(comp) != set(_COMPONENT_KEYS):
+            raise ParameterError(
+                f"{name} must be an object holding exactly weight, mean and sd, got {comp!r}")
+        for key in _COMPONENT_KEYS:
+            if not np.isfinite(real_number(f"{name}.{key}", comp[key])):
+                raise ParameterError(f"{name}.{key} must be finite, got {comp[key]!r}")
+    w, m, s = (np.asarray([c[key] for c in comps], dtype=float) for key in _COMPONENT_KEYS)
     if np.any(w <= 0):
         raise ParameterError("shape_params.components weights must be positive")
     if np.any(s < 0):
@@ -90,9 +98,7 @@ class LatentSpec:
             key = _SHAPE_KEYS[self.shape][0]
             scalars.append((f"shape_params.{key}", p.get(key)))
         for name, value in scalars:
-            # bool is an int subclass, but True is no location, scale or shape
-            if not isinstance(value, numbers.Real) or isinstance(value, bool):
-                raise ParameterError(f"{name} must be a real number, got {value!r}")
+            real_number(name, value)
         if not np.isfinite(self.mu):
             raise ParameterError("mu must be finite")
         if not (np.isfinite(self.sigma) and self.sigma > 0):
@@ -132,11 +138,15 @@ class LatentSpec:
     @staticmethod
     def from_dict(d: Mapping[str, Any]) -> "LatentSpec":
         """Read a spec; the ``seed`` key of older documents governed no draw and is ignored."""
+        shape = d["shape"]  # first: a block that is no object fails here with a TypeError
+        params = d.get("shape_params", {})
+        if not isinstance(params, Mapping):
+            raise ParameterError(f"shape_params must be an object, got {params!r}")
         return LatentSpec(
-            shape=d["shape"],
-            shape_params=dict(d.get("shape_params", {})),
-            mu=float(d.get("mu", 0.0)),
-            sigma=float(d.get("sigma", 1.0)),
+            shape=shape,
+            shape_params=dict(params),
+            mu=real_number("mu", d.get("mu", 0.0)),
+            sigma=real_number("sigma", d.get("sigma", 1.0)),
         )
 
 

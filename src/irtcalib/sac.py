@@ -30,11 +30,13 @@ then (the README gives measurements).
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Any, Callable, Mapping, NamedTuple, Union
+from typing import Any, Callable, Mapping, NamedTuple
 
 import numpy as np
 
-from .errors import ConfigurationError, DivergedObjectiveError, ParameterError
+from .errors import (
+    ConfigurationError, DivergedObjectiveError, ParameterError, real_number, whole_number,
+)
 from .items import ItemPool, PoolConfig, build_pool, draw_pools
 from .latent import LatentSpec, sample_latent
 from .psychometrics import (
@@ -59,7 +61,7 @@ class SacConfig:
 
     target_rho: float
     latent: LatentSpec
-    items: Union[PoolConfig, ItemPool]
+    items: PoolConfig | ItemPool
     metric: str = METRIC_AVG_INFO
     n_iter: int = 300
     burn_in: int = 150
@@ -180,31 +182,33 @@ class SacResult:
             raise ConfigurationError(
                 "a sac result run on a frozen pool (redraw_items false) cannot be reproduced")
         pool = ItemPool.from_dict(d["pool"])
+        bracket = d["bracket"]
         cfg = SacConfig(
-            target_rho=float(d["target_rho"]),
+            target_rho=real_number("target_rho", d["target_rho"]),
             latent=LatentSpec.from_dict(d["latent"]),
             items=pool,
             metric=d["metric"],
-            n_iter=int(d["n_iter"]),
-            burn_in=int(d["burn_in"]),
-            step_a=float(d["step_a"]),
-            step_A=float(d["step_A"]),
-            step_gamma=float(d["step_gamma"]),
-            m_per_iter=int(d["m_per_iter"]),
-            interval=ScaleInterval(float(d["bracket"]["c_lower"]), float(d["bracket"]["c_upper"])),
-            c_init=float(d["c_init"]),
-            eval_m=int(d["eval_m"]),
-            seed=int(d["seed"]),
+            n_iter=whole_number("n_iter", d["n_iter"]),
+            burn_in=whole_number("burn_in", d["burn_in"]),
+            step_a=real_number("step_a", d["step_a"]),
+            step_A=real_number("step_A", d["step_A"]),
+            step_gamma=real_number("step_gamma", d["step_gamma"]),
+            m_per_iter=whole_number("m_per_iter", d["m_per_iter"]),
+            interval=ScaleInterval(real_number("bracket.c_lower", bracket["c_lower"]),
+                                   real_number("bracket.c_upper", bracket["c_upper"])),
+            c_init=real_number("c_init", d["c_init"]),
+            eval_m=whole_number("eval_m", d["eval_m"]),
+            seed=whole_number("seed", d["seed"]),
         )
         return SacResult(
-            c_star=float(d["c_star"]),
-            achieved_rho=float(d["achieved_rho"]),
+            c_star=real_number("c_star", d["c_star"]),
+            achieved_rho=real_number("achieved_rho", d["achieved_rho"]),
             trace_c=np.empty(0),
             trace_rho=np.empty(0),
-            eval_m=int(d["eval_m"]),
+            eval_m=whole_number("eval_m", d["eval_m"]),
             metric=d["metric"],
             status=d["status"],
-            clamp_fraction=float(d["clamp_fraction"]),
+            clamp_fraction=real_number("clamp_fraction", d["clamp_fraction"]),
             pool=pool,
             config=cfg,
         )
@@ -250,25 +254,6 @@ class _PoolRow(NamedTuple):
         return self.beta.size
 
 
-def _iteration_pools(config: SacConfig) -> tuple[np.ndarray, np.ndarray]:
-    """``(n_iter, I)`` difficulties and discriminations; row ``n - 1`` serves iteration ``n``.
-
-    Generated pools are drawn in one batch from the ``"sac/pools"`` stream; a
-    fixed :class:`ItemPool` is broadcast to every row.
-    """
-    items = config.items
-    if isinstance(items, ItemPool):
-        shape = (config.n_iter, items.n_items)
-        return np.broadcast_to(items.beta, shape), np.broadcast_to(items.lambda0, shape)
-    return draw_pools(items, config.n_iter, stream(config.seed, "sac/pools"))
-
-
-def _eval_pool(config: SacConfig, block: int) -> ItemPool:
-    if isinstance(config.items, ItemPool):
-        return config.items
-    return build_pool(config.items, child_seed(config.seed, "sac/eval-pool", block))
-
-
 def _summary(config: SacConfig, rng: np.random.Generator, pool, c: float):
     """Draw ``m_per_iter`` abilities from ``rng`` and summarise them at scale ``c`` on ``pool``."""
     theta = sample_latent(config.latent, config.m_per_iter, rng=rng).theta
@@ -284,7 +269,7 @@ def sac_calibrate(config: SacConfig) -> SacResult:
     """
     c0 = config.resolved_c_init()
     theta_rng = stream(config.seed, "sac/theta")
-    betas, lambdas = _iteration_pools(config)
+    betas, lambdas = draw_pools(config.items, config.n_iter, stream(config.seed, "sac/pools"))
 
     def rho_of(n: int, c: float) -> float:
         summary = _summary(config, theta_rng, _PoolRow(betas[n - 1], lambdas[n - 1]), c)
@@ -301,7 +286,8 @@ def sac_calibrate(config: SacConfig) -> SacResult:
     # Independent evaluation: blocks shaped like iteration batches, fresh streams.
     eval_rng = stream(config.seed, "sac/eval")
     n_blocks = max(1, config.resolved_eval_m() // config.m_per_iter)
-    pools = [_eval_pool(config, b) for b in range(n_blocks)]
+    pools = [build_pool(config.items, child_seed(config.seed, "sac/eval-pool", b))
+             for b in range(n_blocks)]
     achieved = float(np.mean([metric_value(_summary(config, eval_rng, pool, c_star), config.metric)
                               for pool in pools]))
 

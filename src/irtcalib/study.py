@@ -171,6 +171,8 @@ class StudyCondition:
     def __post_init__(self):
         if self.algorithm not in ALGORITHMS:
             raise ParameterError(f"algorithm must be one of {ALGORITHMS}, got {self.algorithm!r}")
+        if self.condition_id < 0:
+            raise ParameterError(f"condition_id must be >= 0, got {self.condition_id}")
         if self.n_persons < 2:
             raise ParameterError(f"n_persons must be >= 2, got {self.n_persons}")
         if self.replications < 1:

@@ -1,12 +1,19 @@
+import copy
 import json
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from irtcalib import cli
+from irtcalib import cli, study
 from irtcalib.cli import main
 from irtcalib.eqc import CalibrationResult
+from irtcalib.items import MODELS, SOURCES
+from irtcalib.latent import SHAPES
+from irtcalib.psychometrics import METRICS
 
 
 def run(argv):
@@ -500,3 +507,236 @@ def test_threads_default_ignores_environment(monkeypatch, tmp_path):
     code = run(["calibrate", "--target", "0.5", "--items", "10", "--m", "500",
                 "--out", str(tmp_path / "r.json")])
     assert code == 0
+
+
+_BAD_LATENT_PARAMS = {
+    "mixture_string_weight": ("mixture", '{"components": [{"weight": "a", "mean": 0, "sd": 1}]}',
+                              "components[0].weight must be a real number"),
+    "mixture_missing_sd": ("mixture", '{"components": [{"weight": 1, "mean": 0}]}',
+                           "components[0] must be an object holding exactly weight, mean and sd"),
+    "mixture_not_a_list": ("mixture", '{"components": 5}', "components must be a nonempty list"),
+    "json": ("normal", "{bad", "invalid JSON object"),
+    "key_value": ("bimodal", "delta=abc", "delta must be a number"),
+}
+
+
+@pytest.mark.parametrize("shape,params,message", _BAD_LATENT_PARAMS.values(), ids=_BAD_LATENT_PARAMS.keys())
+def test_malformed_latent_params_exit_2(shape, params, message, capsys):
+    code = run(["calibrate", "--target", "0.5", "--m", "500", "--latent-shape", shape,
+                "--latent-params", params])
+    assert code == 2
+    assert message in capsys.readouterr().err
+
+
+def _tiny_condition(**changes):
+    condition = {"latent": {"shape": "normal"}, "model": "rasch", "item_source": "parametric",
+                 "n_items": 15, "n_persons": 60, "target_rho": 0.45, "replications": 2}
+    condition.update(changes)
+    return condition
+
+
+_GRID = {"shapes": [{"shape": "normal"}], "models": ["rasch"], "item_sources": ["parametric"],
+         "test_lengths": [15], "n_persons": [60], "targets": {"15": 0.45}, "replications": 2}
+
+_BAD_CONFIGS = {
+    "latent_bool_sigma": ({"conditions": [_tiny_condition(latent={"shape": "normal", "sigma": True,
+                                                                  "mu": "0.5"})]},
+                          "must be a real number"),
+    "latent_params_list": ({"conditions": [_tiny_condition(latent={"shape": "normal",
+                                                                   "shape_params": [1]})]},
+                           "shape_params must be an object"),
+    "allow_any_target_string": ({"conditions": [_tiny_condition(n_items=30, target_rho=0.95,
+                                                                allow_any_target="false")]},
+                                "conditions[0].allow_any_target': must be true or false"),
+    "fractional_n_persons": ({"conditions": [_tiny_condition(n_persons=50.9)]},
+                             "conditions[0].n_persons must be an integer"),
+    "fractional_replications": ({"conditions": [_tiny_condition(replications=2.7)]},
+                                "conditions[0].replications must be an integer"),
+    "string_target": ({"conditions": [_tiny_condition(target_rho="0.55")]},
+                      "conditions[0].target_rho must be a real number"),
+    "negative_condition_id": ({"conditions": [_tiny_condition(condition_id=-1)]},
+                              "condition_id must be >= 0"),
+    "misspelled_condition_key": ({"conditions": [_tiny_condition(replicatons=500)]},
+                                 "'conditions[0]': unknown keys ['replicatons']"),
+    "misspelled_grid_key": ({**_GRID, "algorithm": ["sac_info"]}, "unknown keys ['algorithm']"),
+    "grid_keys_beside_conditions": ({**_GRID, "conditions": [_tiny_condition()]},
+                                    "unknown keys ['item_sources'"),
+    "grid_fractional_length": ({**_GRID, "test_lengths": [15.5]}, "test_lengths[0] must be an integer"),
+    "grid_scalar_sizes": ({**_GRID, "n_persons": 60}, "'n_persons': must be a list"),
+    "grid_target_key": ({**_GRID, "targets": {"15": 0.45, "x": 0.5}}, "key 'x' is not a test length"),
+    "grid_pool_file_number": ({**_GRID, "pool_file": 3}, "'pool_file': must be a file path"),
+    "string_master_seed": ({**_GRID, "master_seed": "7"}, "master_seed must be an integer"),
+}
+
+
+@pytest.mark.parametrize("cfg,message", _BAD_CONFIGS.values(), ids=_BAD_CONFIGS.keys())
+def test_validate_rejects_coerced_or_ignored_config_values(cfg, message, tmp_path, monkeypatch, capsys):
+    def no_calibration(config):
+        raise AssertionError("calibration ran")
+
+    monkeypatch.setattr(study, "eqc_calibrate", no_calibration)
+    monkeypatch.setattr(study, "sac_calibrate", no_calibration)
+    cfg_path = tmp_path / "study.json"
+    cfg_path.write_text(json.dumps(cfg))
+    out_dir = tmp_path / "out"
+    assert run(["validate", "--config", str(cfg_path), "--out-dir", str(out_dir), "--threads", "1"]) == 2
+    assert message in capsys.readouterr().err
+    assert not out_dir.exists()
+
+
+def test_validate_reads_integral_floats_as_integers(tmp_path):
+    outputs = []
+    for name, n_persons in (("int", 60), ("float", 60.0)):
+        cfg_path = tmp_path / f"{name}.json"
+        cfg = {"master_seed": 5, "conditions": [_tiny_condition(n_persons=n_persons)]}
+        cfg_path.write_text(json.dumps(cfg))
+        assert run(["validate", "--config", str(cfg_path), "--out-dir", str(tmp_path / name),
+                    "--threads", "1"]) == 0
+        outputs.append((tmp_path / name / "records.csv").read_bytes())
+    assert outputs[0] == outputs[1]
+
+
+_BAD_DOCS = {
+    "missing_pool": (lambda doc: doc.pop("pool"), "missing key 'pool'"),
+    "string_c_star": (lambda doc: doc.update(c_star="x"), "c_star must be a real number"),
+    "string_latent_sigma": (lambda doc: doc["latent"].update(sigma="2"), "sigma must be a real number"),
+    "huge_integer_c_star": (lambda doc: doc.update(c_star=10**400), "c_star is an integer too large"),
+}
+
+
+@pytest.mark.parametrize("corrupt,message", _BAD_DOCS.values(), ids=_BAD_DOCS.keys())
+def test_generate_rejects_malformed_result_documents(corrupt, message, eqc_json, tmp_path, capsys):
+    doc = json.loads(eqc_json.read_text())
+    corrupt(doc)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    out = tmp_path / "x.csv"
+    assert run(["generate", "--calibration", str(path), "--n", "5", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert str(path) in err and message in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("text,message", [
+    ("[{}]", "top level must be a JSON object"),
+    ('{"c_star": 1' + "0" * 5000 + "}", "doc.json: "),  # past Python's int-conversion limit
+], ids=["list", "endless_integer"])
+def test_generate_rejects_documents_no_object_can_be_read_from(text, message, tmp_path, capsys):
+    path = tmp_path / "doc.json"
+    path.write_text(text)
+    assert run(["generate", "--calibration", str(path), "--n", "5", "--out", str(tmp_path / "x.csv")]) == 2
+    assert message in capsys.readouterr().err
+
+
+@pytest.fixture(scope="module")
+def sac_json(tmp_path_factory):
+    path = tmp_path_factory.mktemp("res") / "sac.json"
+    assert run(["calibrate", "--algorithm", "sac", "--metric", "msem", "--warm-start", "midpoint",
+                "--target", "0.5", "--items", "15", "--n-iter", "20", "--m-per-iter", "100",
+                "--c-lower", "0.1", "--c-upper", "10", "--seed", "6", "--out", str(path)]) == 0
+    return path
+
+
+# Corruptions that no value of a kind survives: "real" numbers, "int"egers,
+# "flag"s (JSON booleans), and "other" (objects, names, arrays of parameters).
+_DELETE = object()
+_NAMES = set(MODELS) | set(SOURCES) | set(SHAPES) | set(METRICS) | set(study.ALGORITHMS)
+_CORRUPTIONS = {
+    "string": st.text(max_size=6).filter(lambda s: s not in _NAMES),
+    "bool": st.booleans(),
+    "list": st.lists(st.integers(-2, 2), max_size=3),
+    "null": st.none(),
+    "fraction": st.integers(-100, 100).map(lambda n: n + 0.5),
+}
+_BREAKS = {
+    "real": ("string", "bool", "list", "null"),
+    "int": ("string", "bool", "list", "null", "fraction"),
+    "flag": ("string", "list", "null", "fraction"),
+    "other": ("string", "bool", "list", "null", "fraction"),
+}
+
+# (path, kind, required): required keys are also deleted.
+_DOC_FIELDS = [
+    (("target_rho",), "real", True), (("c_star",), "real", True), (("seed",), "int", True),
+    (("metric",), "other", True),
+    (("bracket",), "other", True), (("bracket", "c_lower"), "real", True),
+    (("bracket", "c_upper"), "real", True),
+    (("latent",), "other", True), (("latent", "shape"), "other", True),
+    (("latent", "shape_params"), "other", False), (("latent", "mu"), "real", False),
+    (("latent", "sigma"), "real", False),
+    (("pool",), "other", True), (("pool", "model"), "other", True), (("pool", "beta"), "other", True),
+    (("pool", "lambda0"), "other", True),
+]
+_EQC_FIELDS = _DOC_FIELDS + [
+    (("m_quadrature",), "int", True), (("tolerance",), "real", True),
+    (("bracket", "rho_lower"), "real", True), (("latent_variance",), "real", True),
+]
+_SAC_FIELDS = _DOC_FIELDS + [
+    (("n_iter",), "int", True), (("burn_in",), "int", True), (("eval_m",), "int", True),
+    (("c_init",), "real", True), (("step_gamma",), "real", True), (("clamp_fraction",), "real", True),
+]
+_CONFIG_FIELDS = [
+    (("master_seed",), "int", False), (("conditions",), "other", True),
+    (("conditions", 0), "other", False),
+    (("conditions", 0, "latent"), "other", True), (("conditions", 0, "latent", "shape"), "other", True),
+    (("conditions", 0, "latent", "sigma"), "real", False),
+    (("conditions", 0, "model"), "other", True), (("conditions", 0, "item_source"), "other", True),
+    (("conditions", 0, "algorithm"), "other", False),
+    (("conditions", 0, "condition_id"), "int", False), (("conditions", 0, "n_items"), "int", True),
+    (("conditions", 0, "n_persons"), "int", True), (("conditions", 0, "replications"), "int", False),
+    (("conditions", 0, "target_rho"), "real", True),
+    (("conditions", 0, "allow_any_target"), "flag", False),
+]
+
+
+def _corrupted(data, doc, fields):
+    """``doc`` with one field of ``fields`` deleted or replaced by a value no such field takes."""
+    path, kind, required = data.draw(st.sampled_from(fields))
+    how = data.draw(st.sampled_from(_BREAKS[kind] + (("delete",) if required else ())))
+    doc = copy.deepcopy(doc)
+    block = doc
+    for key in path[:-1]:
+        block = block[key]
+    if how == "delete":
+        del block[path[-1]]
+    else:
+        block[path[-1]] = data.draw(_CORRUPTIONS[how])
+    return doc
+
+
+def _exit_code_without_calibrating(argv):
+    def unreachable(*args, **kwargs):
+        raise AssertionError("malformed input reached a calibration or a generation")
+
+    with pytest.MonkeyPatch.context() as mp:
+        for owner, name in ((study, "eqc_calibrate"), (study, "sac_calibrate"),
+                            (cli, "simulate_responses")):
+            mp.setattr(owner, name, unreachable)
+        return run(argv)
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_malformed_result_document_never_an_unexpected_error(data, eqc_json, sac_json):
+    path, fields = data.draw(st.sampled_from([(eqc_json, _EQC_FIELDS), (sac_json, _SAC_FIELDS)]))
+    doc = _corrupted(data, json.loads(path.read_text()), fields)
+    with tempfile.TemporaryDirectory() as tmp:
+        bad = Path(tmp) / "bad.json"
+        bad.write_text(json.dumps(doc))
+        code = _exit_code_without_calibrating(
+            ["generate", "--calibration", str(bad), "--n", "3", "--out", str(Path(tmp) / "x.csv")])
+    assert code in (cli.EXIT_USAGE, cli.EXIT_IO)
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_malformed_validate_config_never_an_unexpected_error(data):
+    cfg = {"master_seed": 3, "conditions": [_tiny_condition(algorithm="eqc", condition_id=0,
+                                                            allow_any_target=False)]}
+    cfg = _corrupted(data, cfg, _CONFIG_FIELDS)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "study.json"
+        path.write_text(json.dumps(cfg))
+        code = _exit_code_without_calibrating(
+            ["validate", "--config", str(path), "--out-dir", str(Path(tmp) / "out"), "--threads", "1"])
+    assert code in (cli.EXIT_USAGE, cli.EXIT_IO)

@@ -29,7 +29,7 @@ from irtcalib import (
     load_pool_csv,
     save_pool_csv,
 )
-from irtcalib.items import _average_ranks, make_synthetic_pool, rank_uniform
+from irtcalib.items import _average_ranks, draw_pools, make_synthetic_pool, rank_uniform
 from irtcalib.rng import stream
 
 
@@ -231,6 +231,19 @@ def test_build_pool_deterministic():
     a, b = build_pool(cfg, 19), build_pool(cfg, 19)
     np.testing.assert_array_equal(a.beta, b.beta)
     np.testing.assert_array_equal(a.lambda0, b.lambda0)
+
+
+def test_fixed_pool_is_passed_through_without_drawing():
+    pool = build_pool(PoolConfig(model="twopl", n_items=8), 3)
+    assert build_pool(pool, 99) is pool
+    rng = stream(4, "pools")
+    beta, lam = draw_pools(pool, 5, rng)
+    assert rng.random() == stream(4, "pools").random()  # nothing was drawn
+    assert beta.shape == lam.shape == (5, 8)
+    assert not beta.flags.writeable and not lam.flags.writeable
+    for row_beta, row_lam in zip(beta, lam):
+        assert row_beta.tobytes() == pool.beta.tobytes()
+        assert row_lam.tobytes() == pool.lambda0.tobytes()
 
 
 def test_pool_invariants():

@@ -133,6 +133,9 @@ def test_seed_determinism():
     assert not np.array_equal(a, c)
 
 
+_COMPONENT = {"weight": 1, "mean": 0, "sd": 1}
+
+
 @pytest.mark.parametrize(
     "shape,params,field",
     [
@@ -142,6 +145,14 @@ def test_seed_determinism():
         ("heavy_tail", {"nu": 1.5}, "nu"),
         ("mixture", {"components": []}, "components"),
         ("normal", {"delta": 0.8}, "delta"),
+        ("mixture", {"components": 5}, "components must be a nonempty list"),
+        ("mixture", {"components": [7]}, r"components\[0\] must be an object"),
+        ("mixture", {"components": [{"weight": 1, "mean": 0}]}, r"components\[0\] must be an object"),
+        ("mixture", {"components": [{**_COMPONENT, "skew": 1}]}, r"components\[0\] must be an object"),
+        ("mixture", {"components": [_COMPONENT, {**_COMPONENT, "weight": "a"}]},
+         r"components\[1\].weight must be a real number"),
+        ("mixture", {"components": [{**_COMPONENT, "sd": True}]}, r"components\[0\].sd must be a real number"),
+        ("mixture", {"components": [{**_COMPONENT, "mean": float("inf")}]}, r"components\[0\].mean must be finite"),
     ],
 )
 def test_invalid_shape_params_name_the_field(shape, params, field):
@@ -162,6 +173,27 @@ def test_invalid_shape_params_name_the_field(shape, params, field):
 def test_non_numbers_rejected(kwargs, field):
     with pytest.raises(ParameterError, match=f"{field} must be a real number"):
         LatentSpec(**kwargs)
+
+
+@pytest.mark.parametrize(
+    "block,field",
+    [
+        ({"shape": "normal", "sigma": True}, "sigma must be a real number"),
+        ({"shape": "normal", "mu": "0.5"}, "mu must be a real number"),
+        ({"shape": "normal", "sigma": "2"}, "sigma must be a real number"),
+        ({"shape": "normal", "mu": None}, "mu must be a real number"),
+        ({"shape": "normal", "shape_params": [1]}, "shape_params must be an object"),
+    ],
+    ids=["bool_sigma", "string_mu", "string_sigma", "null_mu", "list_params"],
+)
+def test_from_dict_checks_types_before_converting(block, field):
+    with pytest.raises(ParameterError, match=field):
+        LatentSpec.from_dict(block)
+
+
+def test_from_dict_converts_integers_to_floats():
+    spec = LatentSpec.from_dict({"shape": "normal", "mu": 0, "sigma": 2})
+    assert (repr(spec.mu), repr(spec.sigma)) == ("0.0", "2.0")
 
 
 def test_zero_draws_rejected():

@@ -336,9 +336,12 @@ def test_builds_one_pool_per_iteration_and_evaluation_block(monkeypatch):
     sac_calibrate(replace(cfg, n_iter=60))
     assert dict(calls) == counts_at_30
 
-    calls.clear()
-    sac_calibrate(replace(cfg, items=result.pool))
-    assert calls["build_pool"] == 0
+    # A fixed pool is passed through as it is; no pool is generated for it.
+    built = []
+    monkeypatch.setattr(sac, "build_pool", lambda *args: built.append(build_pool(*args)) or built[-1])
+    fixed = replace(cfg, items=result.pool)
+    sac_calibrate(fixed)
+    assert len(built) == 3 and all(pool is fixed.items for pool in built)
 
 
 _CUSTOM_BETAS = [-1.5, -0.5, 0.0, 0.0, 0.5, 1.0, 1.0, 2.0]  # ties, as resampling makes
