@@ -2,9 +2,15 @@
 
 One latent sample and one pool realization are drawn up front and frozen;
 conditional on them the empirical reliability function is smooth in the
-scale, and a bracketing scalar root-finder (Brent) pins the scale that hits
-the target. The function increases with the scale while most of the latent
-mass lies within ``|c*lambda0*(theta - beta)| < 2.399`` of the items (where
+scale, and Brent's bracketing root-finder pins the scale that hits the
+target. The solver, :func:`_brent_root`, is a port of scipy's ``brentq``
+(Brent 1973, *Algorithms for Minimization without Derivatives*) that returns
+the same root bit for bit without importing scipy; it starts from the bracket
+values and returns the root's reliability, so no scale is evaluated twice and
+``evaluations`` counts distinct scales.
+
+The function increases with the scale while most of the latent mass lies
+within ``|c*lambda0*(theta - beta)| < 2.399`` of the items (where
 :func:`~irtcalib.psychometrics.phi` is positive); with items far from the
 latent mass it can peak and fall inside the bracket, and the boundary check
 below then misreads a reachable target as infeasible (ROADMAP open item 1).
@@ -19,6 +25,8 @@ breaks root-finding; use stochastic calibration for that metric.
 
 from __future__ import annotations
 
+import math
+import sys
 import warnings
 from dataclasses import dataclass
 from typing import Any, Mapping
@@ -40,8 +48,11 @@ VALIDATION_INTERVAL = ScaleInterval(0.1, 10.0)
 STATUS_SUCCESS = "success"
 STATUS_BOUNDARY_LOW = "boundary_low"
 STATUS_BOUNDARY_HIGH = "boundary_high"
+STATUSES = (STATUS_SUCCESS, STATUS_BOUNDARY_LOW, STATUS_BOUNDARY_HIGH)
 
+# Brent's iteration cap, and the relative tolerance scipy's brentq uses by default.
 _MAX_ITER = 200
+_RTOL = 4 * sys.float_info.epsilon
 
 
 @dataclass(frozen=True)
@@ -95,7 +106,9 @@ class CalibrationResult:
         cfg = self.config
         return {
             "result_type": "eqc",
-            "schema_version": 2,  # 1 also held latent.seed, which no draw read
+            # 3: evaluations counts distinct scales; 2: it counted calls, which
+            # re-evaluated both bracket ends and the root; 1: also held latent.seed
+            "schema_version": 3,
             "target_rho": cfg.target_rho,
             "achieved_rho": self.achieved_rho,
             "abs_error": self.abs_error,
@@ -122,9 +135,16 @@ class CalibrationResult:
     def from_dict(d: Mapping[str, Any]) -> "CalibrationResult":
         if d.get("result_type") != "eqc":
             raise ConfigurationError(f"expected an eqc result document, got {d.get('result_type')!r}")
-        if d.get("schema_version") not in (1, 2):
+        version = d.get("schema_version")
+        if type(version) is not int or version not in (1, 2, 3):
             raise ConfigurationError(
-                f"unsupported eqc result schema_version {d.get('schema_version')!r}; expected 1 or 2")
+                f"unsupported eqc result schema_version {version!r}; expected 1, 2 or 3")
+        status = d["status"]
+        if status not in STATUSES:
+            raise ConfigurationError(f"unknown eqc result status {status!r}; expected one of {STATUSES}")
+        evaluations = whole_number("evaluations", d["evaluations"])
+        if version < 3:  # a count of calls: 3 repeats after a solve, 1 at a boundary
+            evaluations -= 3 if status == STATUS_SUCCESS else 1
         pool = ItemPool.from_dict(d["pool"])
         bracket = d["bracket"]
         cfg = EqcConfig(
@@ -142,12 +162,12 @@ class CalibrationResult:
             c_star=real_number("c_star", d["c_star"]),
             achieved_rho=real_number("achieved_rho", d["achieved_rho"]),
             abs_error=real_number("abs_error", d["abs_error"]),
-            status=d["status"],
+            status=status,
             rho_lower=real_number("bracket.rho_lower", bracket["rho_lower"]),
             rho_upper=real_number("bracket.rho_upper", bracket["rho_upper"]),
             pool=pool,
             quadrature_sigma2=real_number("latent_variance", d["latent_variance"]),
-            evaluations=whole_number("evaluations", d["evaluations"]),
+            evaluations=evaluations,
             metric=d["metric"],
             config=cfg,
         )
@@ -172,6 +192,66 @@ class _FrozenObjective:
         return value
 
 
+def _brent_root(rho, target, xa, xb, rho_a, rho_b, xtol):
+    """The root ``c`` of ``rho(c) - target`` in ``[xa, xb]``, and ``rho(c)``.
+
+    Brent's method as scipy's ``brentq.c`` implements it, step for step and
+    operation for operation (``rtol = 4 eps``, at most ``_MAX_ITER``
+    iterations), so the root is the one ``brentq`` returns, bit for bit. It
+    takes ``rho_a = rho(xa)`` and ``rho_b = rho(xb)`` from the caller and
+    calls ``rho`` only at new scales. ``pre`` is the previous iterate,
+    ``cur`` the best one and ``blk`` the contrapoint that brackets the root
+    with it; ``spre``/``scur`` are the previous two steps.
+    """
+    xpre, fpre, rpre = xa, rho_a - target, rho_a
+    xcur, fcur, rcur = xb, rho_b - target, rho_b
+    xblk = fblk = rblk = spre = scur = 0.0
+    if fpre == 0:
+        return xpre, rpre
+    if fcur == 0:
+        return xcur, rcur
+    if (fpre < 0) == (fcur < 0):
+        raise NumericalError(f"rho - target has the same sign at both ends of [{xa}, {xb}]")
+    for _ in range(_MAX_ITER):
+        if fpre != 0 and fcur != 0 and (fpre < 0) != (fcur < 0):
+            xblk, fblk, rblk = xpre, fpre, rpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+            rpre, rcur, rblk = rcur, rblk, rcur
+
+        delta = (xtol + _RTOL * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0 or abs(sbis) < delta:
+            return xcur, rcur
+
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:  # interpolate
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:  # extrapolate
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                denom = dblk * dpre * (fblk - fpre)
+                # C's division by zero gives an infinite or NaN step, which bisects below.
+                stry = -fcur * (fblk * dblk - fpre * dpre) / denom if denom else math.inf
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):  # good short step
+                spre, scur = scur, stry
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+
+        xpre, fpre, rpre = xcur, fcur, rcur
+        if abs(scur) > delta:
+            xcur += scur
+        else:
+            xcur += delta if sbis > 0 else -delta
+        rcur = rho(xcur)
+        fcur = rcur - target
+    raise NumericalError(f"root-finding did not converge in {_MAX_ITER} iterations; last scale {xcur}")
+
+
 def eqc_calibrate(config: EqcConfig) -> CalibrationResult:
     """Calibrate the global discrimination scale to the target reliability.
 
@@ -188,24 +268,12 @@ def eqc_calibrate(config: EqcConfig) -> CalibrationResult:
 
     status = STATUS_SUCCESS
     if target <= rho_lo:
-        status, c_star = STATUS_BOUNDARY_LOW, c_lo
+        status, c_star, achieved = STATUS_BOUNDARY_LOW, c_lo, rho_lo
     elif target >= rho_hi:
-        status, c_star = STATUS_BOUNDARY_HIGH, c_hi
+        status, c_star, achieved = STATUS_BOUNDARY_HIGH, c_hi, rho_hi
     else:
-        from scipy import optimize  # deferred: only a bracketed solve needs it
+        c_star, achieved = _brent_root(frozen.rho, target, c_lo, c_hi, rho_lo, rho_hi, config.tolerance)
 
-        try:
-            c_star = optimize.brentq(
-                lambda c: frozen.rho(c) - target,
-                c_lo,
-                c_hi,
-                xtol=config.tolerance,
-                maxiter=_MAX_ITER,
-            )
-        except RuntimeError as exc:
-            raise NumericalError(f"root-finding did not converge: {exc}") from exc
-
-    achieved = frozen.rho(c_star)
     result = CalibrationResult(
         c_star=float(c_star),
         achieved_rho=achieved,

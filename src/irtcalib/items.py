@@ -25,7 +25,6 @@ from importlib import resources
 from typing import Any, Mapping, Sequence
 
 import numpy as np
-from scipy.special import ndtr, ndtri
 
 from .errors import (
     ConfigurationError,
@@ -281,6 +280,8 @@ def copula_discriminations(
     never modified, so its marginal is preserved exactly. A 2-D ``betas`` is a
     batch of pools, one per row, ranked row by row.
     """
+    from scipy.special import ndtr, ndtri  # deferred: only copula pools load scipy
+
     betas = np.atleast_1d(np.asarray(betas, dtype=float))
     if betas.shape[-1] < 2:
         raise InsufficientDataError("copula needs at least 2 items to form ranks")

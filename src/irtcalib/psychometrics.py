@@ -24,7 +24,6 @@ import threading
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import expit
 
 from .errors import EmptyRequestError, ParameterError
 from .items import ItemPool
@@ -49,7 +48,8 @@ def prob_correct(theta, beta, lam):
         raise ParameterError("theta, beta, and lam must all be finite")
     if np.any(lam <= 0):
         raise ParameterError(f"lam must be positive, got {lam}")
-    p = np.clip(expit(lam * (theta - beta)), _P_LO, _P_HI)
+    with np.errstate(over="ignore"):  # exp(-x) overflows to inf for x < -709, giving p = 0
+        p = np.clip(1.0 / (1.0 + np.exp(-(lam * (theta - beta)))), _P_LO, _P_HI)
     return float(p) if p.ndim == 0 else p
 
 

@@ -51,6 +51,7 @@ from .rng import child_seed, stream
 
 STATUS_OK = "ok"
 STATUS_BOUNDARY_CHATTER = "hit_boundary_often"
+STATUSES = (STATUS_OK, STATUS_BOUNDARY_CHATTER)
 
 _BOUNDARY_CHATTER_FRACTION = 0.10
 
@@ -175,9 +176,13 @@ class SacResult:
     def from_dict(d: Mapping[str, Any]) -> "SacResult":
         if d.get("result_type") != "sac":
             raise ConfigurationError(f"expected a sac result document, got {d.get('result_type')!r}")
-        if d.get("schema_version") not in (1, 2, 3):
+        version = d.get("schema_version")
+        if type(version) is not int or version not in (1, 2, 3):
             raise ConfigurationError(
-                f"unsupported sac result schema_version {d.get('schema_version')!r}; expected 1, 2 or 3")
+                f"unsupported sac result schema_version {version!r}; expected 1, 2 or 3")
+        status = d["status"]
+        if status not in STATUSES:
+            raise ConfigurationError(f"unknown sac result status {status!r}; expected one of {STATUSES}")
         if not d.get("redraw_items", True):
             raise ConfigurationError(
                 "a sac result run on a frozen pool (redraw_items false) cannot be reproduced")
@@ -207,7 +212,7 @@ class SacResult:
             trace_rho=np.empty(0),
             eval_m=whole_number("eval_m", d["eval_m"]),
             metric=d["metric"],
-            status=d["status"],
+            status=status,
             clamp_fraction=real_number("clamp_fraction", d["clamp_fraction"]),
             pool=pool,
             config=cfg,

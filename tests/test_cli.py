@@ -1,4 +1,5 @@
 import copy
+import hashlib
 import json
 import tempfile
 from pathlib import Path
@@ -8,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from irtcalib import cli, study
+from irtcalib import cli, eqc, sac, study
 from irtcalib.cli import main
 from irtcalib.eqc import CalibrationResult
 from irtcalib.items import MODELS, SOURCES
@@ -152,7 +153,7 @@ def test_generate_zero_persons(eqc_json, tmp_path):
                 "--out", str(tmp_path / "x.csv")]) == 2
 
 
-@pytest.mark.parametrize("version", [None, 3])
+@pytest.mark.parametrize("version", [None, 4])
 def test_generate_rejects_unknown_schema_version(eqc_json, tmp_path, capsys, version):
     doc = json.loads(eqc_json.read_text())
     if version is None:
@@ -466,6 +467,9 @@ _PAST_DOCS = [
      ["--algorithm", "sac", "--metric", "msem", "--target", "0.5", "--items", "15",
       "--model", "rasch", "--latent-shape", "heavy_tail", "--m", "500", "--n-iter", "40",
       "--m-per-iter", "200", "--c-lower", "0.1", "--c-upper", "10", "--seed", "4"]),
+    ("eqc_schema_2.json",
+     ["--target", "0.6", "--items", "15", "--model", "twopl", "--latent-shape", "skew_pos",
+      "--m", "500", "--c-lower", "0.1", "--c-upper", "10", "--seed", "5"]),
 ]
 
 
@@ -485,6 +489,23 @@ def test_past_schema_documents_load_and_generate_the_same_responses(name, flags,
                     "--out", str(csv)]) == 0
         csvs.append(csv.read_bytes())
     assert csvs[0] == csvs[1]
+
+
+# sha256 of `generate --n 300 --seed 8` from each past document, recorded with
+# scipy's expit as the logistic, which numpy's exp may differ from in the last bits.
+_PAST_DOC_RESPONSES = {
+    "eqc_schema_1.json": "6a3dfc40f41a750822c8bd14c34d1992435f2c15b5e037f045d51c4428b36505",
+    "sac_schema_2.json": "b906c4ff61f059819fe130acc4fe1fdb891aa3d4433721fcdf5f309dff428ac7",
+    "eqc_schema_2.json": "3b9c8535d4eb8d80797c95283b0b33f403cc506649a07fe677acbdd56dc2b084",
+}
+
+
+@pytest.mark.parametrize("name,digest", _PAST_DOC_RESPONSES.items(), ids=_PAST_DOC_RESPONSES.keys())
+def test_past_documents_generate_recorded_responses(name, digest, tmp_path):
+    csv = tmp_path / "r.csv"
+    assert run(["generate", "--calibration", str(Path(__file__).parent / "data" / "result_docs" / name),
+                "--n", "300", "--seed", "8", "--out", str(csv)]) == 0
+    assert hashlib.sha256(csv.read_bytes()).hexdigest() == digest
 
 
 def test_bounds_without_target_gives_no_verdict(tmp_path, capsys):
@@ -601,6 +622,8 @@ _BAD_DOCS = {
     "string_c_star": (lambda doc: doc.update(c_star="x"), "c_star must be a real number"),
     "string_latent_sigma": (lambda doc: doc["latent"].update(sigma="2"), "sigma must be a real number"),
     "huge_integer_c_star": (lambda doc: doc.update(c_star=10**400), "c_star is an integer too large"),
+    "bool_schema_version": (lambda doc: doc.update(schema_version=True), "schema_version True"),
+    "list_status": (lambda doc: doc.update(status=[1]), "status [1]"),
 }
 
 
@@ -640,7 +663,8 @@ def sac_json(tmp_path_factory):
 # Corruptions that no value of a kind survives: "real" numbers, "int"egers,
 # "flag"s (JSON booleans), and "other" (objects, names, arrays of parameters).
 _DELETE = object()
-_NAMES = set(MODELS) | set(SOURCES) | set(SHAPES) | set(METRICS) | set(study.ALGORITHMS)
+_NAMES = (set(MODELS) | set(SOURCES) | set(SHAPES) | set(METRICS) | set(study.ALGORITHMS)
+          | set(eqc.STATUSES) | set(sac.STATUSES))
 _CORRUPTIONS = {
     "string": st.text(max_size=6).filter(lambda s: s not in _NAMES),
     "bool": st.booleans(),
@@ -657,6 +681,7 @@ _BREAKS = {
 
 # (path, kind, required): required keys are also deleted.
 _DOC_FIELDS = [
+    (("schema_version",), "int", True), (("status",), "other", True),
     (("target_rho",), "real", True), (("c_star",), "real", True), (("seed",), "int", True),
     (("metric",), "other", True),
     (("bracket",), "other", True), (("bracket", "c_lower"), "real", True),

@@ -1,26 +1,63 @@
-"""Import cost: the slow scipy submodules stay off ``import irtcalib``."""
+"""Import cost: scipy stays off ``import irtcalib`` and every command that does not need it."""
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
+_IMPORTED = re.compile(r"^import time:\s+\d+ \|\s+\d+ \|\s*(\S+)$", re.MULTILINE)
+
+
+def _env() -> dict:
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (SRC, env.get("PYTHONPATH")) if p)
+    return env
 
 
 def _run(code: str) -> str:
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(p for p in (SRC, env.get("PYTHONPATH")) if p)
-    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+    done = subprocess.run([sys.executable, "-c", code], env=_env(), capture_output=True,
                           text=True, timeout=120)
     assert done.returncode == 0, done.stderr
     return done.stdout
 
 
+def _scipy_imports(*args, cwd=None) -> set:
+    """The scipy modules a fresh ``python -X importtime ARGS`` imports."""
+    done = subprocess.run([sys.executable, "-X", "importtime", *args], env=_env(), cwd=cwd,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    modules = _IMPORTED.findall(done.stderr)
+    assert "numpy" in modules  # the import log was read
+    return {m for m in modules if m == "scipy" or m.startswith("scipy.")}
+
+
 def test_import_leaves_scipy_stats_and_optimize_unloaded():
     out = _run("import sys, irtcalib\n"
-               "print(sorted(m for m in ('scipy.stats', 'scipy.optimize') if m in sys.modules))")
+               "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))")
     assert out.strip() == "[]"
+
+
+def test_version_loads_no_scipy():
+    assert _scipy_imports("-m", "irtcalib", "--version") == set()
+
+
+def test_rasch_calibrations_and_generate_load_no_scipy(tmp_path):
+    common = ["--target", "0.5", "--items", "15", "--model", "rasch", "--m", "500"]
+    assert _scipy_imports("-m", "irtcalib", "calibrate", *common, "--out", "eqc.json", cwd=tmp_path) == set()
+    assert _scipy_imports("-m", "irtcalib", "calibrate", *common, "--algorithm", "sac", "--n-iter", "20",
+                          "--m-per-iter", "100", "--out", "sac.json", cwd=tmp_path) == set()
+    assert _scipy_imports("-m", "irtcalib", "generate", "--calibration", "eqc.json", "--n", "50",
+                          "--out", "r.csv", cwd=tmp_path) == set()
+
+
+def test_copula_pool_loads_only_scipy_special(tmp_path):
+    loaded = _scipy_imports("-m", "irtcalib", "calibrate", "--target", "0.5", "--items", "15",
+                            "--model", "twopl", "--gen-method", "copula", "--m", "500",
+                            "--out", "eqc.json", cwd=tmp_path)
+    assert "scipy.special" in loaded
+    assert loaded <= _scipy_imports("-c", "import scipy.special")
 
 
 def test_deferred_scipy_imports_resolve():

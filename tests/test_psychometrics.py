@@ -6,6 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy import optimize
+from scipy.special import expit
 
 from irtcalib import (
     EmptyRequestError,
@@ -31,7 +32,7 @@ from irtcalib.study import ResponseDataset
 from irtcalib import test_information as total_information
 from irtcalib import test_information_dc as total_information_dc
 from irtcalib import psychometrics
-from irtcalib.psychometrics import _strictly_increasing, metric_value
+from irtcalib.psychometrics import _P_HI, _P_LO, _strictly_increasing, metric_value
 from irtcalib.rng import stream
 
 from conftest import make_rasch_pool
@@ -62,6 +63,29 @@ def test_prob_correct_saturation_guard():
     assert 1.0 - 1e-15 < p < 1.0
     q = prob_correct(-40.0, 0.0, 1.0)
     assert 0.0 < q < 1e-15
+
+
+def _near_expit(p, x):
+    # numpy's exp may differ from the C library's by 1 ulp and 1/(1 + e) rounds
+    # twice, so p may differ from scipy's expit by 3 * 2**-52 relative (up to
+    # 4 ulps on arrays), plus one subnormal step below the normal range.
+    reference = np.clip(expit(x), _P_LO, _P_HI)
+    return np.all(np.abs(p - reference) <= 3 * 2.0**-52 * reference + _P_LO)
+
+
+@settings(max_examples=300, deadline=None)
+@given(x=st.one_of(st.floats(-40.0, 40.0), st.floats(-1000.0, 1000.0)))
+@example(x=-709.8)  # exp(-x) overflows from here on: p is 0 before the clip
+@example(x=-745.2)
+@example(x=-709.0)  # p is subnormal
+@example(x=-34.11496977498038)  # 2 ulps from expit on arrays
+@example(x=36.8)  # from here on p rounds to 1 before the clip
+@example(x=710.0)
+@example(x=0.0)
+def test_prob_correct_matches_expit_to_rounding(x):
+    assert _near_expit(prob_correct(x, 0.0, 1.0), x)
+    xs = np.array([x, -x, x / 3, -x / 3])
+    assert _near_expit(prob_correct(xs, 0.0, 1.0), xs)
 
 
 def test_prob_correct_rejects_nonfinite_and_nonpositive_lam():

@@ -1,4 +1,5 @@
 import json
+import re
 from collections import Counter
 from dataclasses import replace
 from types import SimpleNamespace
@@ -287,7 +288,14 @@ def test_schema_version_one_document_loads():
     assert clone.to_dict() == {**doc, "schema_version": 3}
 
 
-@pytest.mark.parametrize("version", [None, 0, 4])
+@pytest.mark.parametrize("status", [[1], "success"])
+def test_result_document_with_unknown_status_rejected(status):
+    doc = _small_twopl_run().to_dict()
+    with pytest.raises(ConfigurationError, match=re.escape(f"status {status!r}")):
+        SacResult.from_dict({**doc, "status": status})
+
+
+@pytest.mark.parametrize("version", [None, 0, 4, True, 3.0])
 def test_unknown_schema_version_rejected(version):
     doc = _small_twopl_run().to_dict()
     if version is None:
