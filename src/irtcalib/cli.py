@@ -46,8 +46,8 @@ from .errors import (
     real_number,
     whole_number,
 )
-from .items import DiscriminationSpec, PoolConfig
-from .latent import VALIDATION_SHAPE_PARAMS, LatentSpec, describe_shapes, theoretical_moments
+from .items import GEN_METHODS, MODELS, DiscriminationSpec, PoolConfig
+from .latent import SHAPES, VALIDATION_SHAPE_PARAMS, LatentSpec, describe_shapes, theoretical_moments
 from .psychometrics import DEFAULT_INTERVAL, METRIC_AVG_INFO, METRIC_MSEM, ScaleInterval
 from .sac import SacConfig, SacResult, sac_calibrate
 from .study import (
@@ -157,15 +157,17 @@ def _read_json(path, what: str) -> dict:
     return doc
 
 
+_RESULT_TYPES = {cls.RESULT_TYPE: cls for cls in (CalibrationResult, SacResult)}
+
+
 def _load_result(path):
     """Load a stored calibration result document of either type."""
     doc = _read_json(path, "calibration file")
     kind = doc.get("result_type")
-    if kind not in ("eqc", "sac"):
+    if not isinstance(kind, str) or kind not in _RESULT_TYPES:
         raise ConfigurationError(f"{path}: unknown result_type {kind!r}")
-    loader = CalibrationResult.from_dict if kind == "eqc" else SacResult.from_dict
     try:
-        return loader(doc)
+        return _RESULT_TYPES[kind].from_dict(doc)
     except KeyError as exc:
         raise ConfigurationError(f"{path}: missing key {exc}") from exc
     except (TypeError, ValueError) as exc:
@@ -180,45 +182,42 @@ def _fmt(value: float, digits: int = 4) -> str:
 # calibrate
 
 
-def _print_eqc_summary(result: CalibrationResult) -> None:
+def _print_summary(result, algorithm: str, own: list[str], tail: tuple[str, ...] = ()) -> None:
+    """The summary lines both result types print, around the type's ``own`` lines and ``tail``."""
     cfg = result.config
     lines = [
-        "Calibration results (EQC, deterministic quadrature)",
+        f"Calibration results ({algorithm})",
         f"  Model                    : {result.pool.model.upper()}",
         f"  Target reliability       : {_fmt(cfg.target_rho)}",
         f"  Achieved reliability     : {_fmt(result.achieved_rho)}",
         f"  Absolute error           : {result.abs_error:.2e}",
         f"  Scaling factor (c*)      : {_fmt(result.c_star)}",
         f"  Number of items          : {result.pool.n_items}",
-        f"  Quadrature points (M)    : {cfg.m_quadrature}",
-        f"  Reliability metric       : average-information",
-        f"  Latent variance          : {_fmt(result.quadrature_sigma2)}",
+        *own,
         f"  Status                   : {result.status}",
         f"  Search bracket           : [{cfg.interval.c_lower:.3f}, {cfg.interval.c_upper:.3f}]",
-        f"  Bracket reliabilities    : [{_fmt(result.rho_lower)}, {_fmt(result.rho_upper)}]",
+        *tail,
     ]
     print("\n".join(lines))
+
+
+def _print_eqc_summary(result: CalibrationResult) -> None:
+    _print_summary(result, "EQC, deterministic quadrature", [
+        f"  Quadrature points (M)    : {result.config.m_quadrature}",
+        f"  Reliability metric       : average-information",
+        f"  Latent variance          : {_fmt(result.quadrature_sigma2)}",
+    ], (f"  Bracket reliabilities    : [{_fmt(result.rho_lower)}, {_fmt(result.rho_upper)}]",))
 
 
 def _print_sac_summary(result: SacResult) -> None:
     cfg = result.config
     metric = "average-information" if result.metric == METRIC_AVG_INFO else "error-variance (MSEM)"
-    lines = [
-        "Calibration results (SAC, stochastic approximation)",
-        f"  Model                    : {result.pool.model.upper()}",
-        f"  Target reliability       : {_fmt(cfg.target_rho)}",
-        f"  Achieved reliability     : {_fmt(result.achieved_rho)}",
-        f"  Absolute error           : {abs(result.achieved_rho - cfg.target_rho):.2e}",
-        f"  Scaling factor (c*)      : {_fmt(result.c_star)}",
-        f"  Number of items          : {result.pool.n_items}",
+    _print_summary(result, "SAC, stochastic approximation", [
         f"  Iterations (N, burn-in)  : {cfg.n_iter}, {cfg.burn_in}",
         f"  Draws per iteration      : {cfg.m_per_iter}",
         f"  Evaluation sample        : {result.eval_m}",
         f"  Reliability metric       : {metric}",
-        f"  Status                   : {result.status}",
-        f"  Search bracket           : [{cfg.interval.c_lower:.3f}, {cfg.interval.c_upper:.3f}]",
-    ]
-    print("\n".join(lines))
+    ])
 
 
 def cmd_calibrate(args) -> int:
@@ -550,8 +549,7 @@ def cmd_shapes(args) -> int:
     table.to_csv(args.out)
     print(f"density table with {len(table.densities)} shape column(s) written to {args.out}")
     moment_block = {}
-    for label, moments in table.moments.items():
-        spec = specs[list(table.densities).index(label)]
+    for spec, (label, moments) in zip(specs, table.moments.items(), strict=True):
         theo = theoretical_moments(spec)
         moment_block[label] = {"sample": moments, "theoretical": theo}
         print(
@@ -581,15 +579,14 @@ def _add_structure_flags(p: argparse.ArgumentParser, with_target: bool) -> None:
     else:
         p.add_argument("--target", type=float, default=None, help="optional target to screen")
     p.add_argument("--items", type=int, default=30, help="test length I")
-    p.add_argument("--model", choices=("rasch", "twopl"), default="rasch")
-    p.add_argument("--latent-shape", default="normal",
-                   choices=("normal", "bimodal", "skew_pos", "heavy_tail", "mixture"))
+    p.add_argument("--model", choices=MODELS, default="rasch")
+    p.add_argument("--latent-shape", default="normal", choices=SHAPES)
     p.add_argument("--latent-params", default=None,
                    help="key=value list (delta, k, nu, mu, sigma) or a JSON object")
     p.add_argument("--item-source", choices=("parametric", "pool"), default="parametric",
                    help="'pool' resamples an empirical difficulty pool")
     p.add_argument("--pool-file", default=None, help="custom pool CSV (default: bundled pool)")
-    p.add_argument("--gen-method", choices=("copula", "conditional", "independent"), default=None)
+    p.add_argument("--gen-method", choices=[m for m in GEN_METHODS if m != "fixed"], default=None)
     p.add_argument("--rho", type=float, default=-0.3, help="target Spearman(beta, log lambda)")
     p.add_argument("--mu-log", type=float, default=0.0)
     p.add_argument("--sigma-log", type=float, default=0.3)

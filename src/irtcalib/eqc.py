@@ -39,7 +39,8 @@ from .errors import (
 from .items import ItemPool, PoolConfig, build_pool
 from .latent import LatentSpec, sample_latent
 from .psychometrics import (
-    DEFAULT_INTERVAL, METRIC_AVG_INFO, ScaleInterval, reliability_from_information, test_information,
+    DEFAULT_INTERVAL, METRIC_AVG_INFO, METRIC_MSEM, ScaleInterval, analytic_ceiling, monotonicity_scan,
+    reference_ceiling, reliability_from_information, test_information,
 )
 from .rng import child_seed, stream
 
@@ -82,93 +83,116 @@ class EqcConfig:
             )
 
 
+class ResultDocument:
+    """Base of both calibration results: their config's target and metric, and
+    the one writer (:meth:`_document`) and one checked reader (:meth:`_read_shared`)
+    of the keys both documents share. A subclass sets ``RESULT_TYPE``,
+    ``SCHEMA_VERSION`` (versions 1 to it load) and ``STATUSES``."""
+
+    @property
+    def target_rho(self) -> float:
+        return self.config.target_rho
+
+    @property
+    def metric(self) -> str:
+        return self.config.metric
+
+    @property
+    def abs_error(self) -> float:
+        return abs(self.achieved_rho - self.config.target_rho)
+
+    def _document(self, own: dict, bracket: dict) -> dict:
+        """The shared keys in their order, ``own`` keys before ``seed`` and ``bracket`` after the scales."""
+        cfg = self.config
+        return {
+            "result_type": self.RESULT_TYPE,
+            "schema_version": self.SCHEMA_VERSION,
+            "target_rho": cfg.target_rho,
+            "achieved_rho": self.achieved_rho,
+            "abs_error": self.abs_error,
+            "c_star": self.c_star,
+            "status": self.status,
+            "metric": cfg.metric,
+            "n_items": self.pool.n_items,
+            **own,
+            "seed": cfg.seed,
+            "bracket": {"c_lower": cfg.interval.c_lower, "c_upper": cfg.interval.c_upper, **bracket},
+            "latent": cfg.latent.to_dict(),
+            "pool": self.pool.to_dict(),
+        }
+
+    @classmethod
+    def _read_shared(cls, d: Mapping[str, Any]) -> tuple[int, dict, dict]:
+        """Check the shared keys of document ``d``; its schema version, and the
+        shared fields of its config and of its result, as keyword arguments."""
+        kind = cls.RESULT_TYPE
+        if d.get("result_type") != kind:
+            raise ConfigurationError(f"expected result_type {kind!r}, got {d.get('result_type')!r}")
+        version, versions = d.get("schema_version"), range(1, cls.SCHEMA_VERSION + 1)
+        if type(version) is not int or version not in versions:
+            raise ConfigurationError(f"unsupported {kind} result schema_version {version!r}; "
+                                     f"expected {', '.join(map(str, versions[:-1]))} or {versions[-1]}")
+        status = d["status"]
+        if status not in cls.STATUSES:
+            raise ConfigurationError(
+                f"unknown {kind} result status {status!r}; expected one of {cls.STATUSES}")
+        real_number("abs_error", d["abs_error"])  # derived from the target and achieved_rho
+        pool = ItemPool.from_dict(d["pool"])
+        bracket = d["bracket"]
+        config = dict(
+            target_rho=real_number("target_rho", d["target_rho"]), latent=LatentSpec.from_dict(d["latent"]),
+            items=pool, interval=ScaleInterval(real_number("bracket.c_lower", bracket["c_lower"]),
+                                               real_number("bracket.c_upper", bracket["c_upper"])),
+            metric=d["metric"], seed=whole_number("seed", d["seed"]),
+        )
+        result = dict(c_star=real_number("c_star", d["c_star"]), status=status, pool=pool,
+                      achieved_rho=real_number("achieved_rho", d["achieved_rho"]))
+        return version, config, result
+
+
 @dataclass
-class CalibrationResult:
+class CalibrationResult(ResultDocument):
     """Calibrated scale plus the diagnostics needed to judge and reuse it."""
+
+    RESULT_TYPE = "eqc"
+    # 3: evaluations counts distinct scales; 2: it counted calls, which
+    # re-evaluated both bracket ends and the root; 1: also held latent.seed
+    SCHEMA_VERSION = 3
+    STATUSES = STATUSES
 
     c_star: float
     achieved_rho: float
-    abs_error: float
     status: str
     rho_lower: float
     rho_upper: float
     pool: ItemPool
     quadrature_sigma2: float
     evaluations: int
-    metric: str
     config: EqcConfig
 
-    @property
-    def target_rho(self) -> float:
-        return self.config.target_rho
-
     def to_dict(self) -> dict:
-        cfg = self.config
-        return {
-            "result_type": "eqc",
-            # 3: evaluations counts distinct scales; 2: it counted calls, which
-            # re-evaluated both bracket ends and the root; 1: also held latent.seed
-            "schema_version": 3,
-            "target_rho": cfg.target_rho,
-            "achieved_rho": self.achieved_rho,
-            "abs_error": self.abs_error,
-            "c_star": self.c_star,
-            "status": self.status,
-            "metric": self.metric,
-            "n_items": self.pool.n_items,
-            "m_quadrature": cfg.m_quadrature,
-            "latent_variance": self.quadrature_sigma2,
-            "evaluations": self.evaluations,
-            "tolerance": cfg.tolerance,
-            "seed": cfg.seed,
-            "bracket": {
-                "c_lower": cfg.interval.c_lower,
-                "c_upper": cfg.interval.c_upper,
-                "rho_lower": self.rho_lower,
-                "rho_upper": self.rho_upper,
-            },
-            "latent": cfg.latent.to_dict(),
-            "pool": self.pool.to_dict(),
-        }
+        own = {"m_quadrature": self.config.m_quadrature, "latent_variance": self.quadrature_sigma2,
+               "evaluations": self.evaluations, "tolerance": self.config.tolerance}
+        return self._document(own, {"rho_lower": self.rho_lower, "rho_upper": self.rho_upper})
 
     @staticmethod
     def from_dict(d: Mapping[str, Any]) -> "CalibrationResult":
-        if d.get("result_type") != "eqc":
-            raise ConfigurationError(f"expected an eqc result document, got {d.get('result_type')!r}")
-        version = d.get("schema_version")
-        if type(version) is not int or version not in (1, 2, 3):
-            raise ConfigurationError(
-                f"unsupported eqc result schema_version {version!r}; expected 1, 2 or 3")
-        status = d["status"]
-        if status not in STATUSES:
-            raise ConfigurationError(f"unknown eqc result status {status!r}; expected one of {STATUSES}")
+        version, config, shared = CalibrationResult._read_shared(d)
         evaluations = whole_number("evaluations", d["evaluations"])
         if version < 3:  # a count of calls: 3 repeats after a solve, 1 at a boundary
-            evaluations -= 3 if status == STATUS_SUCCESS else 1
-        pool = ItemPool.from_dict(d["pool"])
-        bracket = d["bracket"]
+            evaluations -= 3 if shared["status"] == STATUS_SUCCESS else 1
         cfg = EqcConfig(
-            target_rho=real_number("target_rho", d["target_rho"]),
-            latent=LatentSpec.from_dict(d["latent"]),
-            items=pool,
+            **config,
             m_quadrature=whole_number("m_quadrature", d["m_quadrature"]),
-            interval=ScaleInterval(real_number("bracket.c_lower", bracket["c_lower"]),
-                                   real_number("bracket.c_upper", bracket["c_upper"])),
             tolerance=real_number("tolerance", d["tolerance"]),
-            metric=d["metric"],
-            seed=whole_number("seed", d["seed"]),
         )
+        bracket = d["bracket"]
         return CalibrationResult(
-            c_star=real_number("c_star", d["c_star"]),
-            achieved_rho=real_number("achieved_rho", d["achieved_rho"]),
-            abs_error=real_number("abs_error", d["abs_error"]),
-            status=status,
+            **shared,
             rho_lower=real_number("bracket.rho_lower", bracket["rho_lower"]),
             rho_upper=real_number("bracket.rho_upper", bracket["rho_upper"]),
-            pool=pool,
             quadrature_sigma2=real_number("latent_variance", d["latent_variance"]),
             evaluations=evaluations,
-            metric=d["metric"],
             config=cfg,
         )
 
@@ -277,14 +301,12 @@ def eqc_calibrate(config: EqcConfig) -> CalibrationResult:
     result = CalibrationResult(
         c_star=float(c_star),
         achieved_rho=achieved,
-        abs_error=abs(achieved - target),
         status=status,
         rho_lower=rho_lo,
         rho_upper=rho_hi,
         pool=frozen.pool,
         quadrature_sigma2=frozen.sigma2,
         evaluations=frozen.evaluations,
-        metric=config.metric,
         config=config,
     )
     if status != STATUS_SUCCESS:
@@ -312,8 +334,6 @@ def feasibility_report(config: EqcConfig, scan_msem: bool = False, grid_size: in
     test length, and (on request) a monotonicity scan of the error-variance
     metric over the interval.
     """
-    from .psychometrics import METRIC_MSEM, analytic_ceiling, monotonicity_scan, reference_ceiling
-
     frozen = _FrozenObjective(config)
     interval = config.interval
     rho_lo, rho_hi = frozen.rho(interval.c_lower), frozen.rho(interval.c_upper)

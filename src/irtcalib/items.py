@@ -32,6 +32,8 @@ from .errors import (
     IngestionError,
     InsufficientDataError,
     ParameterError,
+    real_number,
+    whole_number,
 )
 from .rng import stream
 
@@ -99,14 +101,26 @@ class ItemPool:
 
     @staticmethod
     def from_dict(d: Mapping[str, Any]) -> "ItemPool":
+        if not isinstance(d, Mapping):
+            raise ParameterError(f"pool must be an object, got {d!r}")
+        source, method = d.get("source", "custom"), d.get("gen_method", "fixed")
+        if source not in SOURCES:
+            raise ParameterError(f"pool.source must be one of {SOURCES}, got {source!r}")
+        if method not in GEN_METHODS:
+            raise ParameterError(f"pool.gen_method must be one of {GEN_METHODS}, got {method!r}")
+        seed, spearman = d.get("seed"), d.get("target_spearman")
+        if seed is not None and not 0 <= whole_number("pool.seed", seed) < 2**64:
+            raise ParameterError(f"pool.seed must be in [0, 2^64), got {seed}")
+        if spearman is not None and not -1.0 <= real_number("pool.target_spearman", spearman) <= 1.0:
+            raise ParameterError(f"pool.target_spearman must lie in [-1, 1], got {spearman}")
         return ItemPool(
             model=d["model"],
             beta=np.asarray(d["beta"], dtype=float),
             lambda0=np.asarray(d["lambda0"], dtype=float),
-            source=d.get("source", "custom"),
-            gen_method=d.get("gen_method", "fixed"),
-            seed=d.get("seed"),
-            target_spearman=d.get("target_spearman"),
+            source=source,
+            gen_method=method,
+            seed=seed,
+            target_spearman=spearman,
         )
 
 

@@ -34,6 +34,7 @@ from typing import Any, Callable, Mapping, NamedTuple
 
 import numpy as np
 
+from .eqc import ResultDocument
 from .errors import (
     ConfigurationError, DivergedObjectiveError, ParameterError, real_number, whole_number,
 )
@@ -114,23 +115,24 @@ class SacConfig:
 
 
 @dataclass
-class SacResult:
+class SacResult(ResultDocument):
     """Averaged scale, its independent evaluation, and the full iterate trace."""
+
+    RESULT_TYPE = "sac"
+    # 3: no latent.seed or redraw_items (both constant in effect);
+    # 2: iteration pools are drawn in one batch; 1: one build_pool per iteration
+    SCHEMA_VERSION = 3
+    STATUSES = STATUSES
 
     c_star: float
     achieved_rho: float
     trace_c: np.ndarray
     trace_rho: np.ndarray
     eval_m: int
-    metric: str
     status: str
     clamp_fraction: float
     pool: ItemPool  # evaluation-stage pool; carried so response generation can reuse it
     config: SacConfig
-
-    @property
-    def target_rho(self) -> float:
-        return self.config.target_rho
 
     def trace_rows(self):
         """(n, c_n, rho_hat_n) rows, n = 1..n_iter."""
@@ -145,76 +147,36 @@ class SacResult:
 
     def to_dict(self) -> dict:
         cfg = self.config
-        return {
-            "result_type": "sac",
-            # 3: no latent.seed or redraw_items (both constant in effect);
-            # 2: iteration pools are drawn in one batch; 1: one build_pool per iteration
-            "schema_version": 3,
-            "target_rho": cfg.target_rho,
-            "achieved_rho": self.achieved_rho,
-            "abs_error": abs(self.achieved_rho - cfg.target_rho),
-            "c_star": self.c_star,
-            "status": self.status,
-            "metric": self.metric,
-            "n_items": self.pool.n_items,
-            "n_iter": cfg.n_iter,
-            "burn_in": cfg.burn_in,
-            "step_a": cfg.step_a,
-            "step_A": cfg.step_A,
-            "step_gamma": cfg.step_gamma,
-            "m_per_iter": cfg.m_per_iter,
-            "eval_m": self.eval_m,
-            "clamp_fraction": self.clamp_fraction,
-            "c_init": cfg.resolved_c_init(),
-            "seed": cfg.seed,
-            "bracket": {"c_lower": cfg.interval.c_lower, "c_upper": cfg.interval.c_upper},
-            "latent": cfg.latent.to_dict(),
-            "pool": self.pool.to_dict(),
-        }
+        own = {"n_iter": cfg.n_iter, "burn_in": cfg.burn_in,
+               "step_a": cfg.step_a, "step_A": cfg.step_A, "step_gamma": cfg.step_gamma,
+               "m_per_iter": cfg.m_per_iter, "eval_m": self.eval_m, "clamp_fraction": self.clamp_fraction,
+               "c_init": cfg.resolved_c_init()}
+        return self._document(own, {})
 
     @staticmethod
     def from_dict(d: Mapping[str, Any]) -> "SacResult":
-        if d.get("result_type") != "sac":
-            raise ConfigurationError(f"expected a sac result document, got {d.get('result_type')!r}")
-        version = d.get("schema_version")
-        if type(version) is not int or version not in (1, 2, 3):
-            raise ConfigurationError(
-                f"unsupported sac result schema_version {version!r}; expected 1, 2 or 3")
-        status = d["status"]
-        if status not in STATUSES:
-            raise ConfigurationError(f"unknown sac result status {status!r}; expected one of {STATUSES}")
+        _, config, shared = SacResult._read_shared(d)
         if not d.get("redraw_items", True):
             raise ConfigurationError(
                 "a sac result run on a frozen pool (redraw_items false) cannot be reproduced")
-        pool = ItemPool.from_dict(d["pool"])
-        bracket = d["bracket"]
+        eval_m = whole_number("eval_m", d["eval_m"])
         cfg = SacConfig(
-            target_rho=real_number("target_rho", d["target_rho"]),
-            latent=LatentSpec.from_dict(d["latent"]),
-            items=pool,
-            metric=d["metric"],
+            **config,
             n_iter=whole_number("n_iter", d["n_iter"]),
             burn_in=whole_number("burn_in", d["burn_in"]),
             step_a=real_number("step_a", d["step_a"]),
             step_A=real_number("step_A", d["step_A"]),
             step_gamma=real_number("step_gamma", d["step_gamma"]),
             m_per_iter=whole_number("m_per_iter", d["m_per_iter"]),
-            interval=ScaleInterval(real_number("bracket.c_lower", bracket["c_lower"]),
-                                   real_number("bracket.c_upper", bracket["c_upper"])),
             c_init=real_number("c_init", d["c_init"]),
-            eval_m=whole_number("eval_m", d["eval_m"]),
-            seed=whole_number("seed", d["seed"]),
+            eval_m=eval_m,
         )
         return SacResult(
-            c_star=real_number("c_star", d["c_star"]),
-            achieved_rho=real_number("achieved_rho", d["achieved_rho"]),
+            **shared,
             trace_c=np.empty(0),
             trace_rho=np.empty(0),
-            eval_m=whole_number("eval_m", d["eval_m"]),
-            metric=d["metric"],
-            status=status,
+            eval_m=eval_m,
             clamp_fraction=real_number("clamp_fraction", d["clamp_fraction"]),
-            pool=pool,
             config=cfg,
         )
 
@@ -304,7 +266,6 @@ def sac_calibrate(config: SacConfig) -> SacResult:
         trace_c=trace_c,
         trace_rho=trace_rho,
         eval_m=n_blocks * config.m_per_iter,
-        metric=config.metric,
         status=status,
         clamp_fraction=clamp_fraction,
         pool=pools[0],

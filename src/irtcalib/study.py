@@ -349,12 +349,9 @@ def _calibrate(master_seed: int, profile: StudyProfile, condition: StudyConditio
     """
     if eqc_result is None:
         eqc_result = _solve_eqc(master_seed, profile, condition)
-    if eqc_result.status != STATUS_SUCCESS and not condition.allow_any_target:
-        return None, (
-            f"target {condition.target_rho} infeasible on "
-            f"[{profile.interval.c_lower}, {profile.interval.c_upper}] "
-            f"(bracket [{eqc_result.rho_lower:.4f}, {eqc_result.rho_upper:.4f}])"
-        )
+    reason = _skip_reason(profile, condition, eqc_result)
+    if reason is not None:
+        return None, reason
     if condition.algorithm == "eqc":
         return eqc_result, None
     sac_cfg = SacConfig(
@@ -372,6 +369,15 @@ def _calibrate(master_seed: int, profile: StudyProfile, condition: StudyConditio
     return sac_calibrate(sac_cfg), None
 
 
+def _skip_reason(profile: StudyProfile, condition: StudyCondition, eqc_result) -> str | None:
+    """Why ``condition`` is skipped, or None: ``allow_any_target`` runs it past a missed EQC solve."""
+    if eqc_result.status == STATUS_SUCCESS or condition.allow_any_target:
+        return None
+    interval = profile.interval
+    return (f"target {condition.target_rho} infeasible on [{interval.c_lower}, {interval.c_upper}] "
+            f"(bracket [{eqc_result.rho_lower:.4f}, {eqc_result.rho_upper:.4f}])")
+
+
 def _record_metric(algorithm: str) -> str:
     return METRIC_MSEM if algorithm == "sac_msem" else METRIC_AVG_INFO
 
@@ -380,18 +386,17 @@ def _run_group(args):
     """Worker: one structural cell, its one EQC solve and one calibration per algorithm."""
     master_seed, profile, cell = args
     eqc_result = _solve_eqc(master_seed, profile, cell[0])
-    groups: dict[str, list[StudyCondition]] = {}
-    for condition in cell:
-        groups.setdefault(condition.algorithm, []).append(condition)
-
     summaries: list[ConditionSummary] = []
     skipped: list[tuple[int, str]] = []
-    for group in groups.values():
-        calibration, reason = _calibrate(master_seed, profile, group[0], eqc_result)
-        if calibration is None:
-            skipped += [(c.condition_id, reason) for c in group]
-        else:
-            summaries += [_summarize(master_seed, profile, c, calibration) for c in group]
+    calibrations = {}  # one per algorithm, by its first condition that is not skipped
+    for condition in cell:
+        reason = _skip_reason(profile, condition, eqc_result)
+        if reason is not None:
+            skipped.append((condition.condition_id, reason))
+            continue
+        if condition.algorithm not in calibrations:
+            calibrations[condition.algorithm] = _calibrate(master_seed, profile, condition, eqc_result)[0]
+        summaries.append(_summarize(master_seed, profile, condition, calibrations[condition.algorithm]))
     return summaries, skipped
 
 

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from irtcalib import cli, eqc, sac, study
 from irtcalib.cli import main
 from irtcalib.eqc import CalibrationResult
-from irtcalib.items import MODELS, SOURCES
+from irtcalib.items import GEN_METHODS, MODELS, SOURCES
 from irtcalib.latent import SHAPES
 from irtcalib.psychometrics import METRICS
 
@@ -491,6 +491,16 @@ def test_past_schema_documents_load_and_generate_the_same_responses(name, flags,
     assert csvs[0] == csvs[1]
 
 
+# Documents of the current schema, written by `calibrate --out`: loading one and
+# writing it again gives its bytes back, key order included.
+@pytest.mark.parametrize("name", ["eqc_schema_3.json", "sac_schema_3.json"])
+def test_current_schema_documents_keep_their_bytes(name):
+    path = Path(__file__).parent / "data" / "result_docs" / name
+    doc = json.loads(path.read_text())
+    del doc["reproducibility"]
+    assert json.dumps(cli._load_result(path).to_dict()) == json.dumps(doc)
+
+
 # sha256 of `generate --n 300 --seed 8` from each past document, recorded with
 # scipy's expit as the logistic, which numpy's exp may differ from in the last bits.
 _PAST_DOC_RESPONSES = {
@@ -624,6 +634,7 @@ _BAD_DOCS = {
     "huge_integer_c_star": (lambda doc: doc.update(c_star=10**400), "c_star is an integer too large"),
     "bool_schema_version": (lambda doc: doc.update(schema_version=True), "schema_version True"),
     "list_status": (lambda doc: doc.update(status=[1]), "status [1]"),
+    "string_pool_seed": (lambda doc: doc["pool"].update(seed="abc"), "pool.seed must be an integer"),
 }
 
 
@@ -661,9 +672,10 @@ def sac_json(tmp_path_factory):
 
 
 # Corruptions that no value of a kind survives: "real" numbers, "int"egers,
-# "flag"s (JSON booleans), and "other" (objects, names, arrays of parameters).
+# "flag"s (JSON booleans), "other" (objects, names, arrays of parameters), and
+# the "real_or_null"/"int_or_null" numbers for which null is legal.
 _DELETE = object()
-_NAMES = (set(MODELS) | set(SOURCES) | set(SHAPES) | set(METRICS) | set(study.ALGORITHMS)
+_NAMES = (set(MODELS) | set(SOURCES) | set(GEN_METHODS) | set(SHAPES) | set(METRICS) | set(study.ALGORITHMS)
           | set(eqc.STATUSES) | set(sac.STATUSES))
 _CORRUPTIONS = {
     "string": st.text(max_size=6).filter(lambda s: s not in _NAMES),
@@ -677,6 +689,8 @@ _BREAKS = {
     "int": ("string", "bool", "list", "null", "fraction"),
     "flag": ("string", "list", "null", "fraction"),
     "other": ("string", "bool", "list", "null", "fraction"),
+    "real_or_null": ("string", "bool", "list"),
+    "int_or_null": ("string", "bool", "list", "fraction"),
 }
 
 # (path, kind, required): required keys are also deleted.
@@ -690,7 +704,9 @@ _DOC_FIELDS = [
     (("latent", "shape_params"), "other", False), (("latent", "mu"), "real", False),
     (("latent", "sigma"), "real", False),
     (("pool",), "other", True), (("pool", "model"), "other", True), (("pool", "beta"), "other", True),
-    (("pool", "lambda0"), "other", True),
+    (("pool", "lambda0"), "other", True), (("pool", "source"), "other", False),
+    (("pool", "gen_method"), "other", False), (("pool", "seed"), "int_or_null", False),
+    (("pool", "target_spearman"), "real_or_null", False),
 ]
 _EQC_FIELDS = _DOC_FIELDS + [
     (("m_quadrature",), "int", True), (("tolerance",), "real", True),

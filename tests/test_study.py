@@ -356,6 +356,22 @@ def test_infeasible_condition_skipped_with_warning(tmp_path, caplog):
     assert (tmp_path / "records.csv").read_text() == RECORDS_HEADER + "\n"
 
 
+@pytest.mark.parametrize("permissive_first", [True, False])
+def test_each_condition_of_a_cell_decides_its_own_skip(tmp_path, permissive_first):
+    # Two conditions of one cell differ only in allow_any_target; the target is
+    # above the cell's EQC bracket, so only the permissive one runs, in either order.
+    strict, permissive = (
+        StudyCondition(condition_id=cid, latent=LatentSpec(), model="rasch", item_source="parametric",
+                       n_items=10, n_persons=50, target_rho=0.99, replications=2, allow_any_target=flag)
+        for cid, flag in ((0, False), (1, True))
+    )
+    conditions = [permissive, strict] if permissive_first else [strict, permissive]
+    summary = run_validation_study(conditions, tmp_path, profile=StudyProfile(label="tiny", m_quadrature=2000))
+    assert [cid for cid, _ in summary.skipped] == [0]
+    assert "infeasible" in summary.skipped[0][1]
+    assert [c.condition_id for c in summary.conditions] == [1]
+
+
 @pytest.mark.parametrize("algorithm, metric", [("eqc", "avg_info"), ("sac_msem", "msem")])
 def test_replicate_regenerates_from_public_api(tmp_path, algorithm, metric):
     # Each record's realized value is the realized reliability of the full
