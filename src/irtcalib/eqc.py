@@ -139,6 +139,8 @@ class ResultDocument:
         real_number("abs_error", d["abs_error"])  # derived from the target and achieved_rho
         pool = ItemPool.from_dict(d["pool"])
         bracket = d["bracket"]
+        if not isinstance(bracket, Mapping):
+            raise ParameterError(f"bracket must be an object, got {bracket!r}")
         config = dict(
             target_rho=real_number("target_rho", d["target_rho"]), latent=LatentSpec.from_dict(d["latent"]),
             items=pool, interval=ScaleInterval(real_number("bracket.c_lower", bracket["c_lower"]),

@@ -19,6 +19,8 @@ wide-spread difficulty structure typical of operational item banks.
 
 from __future__ import annotations
 
+import functools
+import math
 import os
 from dataclasses import dataclass, field
 from importlib import resources
@@ -283,6 +285,134 @@ def rank_uniform(betas: np.ndarray) -> np.ndarray:
     return _average_ranks(betas) / (betas.shape[-1] + 1)
 
 
+# Cephes ``ndtr``/``ndtri`` (S. L. Moshier, *Methods and Programs for
+# Mathematical Functions*, 1989), the code ``scipy.special`` runs for them. Each
+# table holds the coefficients of one rational function, highest power first,
+# as (numerator, denominator) pairs: the denominator's leading 1 of ``p1evl``
+# is written out and a shorter numerator is padded with leading zeros, so one
+# Horner pass computes both polynomials with cephes' operations.
+def _rational_table(num: tuple, den: tuple) -> tuple:
+    den = (1.0, *den)
+    return tuple(np.array([(0.0,) * (len(den) - len(num)) + num, den]).T[:, :, None])
+
+
+_ERF = _rational_table(  # erf(x) = x T(x^2) / U(x^2) for |x| < 1
+    (9.60497373987051638749E0, 9.00260197203842689217E1, 2.23200534594684319226E3,
+     7.00332514112805075473E3, 5.55923013010394962768E4),
+    (3.35617141647503099647E1, 5.21357949780152679795E2, 4.59432382970980127987E3,
+     2.26290000613890934246E4, 4.92673942608635921086E4))
+_ERFC_NEAR = _rational_table(  # erfc(x) = exp(-x^2) P(x) / Q(x) for 1 <= x < 8
+    (2.46196981473530512524E-10, 5.64189564831068821977E-1, 7.46321056442269912687E0,
+     4.86371970985681366614E1, 1.96520832956077098242E2, 5.26445194995477358631E2,
+     9.34528527171957607540E2, 1.02755188689515710272E3, 5.57535335369399327526E2),
+    (1.32281951154744992508E1, 8.67072140885989742329E1, 3.54937778887819891062E2,
+     9.75708501743205489753E2, 1.82390916687909736289E3, 2.24633760818710981792E3,
+     1.65666309194161350182E3, 5.57535340817727675546E2))
+_ERFC_FAR = _rational_table(  # the same with R(x) / S(x) for x >= 8
+    (5.64189583547755073984E-1, 1.27536670759978104416E0, 5.01905042251180477414E0,
+     6.16021097993053585195E0, 7.40974269950448939160E0, 2.97886665372100240670E0),
+    (2.26052863220117276590E0, 9.39603524938001434673E0, 1.20489539808096656605E1,
+     1.70814450747565897222E1, 9.60896809063285878198E0, 3.36907645100081516050E0))
+_NDTRI_CENTRAL = _rational_table(  # |y - 1/2| < 1/2 - e^-2
+    (-5.99633501014107895267E1, 9.80010754185999661536E1, -5.66762857469070293439E1,
+     1.39312609387279679503E1, -1.23916583867381258016E0),
+    (1.95448858338141759834E0, 4.67627912898881538453E0, 8.63602421390890590575E1,
+     -2.25462687854119370527E2, 2.00260212380060660359E2, -8.20372256168333339912E1,
+     1.59056225126211695515E1, -1.18331621121330003142E0))
+_NDTRI_TAIL = _rational_table(  # t = sqrt(-2 log y) in [2, 8)
+    (4.05544892305962419923E0, 3.15251094599893866154E1, 5.71628192246421288162E1,
+     4.40805073893200834700E1, 1.46849561928858024014E1, 2.18663306850790267539E0,
+     -1.40256079171354495875E-1, -3.50424626827848203418E-2, -8.57456785154685413611E-4),
+    (1.57799883256466749731E1, 4.53907635128879210584E1, 4.13172038254672030440E1,
+     1.50425385692907503408E1, 2.50464946208309415979E0, -1.42182922854787788574E-1,
+     -3.80806407691578277194E-2, -9.33259480895457427372E-4))
+_NDTRI_FAR_TAIL = _rational_table(  # t >= 8, i.e. y <= exp(-32)
+    (3.23774891776946035970E0, 6.91522889068984211695E0, 3.93881025292474443415E0,
+     1.33303460815807542389E0, 2.01485389549179081538E-1, 1.23716634817820021358E-2,
+     3.01581553508235416007E-4, 2.65806974686737550832E-6, 6.23974539184983293730E-9),
+    (6.02427039364742014255E0, 3.67983563856160859403E0, 1.37702099489081330271E0,
+     2.16236993594496635890E-1, 1.34204006088543189037E-2, 3.28014464682127739104E-4,
+     2.89247864745380683936E-6, 6.79019408009981274425E-9))
+_SQRT1_2 = 7.07106781186547524401E-1
+_SQRT_2PI = 2.50662827463100050242E0
+_EXP_M2 = 1.3533528323661269189E-1  # e^-2
+_MAXLOG = 7.09782712893383996843E2  # log(DBL_MAX): past it erfc underflows to 0
+
+
+def _rational(w: np.ndarray, x: np.ndarray, table: tuple) -> np.ndarray:
+    """``w * polevl(x, P) / p1evl(x, Q)`` on 1-D ``x``, operation for operation as cephes."""
+    if not x.size:
+        return x
+    acc = np.empty((2, x.size))
+    acc[...] = table[0]
+    for coefficients in table[1:]:
+        acc *= x
+        acc += coefficients
+    return w * acc[0] / acc[1]
+
+
+def _two_piece(w: np.ndarray, x: np.ndarray, low: np.ndarray, below: tuple, above: tuple) -> np.ndarray:
+    """:func:`_rational` with the table ``below`` where ``low`` holds and ``above`` elsewhere."""
+    if low.all():  # ``above`` is cephes' rare far tail
+        return _rational(w, x, below)
+    out = np.empty(x.size)
+    out[low] = _rational(w[low], x[low], below)
+    out[~low] = _rational(w[~low], x[~low], above)
+    return out
+
+
+def _libm(f, x: np.ndarray) -> np.ndarray:
+    """``math.exp`` or ``math.log`` on each element of 1-D ``x``.
+
+    These are the C library's functions, which cephes calls; numpy's SIMD
+    ``exp`` and ``log`` differ from them in the last bit on some inputs.
+    """
+    return np.fromiter(map(f, x.tolist()), float, x.size)
+
+
+def _ndtr(a) -> np.ndarray:
+    """The standard normal CDF, bit for bit as cephes' ``ndtr`` (``scipy.special.ndtr``)."""
+    a = np.asarray(a, dtype=float)
+    x = a.ravel() * _SQRT1_2
+    z, sq = np.abs(x), x * x
+    y = np.where(x > 0, 1.0, 0.0)  # the limits, left where erfc underflows
+    y[np.isnan(x)] = np.nan
+    near = z < 1.0
+    y[near] = 0.5 + 0.5 * _rational(x[near], sq[near], _ERF)
+    far = np.flatnonzero((z >= 1.0) & (sq <= _MAXLOG))
+    zf = z[far]
+    half = 0.5 * _two_piece(_libm(math.exp, -sq[far]), zf, zf < 8.0, _ERFC_NEAR, _ERFC_FAR)
+    y[far] = np.where(x[far] > 0, 1.0 - half, half)
+    return y.reshape(a.shape)
+
+
+def _ndtri(y0) -> np.ndarray:
+    """The standard normal quantile, bit for bit as cephes' ``ndtri`` (``scipy.special.ndtri``)."""
+    y0 = np.asarray(y0, dtype=float)
+    flat = y0.ravel()
+    x = np.where(flat == 0.0, -np.inf, np.where(flat == 1.0, np.inf, np.nan))
+    upper = flat > 1.0 - _EXP_M2  # reflected: y = 1 - y0
+    y = np.where(upper, 1.0 - flat, flat)
+    central = y > _EXP_M2
+    yc = y[central] - 0.5
+    y2 = yc * yc
+    x[central] = (yc + yc * _rational(y2, y2, _NDTRI_CENTRAL)) * _SQRT_2PI
+    tail = (y > 0.0) & ~central
+    t = np.sqrt(-2.0 * _libm(math.log, y[tail]))
+    r = 1.0 / t
+    t = t - _libm(math.log, t) / t - _two_piece(r, r, t < 8.0, _NDTRI_TAIL, _NDTRI_FAR_TAIL)
+    x[tail] = np.where(upper[tail], t, -t)
+    return x.reshape(y0.shape)
+
+
+@functools.lru_cache(maxsize=32)
+def _rank_quantiles(n: int) -> np.ndarray:
+    """``ndtri(r/(n+1))`` for the 2n-1 average ranks r = 1, 1.5, ..., n, rank r at index 2r-2."""
+    quantiles = _ndtri(np.arange(2, 2 * n + 1) / 2 / (n + 1))
+    quantiles.setflags(write=False)
+    return quantiles
+
+
 def copula_discriminations(
     betas: np.ndarray, spec: DiscriminationSpec, *, rng: np.random.Generator
 ) -> np.ndarray:
@@ -293,18 +423,27 @@ def copula_discriminations(
     (5) log lambda = mu_log + sigma_log*ndtri(v). The difficulty vector is
     never modified, so its marginal is preserved exactly. A 2-D ``betas`` is a
     batch of pools, one per row, ranked row by row.
-    """
-    from scipy.special import ndtr, ndtri  # deferred: only copula pools load scipy
 
+    ``ndtr`` and ``ndtri`` are in-package ports of cephes' ``ndtr.c`` and
+    ``ndtri.c``, which ``scipy.special`` runs, and return its values bit for
+    bit: numpy evaluates the rational functions step for step, and the C
+    library's ``exp`` and ``log`` (through ``math``) run only where cephes
+    calls them, on erfc's branch |z|/sqrt(2) >= 1 and on ndtri's tails, y
+    outside (e^-2, 1 - e^-2). Step (2) reads a table of the 2n-1 values ranks
+    can take, built once per item count n.
+    """
     betas = np.atleast_1d(np.asarray(betas, dtype=float))
-    if betas.shape[-1] < 2:
+    n = betas.shape[-1]
+    if n < 2:
         raise InsufficientDataError("copula needs at least 2 items to form ranks")
-    u = rank_uniform(betas)
-    z_beta = ndtri(u)
+    ranks = _average_ranks(betas)
+    if np.isnan(ranks).any():  # a NaN difficulty: its row is NaN, and the pool checks reject it
+        z_beta = _ndtri(rank_uniform(betas))
+    else:
+        z_beta = _rank_quantiles(n)[(2 * ranks).astype(np.intp) - 2]
     z_indep = rng.standard_normal(betas.shape)
     z_lam = spec.rho * z_beta + np.sqrt(1.0 - spec.rho**2) * z_indep
-    v = ndtr(z_lam)
-    log_lam = spec.mu_log + spec.sigma_log * ndtri(v)
+    log_lam = spec.mu_log + spec.sigma_log * _ndtri(_ndtr(z_lam))
     return np.exp(log_lam)
 
 

@@ -138,7 +138,9 @@ class LatentSpec:
     @staticmethod
     def from_dict(d: Mapping[str, Any]) -> "LatentSpec":
         """Read a spec; the ``seed`` key of older documents governed no draw and is ignored."""
-        shape = d["shape"]  # first: a block that is no object fails here with a TypeError
+        if not isinstance(d, Mapping):
+            raise ParameterError(f"latent must be an object, got {d!r}")
+        shape = d["shape"]
         params = d.get("shape_params", {})
         if not isinstance(params, Mapping):
             raise ParameterError(f"shape_params must be an object, got {params!r}")

@@ -635,6 +635,8 @@ _BAD_DOCS = {
     "bool_schema_version": (lambda doc: doc.update(schema_version=True), "schema_version True"),
     "list_status": (lambda doc: doc.update(status=[1]), "status [1]"),
     "string_pool_seed": (lambda doc: doc["pool"].update(seed="abc"), "pool.seed must be an integer"),
+    "string_bracket": (lambda doc: doc.update(bracket="x"), "bracket must be an object, got 'x'"),
+    "list_latent": (lambda doc: doc.update(latent=[1]), "latent must be an object, got [1]"),
 }
 
 

@@ -1,5 +1,6 @@
 """Import cost: scipy stays off ``import irtcalib`` and every command that does not need it."""
 
+import json
 import os
 import re
 import subprocess
@@ -52,12 +53,22 @@ def test_rasch_calibrations_and_generate_load_no_scipy(tmp_path):
                           "--out", "r.csv", cwd=tmp_path) == set()
 
 
-def test_copula_pool_loads_only_scipy_special(tmp_path):
-    loaded = _scipy_imports("-m", "irtcalib", "calibrate", "--target", "0.5", "--items", "15",
-                            "--model", "twopl", "--gen-method", "copula", "--m", "500",
-                            "--out", "eqc.json", cwd=tmp_path)
-    assert "scipy.special" in loaded
-    assert loaded <= _scipy_imports("-c", "import scipy.special")
+def test_twopl_copula_commands_load_no_scipy(tmp_path):
+    common = ["--target", "0.5", "--items", "15", "--model", "twopl", "--gen-method", "copula", "--m", "500"]
+    assert _scipy_imports("-m", "irtcalib", "calibrate", *common, "--out", "eqc.json", cwd=tmp_path) == set()
+    assert _scipy_imports("-m", "irtcalib", "calibrate", *common, "--algorithm", "sac", "--n-iter", "20",
+                          "--m-per-iter", "100", "--out", "sac.json", cwd=tmp_path) == set()
+    assert _scipy_imports("-m", "irtcalib", "bounds", "--model", "twopl", "--items", "15", "--m", "500",
+                          cwd=tmp_path) == set()
+    # Two cells, so that --threads 2 runs them in worker processes, whose imports
+    # are logged to the same stderr.
+    study = {"shapes": [{"shape": "normal"}], "models": ["twopl"], "item_sources": ["parametric"],
+             "test_lengths": [10, 12], "n_persons": [100], "targets": {"10": 0.4, "12": 0.45},
+             "algorithms": ["eqc", "sac_info"], "replications": 2}
+    (tmp_path / "study.json").write_text(json.dumps(study))
+    assert _scipy_imports("-m", "irtcalib", "validate", "--config", "study.json", "--out-dir", "out",
+                          "--threads", "2", cwd=tmp_path) == set()
+    assert (tmp_path / "out" / "records.csv").is_file()
 
 
 def test_deferred_scipy_imports_resolve():

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 import tempfile
 import warnings
 from pathlib import Path
@@ -9,7 +10,7 @@ import pytest
 from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
-from scipy import stats
+from scipy import special, stats
 
 from irtcalib import (
     ConfigurationError,
@@ -29,7 +30,15 @@ from irtcalib import (
     load_pool_csv,
     save_pool_csv,
 )
-from irtcalib.items import _average_ranks, draw_pools, make_synthetic_pool, rank_uniform
+from irtcalib.items import (
+    _average_ranks,
+    _ndtr,
+    _ndtri,
+    _rank_quantiles,
+    draw_pools,
+    make_synthetic_pool,
+    rank_uniform,
+)
 from irtcalib.rng import stream
 
 
@@ -141,6 +150,75 @@ def test_copula_preserves_difficulty_marginal_and_lognormal_margin():
     assert sorted(pool.beta.tolist()) == sorted(betas.tolist())
     ks = stats.kstest(np.log(lam), stats.norm(0.0, 0.3).cdf).statistic
     assert ks < 0.05
+
+
+# The cephes port against scipy.special, its reference: equal bits, with every NaN equal.
+def _same_bits(actual, expected) -> bool:
+    actual, expected = np.asarray(actual, dtype=float), np.asarray(expected, dtype=float)
+    same = (actual.view(np.uint64) == expected.view(np.uint64)) | (np.isnan(actual) & np.isnan(expected))
+    return actual.shape == expected.shape and bool(same.all())
+
+
+# Cephes' branch points and limits: erfc from |a| = sqrt(2), its R/S table from
+# |a| = 8 sqrt(2), its underflow past a^2/2 = MAXLOG; ndtri's tails outside
+# (e^-2, 1 - e^-2), its far tail below e^-32, and its limits 0 and 1.
+_NDTR_EDGES = [0.0, -0.0, 5e-324, -5e-324, 2.2e-308, math.inf, -math.inf, math.nan, 1.0, -1.0,
+               math.sqrt(2), -math.sqrt(2), 8 * math.sqrt(2), -8 * math.sqrt(2),
+               math.sqrt(2 * 709.782712893384), -math.sqrt(2 * 709.782712893384), 40.0, -40.0]
+_NDTRI_EDGES = [0.0, -0.0, 1.0, 5e-324, 1e-300, 1.2664165549e-14, math.exp(-2), 1 - math.exp(-2),
+                0.5, 1 - 1e-16, np.nextafter(1.0, 0.0), math.nan, -0.5, 1.5, math.inf, -math.inf]
+_ndtr_inputs = arrays(np.float64, st.integers(1, 50), elements=st.one_of(
+    st.floats(-40, 40), st.sampled_from(_NDTR_EDGES)))
+_ndtri_inputs = arrays(np.float64, st.integers(1, 50), elements=st.one_of(
+    st.floats(0, 1), st.floats(-324, 0).map(lambda e: 10.0**e),
+    st.floats(-16, 0).map(lambda e: 1 - 10.0**e), st.sampled_from(_NDTRI_EDGES)))
+
+
+@settings(deadline=None, max_examples=300)
+@given(a=_ndtr_inputs)
+def test_ndtr_is_scipys_bit_for_bit(a):
+    assert _same_bits(_ndtr(a), special.ndtr(a))
+    assert _same_bits(_ndtr(a.reshape(1, -1)), special.ndtr(a.reshape(1, -1)))
+
+
+@settings(deadline=None, max_examples=300)
+@given(y=_ndtri_inputs)
+def test_ndtri_is_scipys_bit_for_bit(y):
+    assert _same_bits(_ndtri(y), special.ndtri(y))
+    assert _same_bits(_ndtri(y.reshape(-1, 1)), special.ndtri(y.reshape(-1, 1)))
+
+
+def test_ndtr_and_ndtri_take_scalars():
+    assert _same_bits(_ndtr(0.3), special.ndtr(0.3)) and _ndtr(0.3).shape == ()
+    assert _same_bits(_ndtri(0.01), special.ndtri(0.01)) and _ndtri(0.01).shape == ()
+
+
+def test_rank_quantiles_are_scipys_on_every_rank_lattice():
+    for n in range(2, 501):
+        lattice = np.arange(2, 2 * n + 1) / 2 / (n + 1)  # every rank/(n+1), ties included
+        expected = special.ndtri(lattice)
+        assert _same_bits(_rank_quantiles(n), expected), n
+        assert _same_bits(_ndtri(lattice), expected), n
+
+
+def _scipy_copula(betas, spec, rng):
+    """The reference: the five-step copula computed with ``scipy.stats`` and ``scipy.special``."""
+    u = stats.rankdata(betas, method="average", axis=-1) / (betas.shape[-1] + 1)
+    z_lam = spec.rho * special.ndtri(u) + np.sqrt(1.0 - spec.rho**2) * rng.standard_normal(betas.shape)
+    return np.exp(spec.mu_log + spec.sigma_log * special.ndtri(special.ndtr(z_lam)))
+
+
+@pytest.mark.parametrize("kind", ["drawn", "tied", "nan"])
+def test_copula_batch_equals_the_scipy_construction(kind):
+    betas = gen_difficulties("parametric", 60, rng=stream(31, "difficulties"), n_pools=300)
+    if kind == "tied":
+        betas = np.round(betas, 1)
+    elif kind == "nan":
+        betas[7, 13] = np.nan
+    spec = DiscriminationSpec(mu_log=0.1, sigma_log=0.4, rho=-0.5)
+    lam = copula_discriminations(betas, spec, rng=stream(32, "discriminations"))
+    assert _same_bits(lam, _scipy_copula(betas, spec, stream(32, "discriminations")))
+    assert np.isnan(lam[7]).all() == (kind == "nan")
 
 
 def test_conditional_hits_target_spearman():

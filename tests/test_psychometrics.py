@@ -279,7 +279,8 @@ def test_information_rises_with_scale_below_phi_root(items, theta, share):
     beta, lam0 = items
     pool = ItemPool(model="twopl", beta=beta, lambda0=lam0)
     spread = np.max(np.abs(lam0 * (theta[:, None] - beta)))  # the largest |x| / c
-    c = share * min(_PHI_REGIME / spread, 100.0) if spread > 0 else share * 100.0
+    with np.errstate(over="ignore"):  # a subnormal spread overflows the ratio, and min() takes 100
+        c = share * min(_PHI_REGIME / spread, 100.0) if spread > 0 else share * 100.0
     assert np.all(total_information_dc(theta, pool, c) > 0)
     # A spread-out sample keeps the variance, and so the rise of rho, above rounding.
     if 1.05 * c * spread < _PHI_REGIME and np.ptp(theta) >= 0.01:
