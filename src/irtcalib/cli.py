@@ -69,8 +69,6 @@ EXIT_IO = 5
 
 _METRIC_ALIASES = {"info": METRIC_AVG_INFO, "msem": METRIC_MSEM}
 
-logger = logging.getLogger("irtcalib.cli")
-
 
 # ----------------------------------------------------------------------------
 # small helpers
@@ -346,7 +344,7 @@ def cmd_generate(args) -> int:
         "reproducibility": _repro_block("generate", args.seed, {"n": args.n}),
     }
     if args.emit_theta:
-        sidecar["theta_true"] = [float(t) for t in dataset.theta_true]
+        sidecar["theta_true"] = dataset.theta_true.tolist()
     _write_json(str(args.out) + ".meta.json", sidecar)
     print(f"wrote {dataset.n_persons} x {dataset.n_items} response matrix to {args.out}")
     return EXIT_OK

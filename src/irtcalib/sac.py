@@ -134,16 +134,12 @@ class SacResult(ResultDocument):
     pool: ItemPool  # evaluation-stage pool; carried so response generation can reuse it
     config: SacConfig
 
-    def trace_rows(self):
-        """(n, c_n, rho_hat_n) rows, n = 1..n_iter."""
-        for i, (c, r) in enumerate(zip(self.trace_c, self.trace_rho), start=1):
-            yield i, float(c), float(r)
-
     def save_trace_csv(self, path) -> None:
+        """Write the ``(n, c_n, rho_hat_n)`` rows, n = 1..n_iter, as CSV."""
         with open(path, "w", encoding="utf-8", newline="") as fh:
             fh.write("n,c_n,rho_hat_n\n")
-            for n, c, r in self.trace_rows():
-                fh.write(f"{n},{c!r},{r!r}\n")
+            for n, (c, r) in enumerate(zip(self.trace_c, self.trace_rho), start=1):
+                fh.write(f"{n},{float(c)!r},{float(r)!r}\n")
 
     def to_dict(self) -> dict:
         cfg = self.config

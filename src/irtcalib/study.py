@@ -69,6 +69,18 @@ SCHEMA_VERSION = 3
 # Target windows judged attainable for each standard test length.
 ADAPTIVE_TARGET_RANGE = {15: (0.30, 0.60), 30: (0.40, 0.70), 60: (0.50, 0.80)}
 
+# Rows per block of the response generator and the CSV writer. The uniforms
+# are the next draws of one stream and every probability is elementwise, so
+# the bytes do not depend on this number; it bounds each float64 temporary at
+# _BLOCK_ROWS x I, so that only the int8 matrix grows with the person count.
+_BLOCK_ROWS = 4096
+
+
+def _row_blocks(n_rows: int):
+    """``(start, stop)`` of each block of at most ``_BLOCK_ROWS`` rows, in order."""
+    for start in range(0, n_rows, _BLOCK_ROWS):
+        yield start, min(start + _BLOCK_ROWS, n_rows)
+
 
 @dataclass
 class ResponseDataset:
@@ -91,22 +103,28 @@ class ResponseDataset:
     def save_csv(self, path, header: bool = False) -> None:
         """Write the matrix as CSV: ``0``/``1`` joined by ``,``, rows ended by ``\\n``.
 
-        The optional header row names the items ``item_1,...,item_I``.
+        The optional header row names the items ``item_1,...,item_I``. Every
+        row is checked before the file is opened; the bytes are then formatted
+        one row block at a time in one reused buffer.
         """
         responses = np.asarray(self.responses)
-        if ((responses != 0) & (responses != 1)).any():
-            raise ParameterError("responses must be 0 or 1 to be written as CSV")
+        for start, stop in _row_blocks(self.n_persons):
+            block = responses[start:stop]
+            if ((block != 0) & (block != 1)).any():
+                raise ParameterError("responses must be 0 or 1 to be written as CSV")
         # One byte per character: a digit then its separator, "," or "\n".
-        buf = np.full((self.n_persons, 2 * self.n_items), ord(","), dtype=np.uint8)
-        digits = buf[:, 0::2]
-        digits[...] = responses
-        digits += ord("0")
+        buf = np.full((min(_BLOCK_ROWS, self.n_persons), 2 * self.n_items), ord(","), dtype=np.uint8)
         buf[:, -1] = ord("\n")
         with open(path, "wb") as fh:
             if header:
                 names = ",".join(f"item_{i + 1}" for i in range(self.n_items))
                 fh.write(f"{names}\n".encode("utf-8"))
-            fh.write(buf)
+            for start, stop in _row_blocks(self.n_persons):
+                rows = buf[: stop - start]
+                digits = rows[:, 0::2]
+                digits[...] = responses[start:stop]
+                digits += ord("0")
+                fh.write(rows)
 
 
 def _draw_abilities(latent: LatentSpec, n_persons: int, seed: int) -> np.ndarray:
@@ -127,10 +145,15 @@ def simulate_responses(calibration, latent: LatentSpec, n_persons: int, seed: in
     pool: ItemPool = calibration.pool
     c_star = float(calibration.c_star)
     theta = _draw_abilities(latent, n_persons, seed)
-    p = prob_correct(theta[:, None], pool.beta[None, :], (c_star * pool.lambda0)[None, :])
-    u = stream(seed, "responses/bernoulli").random(p.shape)
+    beta = pool.beta[None, :]
+    lam = (c_star * pool.lambda0)[None, :]
+    uniforms = stream(seed, "responses/bernoulli")
+    responses = np.empty((n_persons, pool.n_items), dtype=np.int8)
+    for start, stop in _row_blocks(n_persons):
+        p = prob_correct(theta[start:stop, None], beta, lam)
+        np.less(uniforms.random(p.shape), p, out=responses[start:stop], casting="unsafe")
     return ResponseDataset(
-        responses=(u < p).astype(np.int8),
+        responses=responses,
         theta_true=theta,
         pool=pool,
         c_applied=c_star,

@@ -1,7 +1,9 @@
 import csv
+import functools
 import os
 import tempfile
 import tracemalloc
+import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
 
@@ -19,21 +21,24 @@ from irtcalib import (
     ParameterError,
     PoolConfig,
     ResponseDataset,
+    SacConfig,
     ScaleInterval,
     StudyCondition,
     StudyProfile,
     compare_calibrations,
     eqc_calibrate,
     make_desk_grid,
+    prob_correct,
     realized_reliability,
     reliability_summary,
     run_validation_study,
     sac_calibrate,
+    sample_latent,
     simulate_responses,
 )
 from irtcalib import study
 from irtcalib.eqc import CalibrationResult
-from irtcalib.rng import child_seed
+from irtcalib.rng import child_seed, stream
 
 from conftest import make_rasch_pool
 
@@ -98,6 +103,68 @@ def test_marginal_probability_half():
 
     dataset = simulate_responses(Calib(), LatentSpec(), 100_000, seed=6)
     assert np.mean(dataset.responses) == pytest.approx(0.5, abs=0.01)
+
+
+# --- blocked generation ---------------------------------------------------------
+
+B = study._BLOCK_ROWS
+
+
+def _one_shot_responses(calibration, latent, n_persons, seed):
+    """The generator as one (N, I) pass, before it ran in row blocks: the bit-level reference."""
+    pool = calibration.pool
+    c_star = float(calibration.c_star)
+    theta = sample_latent(latent, n_persons, rng=stream(seed, "responses/theta")).theta
+    p = prob_correct(theta[:, None], pool.beta[None, :], (c_star * pool.lambda0)[None, :])
+    u = stream(seed, "responses/bernoulli").random(p.shape)
+    return (u < p).astype(np.int8), theta
+
+
+@functools.lru_cache(maxsize=None)
+def _small_calibration(algorithm, model, n_items):
+    # A one-item 2PL pool has no ranks for the copula to pair.
+    gen_method = "independent" if model == "twopl" and n_items < 2 else None
+    items = PoolConfig(model=model, n_items=n_items, gen_method=gen_method)
+    latent = LatentSpec(shape="skew_pos", shape_params={"k": 4})
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # a boundary scale serves as well: only pool and c* are read
+        if algorithm == "eqc":
+            return eqc_calibrate(EqcConfig(target_rho=0.5, latent=latent, items=items,
+                                           m_quadrature=500, seed=n_items))
+        return sac_calibrate(SacConfig(target_rho=0.5, latent=latent, items=items,
+                                       n_iter=20, burn_in=10, m_per_iter=100, seed=n_items))
+
+
+@pytest.mark.parametrize("n_items", [1, 2, 30, 60])
+@pytest.mark.parametrize("n_persons", [1, B - 1, B, B + 1, 3 * B + 7])
+@settings(deadline=None, max_examples=6)
+@given(algorithm=st.sampled_from(["eqc", "sac"]), model=st.sampled_from(["rasch", "twopl"]),
+       seed=st.integers(0, 2**32 - 1))
+@example(algorithm="eqc", model="rasch", seed=0)
+@example(algorithm="sac", model="twopl", seed=1)
+def test_blocked_generation_matches_one_shot(n_persons, n_items, algorithm, model, seed):
+    calibration = _small_calibration(algorithm, model, n_items)
+    latent = calibration.config.latent
+    dataset = simulate_responses(calibration, latent, n_persons, seed)
+    responses, theta = _one_shot_responses(calibration, latent, n_persons, seed)
+    assert dataset.responses.dtype == np.int8
+    assert dataset.responses.shape == (n_persons, n_items)
+    assert dataset.responses.tobytes() == responses.tobytes()
+    assert dataset.theta_true.tobytes() == theta.tobytes()
+
+
+def test_generate_memory_stays_near_the_int8_matrix(flagship_result, tmp_path):
+    # The int8 matrix is N*I bytes; every float64 temporary is one row block.
+    n = 200_000
+    tracemalloc.start()
+    try:
+        dataset = simulate_responses(flagship_result, flagship_result.config.latent, n, seed=12)
+        dataset.save_csv(tmp_path / "r.csv")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (tmp_path / "r.csv").stat().st_size == 2 * n * flagship_result.pool.n_items
+    assert peak < 4 * n * flagship_result.pool.n_items
 
 
 # --- realized reliability -----------------------------------------------------
@@ -498,9 +565,12 @@ def _dataset(responses):
 
 
 @settings(deadline=None, max_examples=50)
-@given(n=st.integers(1, 500), i=st.integers(1, 60), header=st.booleans(), seed=st.integers(0, 2**32 - 1))
+@given(n=st.one_of(st.integers(1, 500), st.integers(B - 2, 2 * B + 2)), i=st.integers(1, 60),
+       header=st.booleans(), seed=st.integers(0, 2**32 - 1))
 @example(n=1, i=1, header=False, seed=0)
 @example(n=1, i=1, header=True, seed=1)
+@example(n=B + 1, i=2, header=True, seed=2)
+@example(n=2 * B + 2, i=60, header=False, seed=3)
 def test_save_csv_matches_row_by_row_writer(n, i, header, seed):
     responses = (np.random.default_rng(seed).random((n, i)) < 0.5).astype(np.int8)
     with tempfile.TemporaryDirectory() as tmp:
@@ -511,10 +581,13 @@ def test_save_csv_matches_row_by_row_writer(n, i, header, seed):
 
 
 def test_save_csv_rejects_non_binary_responses(tmp_path):
-    responses = np.array([[0, 1], [2, 0]], dtype=np.int8)
-    with pytest.raises(ParameterError):
-        _dataset(responses).save_csv(tmp_path / "r.csv")
-    assert not (tmp_path / "r.csv").exists()
+    # The second matrix's one bad value sits in the writer's last row block.
+    late = np.zeros((2 * B + 1, 3), dtype=np.int8)
+    late[-1, 2] = 2
+    for responses in (np.array([[0, 1], [2, 0]], dtype=np.int8), late):
+        with pytest.raises(ParameterError):
+            _dataset(responses).save_csv(tmp_path / "r.csv")
+        assert not (tmp_path / "r.csv").exists()
 
 
 def _deviation_reference(deltas) -> dict:
