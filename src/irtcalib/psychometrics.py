@@ -77,22 +77,26 @@ _BLOCK_ROWS = 2048
 _local = threading.local()
 
 
-def _workspace(rows: int, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Two C-contiguous ``(rows, n)`` arrays in one per-thread buffer, reused across calls and grown only.
+def _workspace(rows: int, n: int, dtype: np.dtype) -> tuple[np.ndarray, np.ndarray]:
+    """Two C-contiguous ``(rows, n)`` arrays of ``dtype`` in one per-thread buffer, reused across calls and grown only.
 
-    Each array starts on a 64-byte boundary: at the 16-byte offset that large
-    allocations get, a SAC calibration after an EQC solve (2PL, I=60, 500
-    draws) ran about 8% slower than with per-call temporaries, measured on
-    an AVX-512 Xeon with one BLAS thread.
+    Every dtype views the same float64 buffer, and each array starts on a
+    64-byte boundary: at the 16-byte offset that large allocations get, a SAC
+    calibration after an EQC solve (2PL, I=60, 500 draws) ran about 8% slower
+    than with per-call temporaries, measured on an AVX-512 Xeon with one BLAS
+    thread.
     """
     size = rows * n
-    stride = -(-size // 8) * 8  # whole 64-byte lines
+    per_line = 64 // dtype.itemsize
+    stride = -(-size // per_line) * per_line  # whole 64-byte lines
+    words = stride * dtype.itemsize // 8
     buf = getattr(_local, "buf", None)
-    if buf is None or buf.size < 2 * stride:
-        raw = np.empty(2 * stride + 8)
+    if buf is None or buf.size < 2 * words:
+        raw = np.empty(2 * words + 8)
         start = -raw.ctypes.data % 64 // 8
-        buf = _local.buf = raw[start : start + 2 * stride]
-    return buf[:size].reshape(rows, n), buf[stride : stride + size].reshape(rows, n)
+        buf = _local.buf = raw[start : start + 2 * words]
+    flat = buf if dtype == buf.dtype else buf.view(dtype)
+    return flat[:size].reshape(rows, n), flat[stride : stride + size].reshape(rows, n)
 
 
 def _blocks(m: int):
@@ -103,13 +107,16 @@ def _blocks(m: int):
     return zip(bounds[:-1], bounds[1:])
 
 
-def _kernel_block(theta: np.ndarray, beta: np.ndarray, lam: np.ndarray) -> np.ndarray:
-    """The logistic kernel ``h`` at ``lam*(theta - beta)``, built in the workspace."""
-    x, denom = _workspace(theta.size, beta.size)
+def _kernel_block(theta: np.ndarray, beta: np.ndarray, neg_lam: np.ndarray) -> np.ndarray:
+    """The logistic kernel ``h`` at ``lam*(theta - beta)``, built in the workspace in the dtype of its inputs.
+
+    ``neg_lam`` is ``-lam``: rounding is symmetric in sign, so scaling
+    ``|theta - beta|`` by it gives ``-|lam*(theta - beta)|`` bit for bit.
+    """
+    x, denom = _workspace(theta.size, beta.size, theta.dtype)
     np.subtract.outer(theta, beta, out=x)
-    x *= lam
     np.abs(x, out=x)
-    np.negative(x, out=x)
+    x *= neg_lam
     np.exp(x, out=x)  # now exp(-|x|)
     np.add(x, 1.0, out=denom)
     denom *= denom
@@ -117,13 +124,16 @@ def _kernel_block(theta: np.ndarray, beta: np.ndarray, lam: np.ndarray) -> np.nd
     return x
 
 
-def _test_info_values(theta: np.ndarray, pool: ItemPool, c: float) -> np.ndarray:
-    """Per-person test information at scale ``c`` over a 1-D ``theta``: one GEMV per row block."""
-    lam = c * pool.lambda0
-    weights = lam * lam
-    out = np.empty(theta.size)
+def _test_info_values(theta: np.ndarray, pool: ItemPool, c: float, dtype=np.float64) -> np.ndarray:
+    """Per-person test information at scale ``c`` over a 1-D ``theta``: one GEMV per row block, in ``dtype``."""
+    neg_lam = -c * pool.lambda0
+    weights = (neg_lam * neg_lam).astype(dtype, copy=False)
+    theta = theta.astype(dtype, copy=False)
+    beta = pool.beta.astype(dtype, copy=False)
+    neg_lam = neg_lam.astype(dtype, copy=False)
+    out = np.empty(theta.size, dtype)
     for start, stop in _blocks(theta.size):
-        np.matmul(_kernel_block(theta[start:stop], pool.beta, lam), weights, out=out[start:stop])
+        np.matmul(_kernel_block(theta[start:stop], beta, neg_lam), weights, out=out[start:stop])
     return out
 
 
@@ -229,24 +239,25 @@ def reliability_from_information(info, sigma2: float, c: float) -> ReliabilitySu
 
 
 def reliability_summary(
-    theta_sample, pool: ItemPool, c: float, sigma2: float | None = None
+    theta_sample, pool: ItemPool, c: float, sigma2: float | None = None, *, dtype=np.float64
 ) -> ReliabilitySummary:
     """Evaluate both reliability metrics on a latent sample.
 
     ``sigma2`` defaults to the unbiased sample variance of the supplied
     sample; pass 1.0 to use the theoretical variance of a standardized
-    latent distribution instead.
+    latent distribution instead. ``dtype`` is the precision of the
+    information kernel only; the summary itself is float64 arithmetic.
     """
-    return _summary_and_info(theta_sample, pool, c, sigma2)[0]
+    return _summary_and_info(theta_sample, pool, c, sigma2, dtype)[0]
 
 
-def _summary_and_info(theta_sample, pool: ItemPool, c: float, sigma2: float | None):
+def _summary_and_info(theta_sample, pool: ItemPool, c: float, sigma2: float | None, dtype=np.float64):
     theta = np.asarray(theta_sample, dtype=float)
     if theta.size == 0:
         raise EmptyRequestError("theta sample must be nonempty")
     if sigma2 is None:
         sigma2 = float(np.var(theta, ddof=1)) if theta.size > 1 else 0.0
-    info = _test_info_values(theta, pool, float(c))
+    info = _test_info_values(theta, pool, float(c), dtype)
     return reliability_from_information(info, sigma2, c), info
 
 

@@ -13,6 +13,13 @@ up front in one batch from the stream ``"sac/pools"`` (row ``n - 1`` serves
 iteration ``n``); the abilities are drawn one batch per iteration from the
 sequential stream ``"sac/theta"``.
 
+An ``avg_info`` iteration runs the information kernel in float32: the update
+reads only the sign and rough size of a measurement that is noisy at about
+1e-2, and float32 moves it by about 1e-8. Everything reported (the
+evaluation blocks behind ``achieved_rho``) and every ``msem`` iteration stay
+float64, since float32's ``exp(-|x|)`` underflows at ``|x|`` near 103 rather
+than 745 and would move the ``INFO_FLOOR`` rule onto other batches.
+
 The reported ``achieved_rho`` comes from an independent evaluation stream:
 ``eval_m / m_per_iter`` blocks, each shaped exactly like an iteration batch
 and each on its own pool (``build_pool`` at ``child_seed(seed,
@@ -119,9 +126,10 @@ class SacResult(ResultDocument):
     """Averaged scale, its independent evaluation, and the full iterate trace."""
 
     RESULT_TYPE = "sac"
+    # 4: avg_info iterations run the information kernel in float32 (msem keeps its bits);
     # 3: no latent.seed or redraw_items (both constant in effect);
     # 2: iteration pools are drawn in one batch; 1: one build_pool per iteration
-    SCHEMA_VERSION = 3
+    SCHEMA_VERSION = 4
     STATUSES = STATUSES
 
     c_star: float
@@ -217,10 +225,10 @@ class _PoolRow(NamedTuple):
         return self.beta.size
 
 
-def _summary(config: SacConfig, rng: np.random.Generator, pool, c: float):
+def _summary(config: SacConfig, rng: np.random.Generator, pool, c: float, dtype=np.float64):
     """Draw ``m_per_iter`` abilities from ``rng`` and summarise them at scale ``c`` on ``pool``."""
     theta = sample_latent(config.latent, config.m_per_iter, rng=rng).theta
-    return reliability_summary(theta, pool, c)
+    return reliability_summary(theta, pool, c, dtype=dtype)
 
 
 def sac_calibrate(config: SacConfig) -> SacResult:
@@ -233,9 +241,10 @@ def sac_calibrate(config: SacConfig) -> SacResult:
     c0 = config.resolved_c_init()
     theta_rng = stream(config.seed, "sac/theta")
     betas, lambdas = draw_pools(config.items, config.n_iter, stream(config.seed, "sac/pools"))
+    dtype = np.float32 if config.metric == METRIC_AVG_INFO else np.float64
 
     def rho_of(n: int, c: float) -> float:
-        summary = _summary(config, theta_rng, _PoolRow(betas[n - 1], lambdas[n - 1]), c)
+        summary = _summary(config, theta_rng, _PoolRow(betas[n - 1], lambdas[n - 1]), c, dtype)
         if config.metric != METRIC_AVG_INFO and summary.underflow:
             raise DivergedObjectiveError(
                 f"error-variance objective diverged at iteration {n} (c={c}): "

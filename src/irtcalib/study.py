@@ -33,7 +33,6 @@ from __future__ import annotations
 import itertools
 import logging
 import warnings
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 from types import SimpleNamespace
@@ -64,7 +63,9 @@ ALGORITHMS = ("eqc", "sac_info", "sac_msem")
 # study_summary.json. 2: each structural cell solves EQC once, and its SAC
 # calibrations warm-start from that solve. 3: SAC draws its iteration pools
 # in one batch (SacResult schema 2), so SAC rows change; eqc rows do not.
-SCHEMA_VERSION = 3
+# 4: sac_info iterations run the information kernel in float32 (SacResult
+# schema 4), so sac_info rows change; eqc and sac_msem rows do not.
+SCHEMA_VERSION = 4
 
 # Target windows judged attainable for each standard test length.
 ADAPTIVE_TARGET_RANGE = {15: (0.30, 0.60), 30: (0.40, 0.70), 60: (0.50, 0.80)}
@@ -557,6 +558,8 @@ def run_validation_study(
     work = [(master_seed, profile, cell) for cell in cells.values()]
 
     if n_jobs > 1 and len(work) > 1:
+        from concurrent.futures import ProcessPoolExecutor  # loads multiprocessing, which only this path needs
+
         with ProcessPoolExecutor(max_workers=n_jobs) as pool:
             outputs = list(pool.map(_run_group, work))
     else:

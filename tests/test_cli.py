@@ -303,7 +303,7 @@ def test_validate_summary_records_schema_version(tmp_path):
     cfg_path.write_text(json.dumps(cfg))
     assert run(["validate", "--config", str(cfg_path), "--out-dir", str(tmp_path / "out"), "--threads", "1"]) == 0
     summary = json.loads((tmp_path / "out" / "study_summary.json").read_text())
-    assert summary["schema_version"] == 3
+    assert summary["schema_version"] == 4
 
 
 def test_validate_full_profile_echo(tmp_path, capsys):
@@ -492,8 +492,11 @@ def test_past_schema_documents_load_and_generate_the_same_responses(name, flags,
 
 
 # Documents of the current schema, written by `calibrate --out`: loading one and
-# writing it again gives its bytes back, key order included.
-@pytest.mark.parametrize("name", ["eqc_schema_3.json", "sac_schema_3.json"])
+# writing it again gives its bytes back, key order included. sac_schema_4.json
+# was written with the flags of sac_schema_3.json: `calibrate --algorithm sac
+# --target 0.6 --items 12 --model twopl --item-source pool --latent-shape skew_pos
+# --m 500 --n-iter 30 --m-per-iter 100 --seed 12`.
+@pytest.mark.parametrize("name", ["eqc_schema_3.json", "sac_schema_4.json"])
 def test_current_schema_documents_keep_their_bytes(name):
     path = Path(__file__).parent / "data" / "result_docs" / name
     doc = json.loads(path.read_text())
@@ -501,12 +504,15 @@ def test_current_schema_documents_keep_their_bytes(name):
     assert json.dumps(cli._load_result(path).to_dict()) == json.dumps(doc)
 
 
-# sha256 of `generate --n 300 --seed 8` from each past document, recorded with
-# scipy's expit as the logistic, which numpy's exp may differ from in the last bits.
+# sha256 of `generate --n 300 --seed 8` from each past document. The schema-1 and
+# schema-2 digests were recorded with scipy's expit as the logistic, which numpy's
+# exp may differ from in the last bits; sac_schema_3.json's with numpy's logistic,
+# while SAC's avg_info iterations still ran in float64.
 _PAST_DOC_RESPONSES = {
     "eqc_schema_1.json": "6a3dfc40f41a750822c8bd14c34d1992435f2c15b5e037f045d51c4428b36505",
     "sac_schema_2.json": "b906c4ff61f059819fe130acc4fe1fdb891aa3d4433721fcdf5f309dff428ac7",
     "eqc_schema_2.json": "3b9c8535d4eb8d80797c95283b0b33f403cc506649a07fe677acbdd56dc2b084",
+    "sac_schema_3.json": "2c915104d05558b76d5cc37b804e6063bee0160fae46794cd0fcd0576680fc4c",
 }
 
 

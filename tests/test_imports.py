@@ -1,4 +1,4 @@
-"""Import cost: scipy stays off ``import irtcalib`` and every command that does not need it."""
+"""Import cost: scipy and multiprocessing stay off ``import irtcalib`` and every command that does not need them."""
 
 import json
 import os
@@ -24,14 +24,18 @@ def _run(code: str) -> str:
     return done.stdout
 
 
-def _scipy_imports(*args, cwd=None) -> set:
-    """The scipy modules a fresh ``python -X importtime ARGS`` imports."""
+def _package_imports(package: str, *args, cwd=None) -> set:
+    """The modules of ``package`` a fresh ``python -X importtime ARGS`` imports."""
     done = subprocess.run([sys.executable, "-X", "importtime", *args], env=_env(), cwd=cwd,
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
     modules = _IMPORTED.findall(done.stderr)
     assert "numpy" in modules  # the import log was read
-    return {m for m in modules if m == "scipy" or m.startswith("scipy.")}
+    return {m for m in modules if m == package or m.startswith(package + ".")}
+
+
+def _scipy_imports(*args, cwd=None) -> set:
+    return _package_imports("scipy", *args, cwd=cwd)
 
 
 def test_import_leaves_scipy_stats_and_optimize_unloaded():
@@ -69,6 +73,16 @@ def test_twopl_copula_commands_load_no_scipy(tmp_path):
     assert _scipy_imports("-m", "irtcalib", "validate", "--config", "study.json", "--out-dir", "out",
                           "--threads", "2", cwd=tmp_path) == set()
     assert (tmp_path / "out" / "records.csv").is_file()
+
+
+def test_commands_other_than_validate_load_no_multiprocessing(tmp_path):
+    # Only validate's worker processes need it; it costs about 15 ms per fresh process.
+    assert _package_imports("multiprocessing", "-c", "import irtcalib") == set()
+    assert _package_imports("multiprocessing", "-m", "irtcalib", "--version") == set()
+    assert _package_imports("multiprocessing", "-m", "irtcalib", "calibrate", "--algorithm", "sac",
+                            "--target", "0.5", "--items", "15", "--model", "rasch", "--n-iter", "20",
+                            "--m-per-iter", "100", "--out", "sac.json", cwd=tmp_path) == set()
+    assert (tmp_path / "sac.json").is_file()
 
 
 def test_deferred_scipy_imports_resolve():

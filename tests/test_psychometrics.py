@@ -28,6 +28,7 @@ from irtcalib import (
     reliability_summary,
     sample_latent,
 )
+from irtcalib.latent import VALIDATION_SHAPE_PARAMS
 from irtcalib.study import ResponseDataset
 from irtcalib import test_information as total_information
 from irtcalib import test_information_dc as total_information_dc
@@ -214,6 +215,61 @@ def test_blocked_kernel_bit_identical_to_single_shot(m, n_items, log_c, seed):
     expected = _single_shot_information(theta, pool, c)
     assert np.array_equal(total_information(theta, pool, c), expected)
     assert np.array_equal(total_information_dc(theta, pool, c), _broadcast_information_dc(theta, pool, c))
+
+
+# The kernel takes |theta - beta| and then scales by -lam, where it used to scale,
+# take the absolute value and negate: rounding is symmetric in sign, so both give
+# -|lam*(theta - beta)| bit for bit, in either dtype.
+_differences = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2e-308, -1e-310, 1e-40, -1e-45, 1e308, -1e308]),
+)
+
+
+@settings(deadline=None, max_examples=200)
+@given(d=arrays(np.float64, st.integers(1, 40), elements=_differences),
+       lam=arrays(np.float64, st.integers(1, 8), elements=st.floats(1e-3, 1e3)),
+       dtype=st.sampled_from([np.float64, np.float32]))
+@example(d=np.array([0.0, -0.0, 5e-324, -1e308]), lam=np.array([1e-3, 1e3]), dtype=np.float32)
+def test_kernel_negation_folded_into_the_scale_is_bit_identical(d, lam, dtype):
+    beta = np.zeros(lam.size)
+    with np.errstate(over="ignore", under="ignore"):  # float32 casts of +-1e308 and 1e-45
+        x = np.subtract.outer(d.astype(dtype), beta.astype(dtype))
+        old = np.negative(np.abs(x * lam.astype(dtype)))
+        assert (np.abs(x) * (-lam).astype(dtype)).tobytes() == old.tobytes()
+        np.exp(old, out=old)
+        expected = old / (old + 1.0) ** 2
+        block = psychometrics._kernel_block(d.astype(dtype), beta.astype(dtype), (-lam).astype(dtype))
+        assert block.tobytes() == expected.tobytes()
+
+
+def test_workspace_views_one_aligned_buffer_in_both_dtypes():
+    for rows, n in ((3, 5), (2000, 60), (7, 1)):
+        arrays64 = psychometrics._workspace(rows, n, np.dtype(np.float64))
+        arrays32 = psychometrics._workspace(rows, n, np.dtype(np.float32))
+        for arr, dtype in zip(arrays64 + arrays32, [np.float64] * 2 + [np.float32] * 2):
+            assert arr.dtype == dtype and arr.shape == (rows, n) and arr.flags.c_contiguous
+            assert arr.ctypes.data % 64 == 0
+        assert arrays32[0].ctypes.data == arrays64[0].ctypes.data  # one buffer, no second allocation
+        assert not np.shares_memory(*arrays32) and not np.shares_memory(*arrays64)
+
+
+# SAC's avg_info iterations run the kernel in float32; the summary stays float64.
+@settings(deadline=None, max_examples=100)
+@given(m=st.one_of(st.integers(1, 2600), st.sampled_from([_BLOCK - 1, _BLOCK + 1, _BLOCK + 2])),
+       n_items=st.integers(1, 60), c=st.floats(0.1, 10.0), rasch=st.booleans(),
+       shape=st.sampled_from(["normal", "heavy_tail", "skew_pos", "bimodal"]), seed=st.integers(0, 2**32 - 1))
+@example(m=2600, n_items=60, c=10.0, rasch=False, shape="heavy_tail", seed=0)
+def test_float32_kernel_moves_rho_tilde_by_at_most_1e_6(m, n_items, c, rasch, shape, seed):
+    rng = np.random.default_rng(seed)
+    lam0 = np.ones(n_items) if rasch else np.exp(rng.normal(0, 0.3, n_items))
+    pool = ItemPool(model="rasch" if rasch else "twopl", beta=rng.normal(0, 1.5, n_items), lambda0=lam0)
+    theta = sample_latent(LatentSpec(shape=shape, shape_params=VALIDATION_SHAPE_PARAMS[shape]), m, rng=rng).theta
+    exact = reliability_summary(theta, pool, c)
+    fast = reliability_summary(theta, pool, c, dtype=np.float32)
+    assert abs(fast.rho_tilde - exact.rho_tilde) <= 1e-6
+    assert fast.j_bar == pytest.approx(exact.j_bar, rel=1e-5)
+    assert fast.sigma2_theta == exact.sigma2_theta and fast.m_points == exact.m_points
 
 
 def _traced_peak(fn, *args):

@@ -281,11 +281,11 @@ def test_twopl_result_roundtrip():
 
 def test_schema_version_one_document_loads():
     doc = json.loads(json.dumps(_small_twopl_run().to_dict()))
-    assert doc["schema_version"] == 3
+    assert doc["schema_version"] == 4
     doc["schema_version"] = 1
     clone = SacResult.from_dict(doc)
     assert clone.c_star == doc["c_star"]
-    assert clone.to_dict() == {**doc, "schema_version": 3}
+    assert clone.to_dict() == {**doc, "schema_version": 4}
 
 
 @pytest.mark.parametrize("status", [[1], "success"])
@@ -295,7 +295,7 @@ def test_result_document_with_unknown_status_rejected(status):
         SacResult.from_dict({**doc, "status": status})
 
 
-@pytest.mark.parametrize("version", [None, 0, 4, True, 3.0])
+@pytest.mark.parametrize("version", [None, 0, 5, True, 3.0])
 def test_unknown_schema_version_rejected(version):
     doc = _small_twopl_run().to_dict()
     if version is None:
@@ -328,14 +328,17 @@ def test_builds_one_pool_per_iteration_and_evaluation_block(monkeypatch):
     for name in ("build_pool", "child_seed", "stream"):
         monkeypatch.setattr(sac, name, counting(name, getattr(sac, name)))
     monkeypatch.setattr(sac, "reliability_summary",
-                        lambda theta, pool, c: seen.append(pool) or reliability_summary(theta, pool, c))
+                        lambda theta, pool, c, dtype=np.float64: seen.append((pool, dtype))
+                        or reliability_summary(theta, pool, c, dtype=dtype))
     result = _small_twopl_run(eval_m=350)  # 350 // 100 = 3 evaluation blocks
     assert calls["build_pool"] == 3
     cfg = result.config
     beta, lam = draw_pools(cfg.items, cfg.n_iter, stream(cfg.seed, "sac/pools"))
     assert len(seen) == 30 + 3
-    for n, pool in enumerate(seen[:30]):
+    for n, (pool, _) in enumerate(seen[:30]):
         assert (pool.beta.tobytes(), pool.lambda0.tobytes()) == (beta[n].tobytes(), lam[n].tobytes())
+    # avg_info iterations run the kernel in float32; the evaluation blocks stay float64.
+    assert [dtype for _, dtype in seen] == [np.float32] * 30 + [np.float64] * 3
     expected = build_pool(cfg.items, child_seed(cfg.seed, "sac/eval-pool", 0))
     assert result.pool.to_dict() == expected.to_dict()
 
@@ -344,12 +347,35 @@ def test_builds_one_pool_per_iteration_and_evaluation_block(monkeypatch):
     sac_calibrate(replace(cfg, n_iter=60))
     assert dict(calls) == counts_at_30
 
+    # msem iterations and evaluation blocks all stay float64.
+    seen.clear()
+    sac_calibrate(replace(cfg, metric="msem"))
+    assert len(seen) == 30 + 3 and {dtype for _, dtype in seen} == {np.float64}
+
     # A fixed pool is passed through as it is; no pool is generated for it.
     built = []
     monkeypatch.setattr(sac, "build_pool", lambda *args: built.append(build_pool(*args)) or built[-1])
     fixed = replace(cfg, items=result.pool)
     sac_calibrate(fixed)
     assert len(built) == 3 and all(pool is fixed.items for pool in built)
+
+
+@pytest.mark.parametrize("latent, items, m_per_iter", [
+    (LatentSpec(), PoolConfig(model="rasch", source="parametric", n_items=30), 400),
+    (LatentSpec(shape="skew_pos", shape_params={"k": 4.0}),
+     PoolConfig(model="twopl", source="empirical_pool", n_items=60), 2000),
+    (LatentSpec(shape="heavy_tail", shape_params={"nu": 5.0}), PoolConfig(model="twopl", source="parametric", n_items=12), 100),
+])
+def test_float32_iterations_track_float64_seed_for_seed(monkeypatch, latent, items, m_per_iter):
+    cfg = replace(BASE, latent=latent, items=items, n_iter=100, burn_in=50, m_per_iter=m_per_iter,
+                  eval_m=m_per_iter)
+    fast = sac_calibrate(cfg)
+    monkeypatch.setattr(sac, "reliability_summary",
+                        lambda theta, pool, c, dtype=np.float64: reliability_summary(theta, pool, c))
+    exact = sac_calibrate(cfg)
+    assert fast.c_star == pytest.approx(exact.c_star, rel=1e-6, abs=0)
+    assert fast.c_star != exact.c_star  # the iterations did run in float32
+    assert np.allclose(fast.trace_rho, exact.trace_rho, rtol=0, atol=1e-6)
 
 
 _CUSTOM_BETAS = [-1.5, -0.5, 0.0, 0.0, 0.5, 1.0, 1.0, 2.0]  # ties, as resampling makes

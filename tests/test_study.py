@@ -1,3 +1,4 @@
+import concurrent.futures
 import csv
 import functools
 import os
@@ -395,7 +396,8 @@ def test_process_pool_matches_serial(tmp_path, monkeypatch):
         started.append(kwargs)
         return ProcessPoolExecutor(*args, **kwargs)
 
-    monkeypatch.setattr(study, "ProcessPoolExecutor", recording_executor)
+    # study imports the executor only on its n_jobs > 1 path, so patch it where that import reads it.
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", recording_executor)
     run_validation_study(conds, tmp_path / "serial", master_seed=4, profile=tiny, n_jobs=1)
     assert started == []
     run_validation_study(conds, tmp_path / "par", master_seed=4, profile=tiny, n_jobs=2)
