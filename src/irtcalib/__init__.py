@@ -48,8 +48,6 @@ from .psychometrics import (
     ReliabilitySummary,
     ScaleInterval,
     analytic_ceiling,
-    item_information,
-    jensen_gap_estimate,
     logistic_kernel,
     monotonicity_scan,
     phi,

@@ -157,9 +157,11 @@ class CalibrationResult(ResultDocument):
     """Calibrated scale plus the diagnostics needed to judge and reuse it."""
 
     RESULT_TYPE = "eqc"
+    # 4: 2PL copula pools take log lambda from z_lam directly, so their
+    # discriminations move in the last bits;
     # 3: evaluations counts distinct scales; 2: it counted calls, which
     # re-evaluated both bracket ends and the root; 1: also held latent.seed
-    SCHEMA_VERSION = 3
+    SCHEMA_VERSION = 4
     STATUSES = STATUSES
 
     c_star: float

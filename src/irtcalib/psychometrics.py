@@ -61,14 +61,6 @@ def logistic_kernel(x):
     return float(out) if out.ndim == 0 else out
 
 
-def item_information(theta, beta, lam):
-    """Fisher information of a single item: ``lam^2 * h(lam*(theta - beta))``."""
-    theta = np.asarray(theta, dtype=float)
-    lam = np.asarray(lam, dtype=float)
-    out = lam**2 * logistic_kernel(lam * (theta - np.asarray(beta, dtype=float)))
-    return float(out) if np.ndim(out) == 0 else out
-
-
 # Rows of theta per kernel block: a power of two, never derived from the item
 # count. GEMV then groups rows as one (M, I) call would, so the blocked result
 # is bit-identical to the single-shot formula. 2048 keeps SAC's batches of up
@@ -248,17 +240,12 @@ def reliability_summary(
     latent distribution instead. ``dtype`` is the precision of the
     information kernel only; the summary itself is float64 arithmetic.
     """
-    return _summary_and_info(theta_sample, pool, c, sigma2, dtype)[0]
-
-
-def _summary_and_info(theta_sample, pool: ItemPool, c: float, sigma2: float | None, dtype=np.float64):
     theta = np.asarray(theta_sample, dtype=float)
     if theta.size == 0:
         raise EmptyRequestError("theta sample must be nonempty")
     if sigma2 is None:
         sigma2 = float(np.var(theta, ddof=1)) if theta.size > 1 else 0.0
-    info = _test_info_values(theta, pool, float(c), dtype)
-    return reliability_from_information(info, sigma2, c), info
+    return reliability_from_information(_test_info_values(theta, pool, float(c), dtype), sigma2, c)
 
 
 def metric_value(summary: ReliabilitySummary, metric: str) -> float:
@@ -298,9 +285,6 @@ class MonotonicityScan:
     is_monotone: bool
     grid: list  # (c, reliability) pairs
 
-    def values(self) -> np.ndarray:
-        return np.asarray([r for _, r in self.grid])
-
 
 def _strictly_increasing(values: np.ndarray, tol: float = 1e-10) -> bool:
     diffs = np.diff(np.asarray(values, dtype=float))
@@ -330,21 +314,3 @@ def monotonicity_scan(
         is_monotone=_strictly_increasing(np.asarray(values)),
         grid=list(zip((float(c) for c in grid_c), (float(v) for v in values))),
     )
-
-
-def jensen_gap_estimate(theta_sample, pool: ItemPool, c: float, sigma2: float | None = None) -> dict:
-    """Exact and second-order estimates of the gap between the two metrics.
-
-    The second-order form replaces ``mean(1/J)`` with
-    ``1/mean(J) + var(J)/mean(J)^3`` before the variance-ratio transform, so
-    the gap is governed by how unevenly information is spread across the
-    sample.
-    """
-    summary, info = _summary_and_info(theta_sample, pool, c, sigma2)
-    var = float(np.var(info, ddof=1)) if info.size > 1 else 0.0
-    msem2 = 1.0 / summary.j_bar + var / summary.j_bar**3
-    w_bar2 = summary.sigma2_theta / (summary.sigma2_theta + msem2)
-    return {
-        "gap_exact": summary.rho_tilde - summary.w_bar,
-        "gap_second_order": summary.rho_tilde - w_bar2,
-    }

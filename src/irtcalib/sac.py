@@ -126,10 +126,11 @@ class SacResult(ResultDocument):
     """Averaged scale, its independent evaluation, and the full iterate trace."""
 
     RESULT_TYPE = "sac"
+    # 5: 2PL copula pools take log lambda from z_lam directly (last-bit moves);
     # 4: avg_info iterations run the information kernel in float32 (msem keeps its bits);
     # 3: no latent.seed or redraw_items (both constant in effect);
     # 2: iteration pools are drawn in one batch; 1: one build_pool per iteration
-    SCHEMA_VERSION = 4
+    SCHEMA_VERSION = 5
     STATUSES = STATUSES
 
     c_star: float

@@ -65,7 +65,10 @@ ALGORITHMS = ("eqc", "sac_info", "sac_msem")
 # in one batch (SacResult schema 2), so SAC rows change; eqc rows do not.
 # 4: sac_info iterations run the information kernel in float32 (SacResult
 # schema 4), so sac_info rows change; eqc and sac_msem rows do not.
-SCHEMA_VERSION = 4
+# 5: 2PL copula pools take log lambda from z_lam directly (CalibrationResult
+# schema 4, SacResult schema 5); a study's 2PL pools are copula pools, so
+# 2PL rows change in their last bits and Rasch rows do not.
+SCHEMA_VERSION = 5
 
 # Target windows judged attainable for each standard test length.
 ADAPTIVE_TARGET_RANGE = {15: (0.30, 0.60), 30: (0.40, 0.70), 60: (0.50, 0.80)}

@@ -153,7 +153,7 @@ def test_generate_zero_persons(eqc_json, tmp_path):
                 "--out", str(tmp_path / "x.csv")]) == 2
 
 
-@pytest.mark.parametrize("version", [None, 4])
+@pytest.mark.parametrize("version", [None, 5])
 def test_generate_rejects_unknown_schema_version(eqc_json, tmp_path, capsys, version):
     doc = json.loads(eqc_json.read_text())
     if version is None:
@@ -303,7 +303,7 @@ def test_validate_summary_records_schema_version(tmp_path):
     cfg_path.write_text(json.dumps(cfg))
     assert run(["validate", "--config", str(cfg_path), "--out-dir", str(tmp_path / "out"), "--threads", "1"]) == 0
     summary = json.loads((tmp_path / "out" / "study_summary.json").read_text())
-    assert summary["schema_version"] == 4
+    assert summary["schema_version"] == 5
 
 
 def test_validate_full_profile_echo(tmp_path, capsys):
@@ -458,7 +458,11 @@ def test_validate_rejects_unknown_latent_keys(form, tmp_path, capsys):
 
 # Result documents of past schema versions, written by the package at that
 # version with these calibrate flags. Each still loads, re-serialises to the
-# document the same flags write now, and generates the same responses.
+# document the same flags write now, and generates the same responses. Only
+# Rasch documents are listed: the 2PL copula pools of eqc_schema_2.json
+# (`--target 0.6 --items 15 --model twopl --latent-shape skew_pos --m 500
+# --c-lower 0.1 --c-upper 10 --seed 5`) and of the later 2PL fixtures moved in
+# their last bits at EQC schema 4 and SAC schema 5.
 _PAST_DOCS = [
     ("eqc_schema_1.json",
      ["--target", "0.5", "--items", "15", "--model", "rasch", "--latent-shape", "bimodal",
@@ -467,9 +471,6 @@ _PAST_DOCS = [
      ["--algorithm", "sac", "--metric", "msem", "--target", "0.5", "--items", "15",
       "--model", "rasch", "--latent-shape", "heavy_tail", "--m", "500", "--n-iter", "40",
       "--m-per-iter", "200", "--c-lower", "0.1", "--c-upper", "10", "--seed", "4"]),
-    ("eqc_schema_2.json",
-     ["--target", "0.6", "--items", "15", "--model", "twopl", "--latent-shape", "skew_pos",
-      "--m", "500", "--c-lower", "0.1", "--c-upper", "10", "--seed", "5"]),
 ]
 
 
@@ -492,11 +493,13 @@ def test_past_schema_documents_load_and_generate_the_same_responses(name, flags,
 
 
 # Documents of the current schema, written by `calibrate --out`: loading one and
-# writing it again gives its bytes back, key order included. sac_schema_4.json
-# was written with the flags of sac_schema_3.json: `calibrate --algorithm sac
-# --target 0.6 --items 12 --model twopl --item-source pool --latent-shape skew_pos
-# --m 500 --n-iter 30 --m-per-iter 100 --seed 12`.
-@pytest.mark.parametrize("name", ["eqc_schema_3.json", "sac_schema_4.json"])
+# writing it again gives its bytes back, key order included. eqc_schema_4.json
+# was written with the flags of eqc_schema_3.json: `calibrate --target 0.7
+# --items 12 --model twopl --latent-shape bimodal --m 500 --seed 11`;
+# sac_schema_5.json with those of sac_schema_3.json and sac_schema_4.json:
+# `calibrate --algorithm sac --target 0.6 --items 12 --model twopl --item-source
+# pool --latent-shape skew_pos --m 500 --n-iter 30 --m-per-iter 100 --seed 12`.
+@pytest.mark.parametrize("name", ["eqc_schema_4.json", "sac_schema_5.json"])
 def test_current_schema_documents_keep_their_bytes(name):
     path = Path(__file__).parent / "data" / "result_docs" / name
     doc = json.loads(path.read_text())
@@ -507,12 +510,15 @@ def test_current_schema_documents_keep_their_bytes(name):
 # sha256 of `generate --n 300 --seed 8` from each past document. The schema-1 and
 # schema-2 digests were recorded with scipy's expit as the logistic, which numpy's
 # exp may differ from in the last bits; sac_schema_3.json's with numpy's logistic,
-# while SAC's avg_info iterations still ran in float64.
+# while SAC's avg_info iterations still ran in float64; eqc_schema_3.json's and
+# sac_schema_4.json's while copula pools still ran Phi^-1(Phi(z)).
 _PAST_DOC_RESPONSES = {
     "eqc_schema_1.json": "6a3dfc40f41a750822c8bd14c34d1992435f2c15b5e037f045d51c4428b36505",
     "sac_schema_2.json": "b906c4ff61f059819fe130acc4fe1fdb891aa3d4433721fcdf5f309dff428ac7",
     "eqc_schema_2.json": "3b9c8535d4eb8d80797c95283b0b33f403cc506649a07fe677acbdd56dc2b084",
     "sac_schema_3.json": "2c915104d05558b76d5cc37b804e6063bee0160fae46794cd0fcd0576680fc4c",
+    "eqc_schema_3.json": "f284b860a3ef6575d73137ba9cda8429dbb1e733a30814fb1b2416344abd7ddf",
+    "sac_schema_4.json": "2c915104d05558b76d5cc37b804e6063bee0160fae46794cd0fcd0576680fc4c",
 }
 
 

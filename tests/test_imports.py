@@ -1,4 +1,4 @@
-"""Import cost: scipy and multiprocessing stay off ``import irtcalib`` and every command that does not need them."""
+"""Import cost: scipy, multiprocessing and statistics stay off ``import irtcalib`` and every command that does not need them."""
 
 import json
 import os
@@ -83,6 +83,18 @@ def test_commands_other_than_validate_load_no_multiprocessing(tmp_path):
                             "--target", "0.5", "--items", "15", "--model", "rasch", "--n-iter", "20",
                             "--m-per-iter", "100", "--out", "sac.json", cwd=tmp_path) == set()
     assert (tmp_path / "sac.json").is_file()
+
+
+def test_only_copula_pools_load_statistics(tmp_path):
+    # statistics.NormalDist gives the copula its normal scores; the module pulls
+    # in decimal and fractions (3-4 ms), which nothing else needs.
+    assert _package_imports("statistics", "-c", "import irtcalib") == set()
+    assert _package_imports("statistics", "-m", "irtcalib", "--version") == set()
+    assert _package_imports("statistics", "-m", "irtcalib", "calibrate", "--target", "0.5", "--items", "15",
+                            "--model", "rasch", "--m", "500", "--out", "eqc.json", cwd=tmp_path) == set()
+    assert _package_imports("statistics", "-m", "irtcalib", "calibrate", "--target", "0.5", "--items", "15",
+                            "--model", "twopl", "--gen-method", "copula", "--m", "500", "--out", "twopl.json",
+                            cwd=tmp_path) == {"statistics"}
 
 
 def test_deferred_scipy_imports_resolve():

@@ -17,8 +17,6 @@ from irtcalib import (
     ScaleInterval,
     analytic_ceiling,
     build_pool,
-    item_information,
-    jensen_gap_estimate,
     logistic_kernel,
     monotonicity_scan,
     phi,
@@ -124,22 +122,11 @@ def test_kernel_bound_property():
 # --- information ------------------------------------------------------------
 
 
-def test_item_information_rasch_peak():
-    assert item_information(0.0, 0.0, 1.0) == pytest.approx(0.25)
-
-
-def test_item_information_lambda_scaling():
-    assert item_information(0.0, 0.0, 2.0) == pytest.approx(1.0)
-
-
-def test_item_information_at_p75():
-    assert item_information(math.log(3.0), 0.0, 1.0) == pytest.approx(0.1875)
-
-
 def test_test_information_single_item_matches():
     pool = make_rasch_pool([0.4])
     c = 1.7
-    assert total_information(1.0, pool, c) == pytest.approx(item_information(1.0, 0.4, c))
+    # One item's information is c^2 lambda^2 h(c lambda (theta - beta)), with lambda = 1.
+    assert total_information(1.0, pool, c) == pytest.approx(c**2 * logistic_kernel(c * (1.0 - 0.4)))
 
 
 def test_test_information_identical_rasch_items():
@@ -513,7 +500,7 @@ def test_scan_constant_metric_not_monotone():
     theta = np.linspace(-0.1, 0.1, 50)
     scan = monotonicity_scan(pool, theta, "msem", ScaleInterval(10.0, 20.0), 3)
     assert not scan.is_monotone
-    assert np.all(scan.values() == 0.0)
+    assert all(r == 0.0 for _, r in scan.grid)
 
 
 def test_scan_grid_size_validated():
@@ -535,20 +522,14 @@ def test_mean_information_grows_linearly_at_large_c():
 # --- jensen gap -------------------------------------------------------------
 
 
+def _jensen_gap(theta, pool, c, sigma2=None):
+    summary = reliability_summary(theta, pool, c, sigma2)
+    return summary.rho_tilde - summary.w_bar
+
+
 def test_jensen_gap_point_mass_is_zero():
     pool = make_rasch_pool([0.0, 1.0])
-    gaps = jensen_gap_estimate(np.full(16, 0.4), pool, 1.0, sigma2=1.0)
-    assert gaps["gap_exact"] == pytest.approx(0.0, abs=1e-14)
-    assert gaps["gap_second_order"] == pytest.approx(0.0, abs=1e-14)
-
-
-def test_jensen_gap_second_order_accuracy_low_variance():
-    # Dense difficulty grid at modest scale keeps information nearly flat.
-    pool = make_rasch_pool(np.linspace(-3, 3, 40))
-    theta = sample_latent(LatentSpec(), 100_000, rng=stream(34, "latent")).theta
-    gaps = jensen_gap_estimate(theta, pool, 0.5)
-    assert gaps["gap_exact"] > 0
-    assert abs(gaps["gap_exact"] - gaps["gap_second_order"]) < 0.2 * gaps["gap_exact"]
+    assert _jensen_gap(np.full(16, 0.4), pool, 1.0, sigma2=1.0) == pytest.approx(0.0, abs=1e-14)
 
 
 def test_jensen_gap_larger_for_heavy_tails():
@@ -557,6 +538,4 @@ def test_jensen_gap_larger_for_heavy_tails():
     theta_t = sample_latent(
         LatentSpec(shape="heavy_tail", shape_params={"nu": 5.0}), 50_000, rng=stream(36, "latent")
     ).theta
-    gap_n = jensen_gap_estimate(theta_n, pool, 1.0)["gap_exact"]
-    gap_t = jensen_gap_estimate(theta_t, pool, 1.0)["gap_exact"]
-    assert gap_t > gap_n
+    assert _jensen_gap(theta_t, pool, 1.0) > _jensen_gap(theta_n, pool, 1.0)
