@@ -47,7 +47,14 @@ from .errors import (
     whole_number,
 )
 from .items import GEN_METHODS, MODELS, DiscriminationSpec, PoolConfig
-from .latent import SHAPES, VALIDATION_SHAPE_PARAMS, LatentSpec, describe_shapes, theoretical_moments
+from .latent import (
+    SHAPES,
+    VALIDATION_SHAPE_PARAMS,
+    DensityTable,
+    LatentSpec,
+    describe_shapes,
+    theoretical_moments,
+)
 from .psychometrics import DEFAULT_INTERVAL, METRIC_AVG_INFO, METRIC_MSEM, ScaleInterval
 from .sac import SacConfig, SacResult, sac_calibrate
 from .study import (
@@ -558,6 +565,7 @@ def cmd_shapes(args) -> int:
     _write_json(
         str(args.out) + ".meta.json",
         {
+            "schema_version": DensityTable.SCHEMA_VERSION,
             "n": args.n,
             "shapes": [s.to_dict() for s in specs],
             "moments": moment_block,

@@ -252,8 +252,7 @@ def _average_ranks(x: np.ndarray) -> np.ndarray:
     """1-based ranks along the last axis, ties sharing the mean of their ranks.
 
     The ranks are half-integers, so every step is exact and each row is
-    bit-identical to ``scipy.stats.rankdata(row, method="average")``; as
-    there, a NaN makes every rank of its row NaN.
+    bit-identical to ``scipy.stats.rankdata(row, method="average")``.
     """
     n = x.shape[-1]
     order = np.argsort(x, axis=-1, kind="stable")
@@ -265,8 +264,7 @@ def _average_ranks(x: np.ndarray) -> np.ndarray:
     sorted_ranks = np.repeat(first % n + 1 + (counts - 1) / 2, counts)
     ranks = np.empty(x.shape)
     np.put_along_axis(ranks, order, sorted_ranks.reshape(x.shape), axis=-1)
-    nan_rows = np.isnan(x).any(axis=-1, keepdims=True)
-    return np.where(nan_rows, np.nan, ranks) if nan_rows.any() else ranks
+    return ranks
 
 
 def _spearman(x: np.ndarray, y: np.ndarray) -> float:

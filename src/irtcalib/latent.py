@@ -25,7 +25,7 @@ from typing import Any, Mapping
 
 import numpy as np
 
-from .errors import EmptyRequestError, ParameterError, real_number
+from .errors import DegenerateInputError, EmptyRequestError, ParameterError, real_number
 from .rng import stream
 
 # The shape_params keys each shape takes.
@@ -165,16 +165,39 @@ class LatentSample:
         return sample_moments(self.theta)
 
 
-def sample_moments(x: np.ndarray) -> dict:
-    """Mean, unbiased variance, skewness, and excess kurtosis of a sample."""
-    from scipy import stats  # deferred: scipy.stats is slow to import
+def _constant(x: np.ndarray, mean, m2) -> bool:
+    """Whether sample ``x``, of mean ``mean`` and spread ``m2``, is constant up to rounding.
 
+    It is when ``m2 <= (eps*mean)^2``, the floor below which ``scipy.stats.skew``
+    and ``kurtosis`` return NaN, or when its values are all equal: the mean of
+    equal values can round some ulps off them, and their m2 past the floor.
+    """
+    return bool(m2 <= (np.finfo(float).eps * mean) ** 2 or x.min() == x.max())
+
+
+def sample_moments(x: np.ndarray) -> dict:
+    """Mean, unbiased variance, skewness, and excess kurtosis of a sample.
+
+    Skewness m3/m2^1.5 and excess kurtosis m4/m2^2 - 3 are the biased ratios
+    of the central moments m_k = mean((x - mean(x))^k), as ``scipy.stats``
+    computes them by default. Both are NaN for a constant sample (see
+    :func:`_constant`).
+    """
     x = np.asarray(x, dtype=float)
+    mean = np.mean(x)
+    d = x - mean
+    d2 = d * d
+    m2 = np.mean(d2)
+    skew = kurt = float("nan")
+    if not _constant(x, mean, m2):
+        with np.errstate(divide="ignore", invalid="ignore"):  # m2**1.5 may underflow, as in scipy
+            skew = float(np.mean(d2 * d) / m2**1.5)
+            kurt = float(np.mean(d2 * d2) / m2**2 - 3.0)
     return {
-        "mean": float(np.mean(x)),
+        "mean": float(mean),
         "var": float(np.var(x, ddof=1)) if x.size > 1 else 0.0,
-        "skew": float(stats.skew(x)),
-        "excess_kurtosis": float(stats.kurtosis(x, fisher=True)),
+        "skew": skew,
+        "excess_kurtosis": kurt,
     }
 
 
@@ -243,9 +266,40 @@ def theoretical_moments(spec: LatentSpec) -> dict:
     return {"mean": 0.0, "variance": 1.0, "skewness": float(skew), "excess_kurtosis": float(kurt)}
 
 
+# Grid points times draws per temporary of the kernel density estimate (512 KiB).
+_KDE_BLOCK_CELLS = 1 << 16
+
+
+def _gaussian_kde(x: np.ndarray, grid: np.ndarray) -> np.ndarray:
+    """Gaussian kernel density estimate of sample ``x`` at the points ``grid``.
+
+    The bandwidth is Scott's rule, h = sd * n^(-1/5) with the sample SD
+    (ddof=1), and the density is mean_i phi((g - x_i)/h) / h with phi the
+    standard normal density: ``scipy.stats.gaussian_kde`` in one dimension.
+    A few grid points are evaluated at a time, so no temporary holds more
+    than about ``_KDE_BLOCK_CELLS`` values.
+    """
+    n = x.size
+    h = np.std(x, ddof=1) * n**-0.2
+    scaled = x / h
+    rows = max(1, _KDE_BLOCK_CELLS // n)
+    sums = np.empty(grid.size)
+    for start in range(0, grid.size, rows):
+        block = grid[start:start + rows, None] / h - scaled
+        block *= block
+        block *= -0.5
+        np.exp(block, out=block)
+        block.sum(axis=1, out=sums[start:start + rows])
+    return sums / (n * h * np.sqrt(2.0 * np.pi))
+
+
 @dataclass
 class DensityTable:
     """Grid of kernel density estimates plus per-shape sample moments."""
+
+    # The version of the ``shapes`` meta document and of the CSV it describes;
+    # 2 since the densities and moments are computed with numpy, not scipy.
+    SCHEMA_VERSION = 2
 
     theta: np.ndarray
     densities: dict[str, np.ndarray]
@@ -263,9 +317,11 @@ class DensityTable:
 
 def describe_shapes(specs: list[LatentSpec], n: int, seeds: list[int], grid_size: int = 256) -> DensityTable:
     """Sample spec ``k`` from ``stream(seeds[k], "latent")`` and tabulate kernel density
-    estimates on a shared grid."""
-    from scipy import stats  # deferred: scipy.stats is slow to import
+    estimates on a shared grid.
 
+    A sample that is constant up to rounding has no density and NaN moments;
+    it raises :class:`DegenerateInputError` naming its label.
+    """
     if int(n) < 100:
         raise ParameterError(f"n must be >= 100 for density estimation, got {n}")
     if not specs:
@@ -276,17 +332,19 @@ def describe_shapes(specs: list[LatentSpec], n: int, seeds: list[int], grid_size
     for spec, seed in zip(specs, seeds, strict=True):
         counts[spec.shape] = counts.get(spec.shape, 0) + 1
         label = spec.shape if counts[spec.shape] == 1 else f"{spec.shape}_{counts[spec.shape]}"
+        theta = sample_latent(spec, n, rng=stream(seed, "latent")).theta
+        mean = np.mean(theta)
+        if _constant(theta, mean, np.mean((theta - mean) ** 2)):
+            raise DegenerateInputError(
+                f"shape {label!r} drew a constant sample; it has no density to estimate")
         labels.append(label)
-        samples.append(sample_latent(spec, n, rng=stream(seed, "latent")))
+        samples.append(theta)
 
-    lo = min(float(s.theta.min()) for s in samples)
-    hi = max(float(s.theta.max()) for s in samples)
+    lo = min(float(theta.min()) for theta in samples)
+    hi = max(float(theta.max()) for theta in samples)
     pad = 0.05 * (hi - lo)
     grid = np.linspace(lo - pad, hi + pad, grid_size)
 
-    densities, moments = {}, {}
-    for label, s in zip(labels, samples):
-        kde = stats.gaussian_kde(s.theta)
-        densities[label] = kde(grid)
-        moments[label] = s.sample_moments
+    densities = {label: _gaussian_kde(theta, grid) for label, theta in zip(labels, samples)}
+    moments = {label: sample_moments(theta) for label, theta in zip(labels, samples)}
     return DensityTable(theta=grid, densities=densities, moments=moments)

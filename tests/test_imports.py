@@ -1,5 +1,11 @@
-"""Import cost: scipy, multiprocessing and statistics stay off ``import irtcalib`` and every command that does not need them."""
+"""Dependencies and import cost.
 
+scipy is a test-only dependency: no module of the package imports it and no
+command loads it. multiprocessing and statistics stay off ``import irtcalib``
+and every command that does not need them.
+"""
+
+import ast
 import json
 import os
 import re
@@ -7,7 +13,10 @@ import subprocess
 import sys
 from pathlib import Path
 
-SRC = str(Path(__file__).resolve().parents[1] / "src")
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+SRC = str(ROOT / "src")
 _IMPORTED = re.compile(r"^import time:\s+\d+ \|\s+\d+ \|\s*(\S+)$", re.MULTILINE)
 
 
@@ -97,8 +106,28 @@ def test_only_copula_pools_load_statistics(tmp_path):
                             cwd=tmp_path) == {"statistics"}
 
 
-def test_deferred_scipy_imports_resolve():
+def test_shapes_loads_no_scipy(tmp_path):
+    assert _scipy_imports("-m", "irtcalib", "shapes", "--shapes", "normal,skew_pos:k=4", "--n", "500",
+                          "--out", "shapes.csv", cwd=tmp_path) == set()
+    assert (tmp_path / "shapes.csv.meta.json").is_file()
+
+
+def test_no_package_module_imports_scipy():
+    for path in sorted((ROOT / "src" / "irtcalib").rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), filename=str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            for name in names:
+                assert name.split(".")[0] != "scipy", f"{path.name}:{node.lineno} imports {name}"
+
+
+def test_shapes_moments_and_eqc_run_in_a_fresh_process():
     out = _run(
+        "import sys\n"
         "from irtcalib import EqcConfig, LatentSpec, PoolConfig, describe_shapes, eqc_calibrate\n"
         "from irtcalib.latent import sample_latent\n"
         "from irtcalib.rng import stream\n"
@@ -108,5 +137,17 @@ def test_deferred_scipy_imports_resolve():
         "result = eqc_calibrate(EqcConfig(target_rho=0.6, latent=LatentSpec(),\n"
         "                                 items=PoolConfig(n_items=10), m_quadrature=500))\n"
         "print(table.densities['normal'].shape, sorted(moments), result.status)\n"
+        "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))\n"
     )
-    assert out.split("\n")[0] == "(8,) ['excess_kurtosis', 'mean', 'skew', 'var'] success"
+    assert out.split("\n")[:2] == ["(8,) ['excess_kurtosis', 'mean', 'skew', 'var'] success", "[]"]
+
+
+def test_scipy_is_a_test_dependency_only():
+    tomllib = pytest.importorskip("tomllib")  # standard library from Python 3.11
+    project = tomllib.loads((ROOT / "pyproject.toml").read_text(encoding="utf-8"))["project"]
+
+    def names(requirements):
+        return {re.match(r"[A-Za-z0-9._-]+", r).group().lower() for r in requirements}
+
+    assert "scipy" not in names(project["dependencies"])
+    assert "scipy" in names(project["optional-dependencies"]["test"])

@@ -1,8 +1,14 @@
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 from scipy import integrate, optimize, stats
 
 from irtcalib import (
+    DegenerateInputError,
     EmptyRequestError,
     LatentSpec,
     ParameterError,
@@ -10,6 +16,7 @@ from irtcalib import (
     sample_latent,
     theoretical_moments,
 )
+from irtcalib.latent import _constant, _gaussian_kde, sample_moments
 from irtcalib.rng import stream
 
 BIG_N = 1_000_000
@@ -248,3 +255,74 @@ def test_density_table_csv_roundtrip(tmp_path):
     table.to_csv(path)
     header = path.read_text().splitlines()[0]
     assert header == "theta,normal"
+
+
+@st.composite
+def samples(draw):
+    """1-D samples from one value up: ties on a scaled integer lattice, free floats, or one value repeated."""
+    n = draw(st.integers(1, 300))
+    kind = draw(st.sampled_from(["lattice", "floats", "constant"]))
+    if kind == "lattice":
+        ints = draw(arrays(np.int64, n, elements=st.integers(-20, 20)))
+        scale = draw(st.sampled_from([2.0**-30, 1e-3, 0.37, 25.0]))
+        return ints * scale + draw(st.sampled_from([0.0, 1.0, -3.5]))
+    if kind == "floats":
+        return draw(arrays(np.float64, n, elements=st.floats(-10, 10)))
+    return np.full(n, draw(st.floats(-10, 10)))
+
+
+def _scipy(f, *args):
+    with warnings.catch_warnings():  # scipy warns of cancellation on nearly equal values
+        warnings.simplefilter("ignore", RuntimeWarning)
+        return f(*args)
+
+
+@settings(deadline=None)
+@given(x=samples())
+def test_sample_moments_equal_scipys(x):
+    mom = sample_moments(x)
+    got = [mom["skew"], mom["excess_kurtosis"]]
+    if x.min() == x.max():
+        # scipy's floor alone misses equal values whose mean rounds 2 or more
+        # ulps off them; scipy then reports skewness +-1 and excess kurtosis -2.
+        assert np.isnan(got).all()
+    else:
+        np.testing.assert_array_equal(got, [_scipy(stats.skew, x), _scipy(stats.kurtosis, x)])
+
+
+@settings(deadline=None)
+@given(x=samples())
+def test_gaussian_kde_is_scipys_up_to_rounding(x):
+    mean = np.mean(x)
+    assume(not _constant(x, mean, np.mean((x - mean) ** 2)) and np.std(x) > 1e-100)
+    h = np.std(x, ddof=1) * x.size**-0.2
+    grid = np.linspace(x.min() - 40 * h, x.max() + 40 * h, 41)
+    got = _gaussian_kde(x, grid)
+    expected = _scipy(lambda: stats.gaussian_kde(x)(grid))
+    # A term's exponent u^2/2, u = (g - x_i)/h, is a difference of g/h and
+    # x_i/h, values up to R = max|g|/h, and its h may differ from scipy's in
+    # the last bit. For terms that do not underflow (u < 38.6) that puts the
+    # relative error near eps * (77*R + 1500), under 150 * eps * (R + 40);
+    # the largest over 12,000 samples was 143 * eps * (R + 40). Subnormal
+    # densities also round absolutely, by up to 2^-1074 per term.
+    rtol = 512 * np.finfo(float).eps * (np.max(np.abs(grid)) / h + 40)
+    atol = rtol * np.finfo(float).tiny + x.size * 2.0**-1074
+    np.testing.assert_allclose(got, expected, rtol=rtol, atol=atol)
+
+
+_CONSTANT_MIXTURE = LatentSpec(shape="mixture", shape_params={"components": [
+    {"weight": 1, "mean": 0, "sd": 0}, {"weight": 1e-12, "mean": 1, "sd": 0}]})
+
+
+@pytest.mark.parametrize("n", [128, 256, 1024])
+def test_constant_sample_has_nan_moments_and_no_density(n):
+    # Every draw comes from the sd-0 component; m2 = 4.5e-44 lies below (eps*mean)^2 = 4.9e-44.
+    theta = sample_latent(_CONSTANT_MIXTURE, n, rng=stream(0, "latent")).theta
+    assert np.unique(theta).size == 1
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        mom = sample_moments(theta)
+    assert np.isnan(mom["skew"]) and np.isnan(mom["excess_kurtosis"])
+    spread = LatentSpec(shape="mixture", shape_params={"components": [{"weight": 1, "mean": 0, "sd": 1}]})
+    with pytest.raises(DegenerateInputError, match="'mixture_2'"):
+        describe_shapes([spread, _CONSTANT_MIXTURE], n, seeds=[0, 0])
