@@ -157,11 +157,12 @@ class CalibrationResult(ResultDocument):
     """Calibrated scale plus the diagnostics needed to judge and reuse it."""
 
     RESULT_TYPE = "eqc"
+    # 5: the information kernel takes h(x) = 1/(2 + 2 cosh x) (last-bit moves);
     # 4: 2PL copula pools take log lambda from z_lam directly, so their
     # discriminations move in the last bits;
     # 3: evaluations counts distinct scales; 2: it counted calls, which
     # re-evaluated both bracket ends and the root; 1: also held latent.seed
-    SCHEMA_VERSION = 4
+    SCHEMA_VERSION = 5
     STATUSES = STATUSES
 
     c_star: float

@@ -2,8 +2,10 @@
 
 Conventions used throughout:
 
-* ``h(x) = s(x)(1 - s(x))`` is the logistic variance kernel with
-  ``s`` the inverse logit; ``0 < h(x) <= 1/4`` with equality only at 0.
+* ``h(x) = s(x)(1 - s(x)) = 1/(2 + 2*cosh x)`` is the logistic variance
+  kernel with ``s`` the inverse logit; ``0 < h(x) <= 1/4`` with equality
+  only at 0. The information kernel takes the cosh form, which is exactly 0
+  past cosh's overflow (``|x|`` near 710.5, or 89.4 in float32).
 * Item information at scale ``c`` is ``(c*lambda0)^2 * h(c*lambda0*(theta - beta))``
   and test information is the sum over items.
 * Two marginal reliability functionals share the variance-ratio form:
@@ -54,7 +56,7 @@ def prob_correct(theta, beta, lam):
 
 
 def logistic_kernel(x):
-    """The logistic variance kernel ``s(x)(1 - s(x))``, evaluated stably."""
+    """The logistic variance kernel ``s(x)(1 - s(x))`` in its stable exp form: the scalar reference."""
     x = np.asarray(x, dtype=float)
     a = np.exp(-np.abs(x))
     out = a / (1.0 + a) ** 2
@@ -62,33 +64,31 @@ def logistic_kernel(x):
 
 
 # Rows of theta per kernel block: a power of two, never derived from the item
-# count. GEMV then groups rows as one (M, I) call would, so the blocked result
-# is bit-identical to the single-shot formula. 2048 keeps SAC's batches of up
-# to 2000 draws in one block.
+# count. GEMM and GEMV then group rows as one (M, I) call would, so the blocked
+# result is bit-identical to the single-shot formula. 2048 keeps SAC's batches
+# of up to 2000 draws in one block.
 _BLOCK_ROWS = 2048
 _local = threading.local()
 
 
-def _workspace(rows: int, n: int, dtype: np.dtype) -> tuple[np.ndarray, np.ndarray]:
-    """Two C-contiguous ``(rows, n)`` arrays of ``dtype`` in one per-thread buffer, reused across calls and grown only.
+def _workspace(rows: int, n: int, dtype: np.dtype) -> np.ndarray:
+    """A C-contiguous ``(rows, n)`` array of ``dtype`` in a per-thread buffer, reused across calls and grown only.
 
-    Every dtype views the same float64 buffer, and each array starts on a
-    64-byte boundary: at the 16-byte offset that large allocations get, a SAC
+    Every dtype views the same float64 buffer, which starts on a 64-byte
+    boundary: at the 16-byte offset that large allocations get, a SAC
     calibration after an EQC solve (2PL, I=60, 500 draws) ran about 8% slower
     than with per-call temporaries, measured on an AVX-512 Xeon with one BLAS
     thread.
     """
     size = rows * n
-    per_line = 64 // dtype.itemsize
-    stride = -(-size // per_line) * per_line  # whole 64-byte lines
-    words = stride * dtype.itemsize // 8
+    words = -(-size * dtype.itemsize // 8)
     buf = getattr(_local, "buf", None)
-    if buf is None or buf.size < 2 * words:
-        raw = np.empty(2 * words + 8)
+    if buf is None or buf.size < words:
+        raw = np.empty(words + 8)
         start = -raw.ctypes.data % 64 // 8
-        buf = _local.buf = raw[start : start + 2 * words]
+        buf = _local.buf = raw[start : start + words]
     flat = buf if dtype == buf.dtype else buf.view(dtype)
-    return flat[:size].reshape(rows, n), flat[stride : stride + size].reshape(rows, n)
+    return flat[:size].reshape(rows, n)
 
 
 def _blocks(m: int):
@@ -99,33 +99,27 @@ def _blocks(m: int):
     return zip(bounds[:-1], bounds[1:])
 
 
-def _kernel_block(theta: np.ndarray, beta: np.ndarray, neg_lam: np.ndarray) -> np.ndarray:
-    """The logistic kernel ``h`` at ``lam*(theta - beta)``, built in the workspace in the dtype of its inputs.
-
-    ``neg_lam`` is ``-lam``: rounding is symmetric in sign, so scaling
-    ``|theta - beta|`` by it gives ``-|lam*(theta - beta)|`` bit for bit.
-    """
-    x, denom = _workspace(theta.size, beta.size, theta.dtype)
-    np.subtract.outer(theta, beta, out=x)
-    np.abs(x, out=x)
-    x *= neg_lam
-    np.exp(x, out=x)  # now exp(-|x|)
-    np.add(x, 1.0, out=denom)
-    denom *= denom
-    x /= denom  # now the kernel h
-    return x
-
-
 def _test_info_values(theta: np.ndarray, pool: ItemPool, c: float, dtype=np.float64) -> np.ndarray:
-    """Per-person test information at scale ``c`` over a 1-D ``theta``: one GEMV per row block, in ``dtype``."""
-    neg_lam = -c * pool.lambda0
-    weights = (neg_lam * neg_lam).astype(dtype, copy=False)
-    theta = theta.astype(dtype, copy=False)
-    beta = pool.beta.astype(dtype, copy=False)
-    neg_lam = neg_lam.astype(dtype, copy=False)
+    """Per-person test information at scale ``c`` over a 1-D ``theta``, in ``dtype``.
+
+    With ``a = c*lambda0``, each row block takes ``x = a*theta - a*beta`` as
+    one K=2 GEMM ``[theta, 1] @ [[a], [-a*beta]]``, turns it in place into
+    ``1/(1 + cosh x) = 2*h(x)`` (0 where cosh overflows), and sums it with
+    one GEMV against ``a^2/2``.
+    """
+    a = c * pool.lambda0
+    coef = np.array((a, -a * pool.beta, 0.5 * a * a), dtype)  # the GEMM's rows, then the GEMV's
+    design = np.ones((theta.size, 2), dtype)
+    design[:, 0] = theta
     out = np.empty(theta.size, dtype)
-    for start, stop in _blocks(theta.size):
-        np.matmul(_kernel_block(theta[start:stop], beta, neg_lam), weights, out=out[start:stop])
+    with np.errstate(over="ignore"):
+        for start, stop in _blocks(theta.size):
+            x = _workspace(stop - start, a.size, out.dtype)
+            np.matmul(design[start:stop], coef[:2], out=x)
+            np.cosh(x, out=x)
+            x += 1.0
+            np.reciprocal(x, out=x)
+            np.matmul(x, coef[2], out=out[start:stop])
     return out
 
 

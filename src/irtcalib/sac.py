@@ -17,8 +17,9 @@ An ``avg_info`` iteration runs the information kernel in float32: the update
 reads only the sign and rough size of a measurement that is noisy at about
 1e-2, and float32 moves it by about 1e-8. Everything reported (the
 evaluation blocks behind ``achieved_rho``) and every ``msem`` iteration stay
-float64, since float32's ``exp(-|x|)`` underflows at ``|x|`` near 103 rather
-than 745 and would move the ``INFO_FLOOR`` rule onto other batches.
+float64, since float32's ``cosh`` overflows, giving ``h = 0``, at ``|x|``
+near 89.4 rather than 710.5 and would move the ``INFO_FLOOR`` rule onto
+other batches.
 
 The reported ``achieved_rho`` comes from an independent evaluation stream:
 ``eval_m / m_per_iter`` blocks, each shaped exactly like an iteration batch
@@ -126,11 +127,12 @@ class SacResult(ResultDocument):
     """Averaged scale, its independent evaluation, and the full iterate trace."""
 
     RESULT_TYPE = "sac"
+    # 6: the information kernel takes h(x) = 1/(2 + 2 cosh x) (c* moves by about 2e-9 relative);
     # 5: 2PL copula pools take log lambda from z_lam directly (last-bit moves);
     # 4: avg_info iterations run the information kernel in float32 (msem keeps its bits);
     # 3: no latent.seed or redraw_items (both constant in effect);
     # 2: iteration pools are drawn in one batch; 1: one build_pool per iteration
-    SCHEMA_VERSION = 5
+    SCHEMA_VERSION = 6
     STATUSES = STATUSES
 
     c_star: float

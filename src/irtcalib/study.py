@@ -68,7 +68,9 @@ ALGORITHMS = ("eqc", "sac_info", "sac_msem")
 # 5: 2PL copula pools take log lambda from z_lam directly (CalibrationResult
 # schema 4, SacResult schema 5); a study's 2PL pools are copula pools, so
 # 2PL rows change in their last bits and Rasch rows do not.
-SCHEMA_VERSION = 5
+# 6: the information kernel takes h(x) = 1/(2 + 2 cosh x) (CalibrationResult
+# schema 5, SacResult schema 6), so rows of every algorithm move in their last bits.
+SCHEMA_VERSION = 6
 
 # Target windows judged attainable for each standard test length.
 ADAPTIVE_TARGET_RANGE = {15: (0.30, 0.60), 30: (0.40, 0.70), 60: (0.50, 0.80)}

@@ -153,7 +153,7 @@ def test_generate_zero_persons(eqc_json, tmp_path):
                 "--out", str(tmp_path / "x.csv")]) == 2
 
 
-@pytest.mark.parametrize("version", [None, 5])
+@pytest.mark.parametrize("version", [None, 6])
 def test_generate_rejects_unknown_schema_version(eqc_json, tmp_path, capsys, version):
     doc = json.loads(eqc_json.read_text())
     if version is None:
@@ -303,7 +303,7 @@ def test_validate_summary_records_schema_version(tmp_path):
     cfg_path.write_text(json.dumps(cfg))
     assert run(["validate", "--config", str(cfg_path), "--out-dir", str(tmp_path / "out"), "--threads", "1"]) == 0
     summary = json.loads((tmp_path / "out" / "study_summary.json").read_text())
-    assert summary["schema_version"] == 5
+    assert summary["schema_version"] == 6
 
 
 def test_validate_full_profile_echo(tmp_path, capsys):
@@ -493,13 +493,14 @@ def test_past_schema_documents_load_and_generate_the_same_responses(name, flags,
 
 
 # Documents of the current schema, written by `calibrate --out`: loading one and
-# writing it again gives its bytes back, key order included. eqc_schema_4.json
-# was written with the flags of eqc_schema_3.json: `calibrate --target 0.7
-# --items 12 --model twopl --latent-shape bimodal --m 500 --seed 11`;
-# sac_schema_5.json with those of sac_schema_3.json and sac_schema_4.json:
-# `calibrate --algorithm sac --target 0.6 --items 12 --model twopl --item-source
-# pool --latent-shape skew_pos --m 500 --n-iter 30 --m-per-iter 100 --seed 12`.
-@pytest.mark.parametrize("name", ["eqc_schema_4.json", "sac_schema_5.json"])
+# writing it again gives its bytes back, key order included. eqc_schema_5.json
+# was written with the flags of eqc_schema_3.json and eqc_schema_4.json:
+# `calibrate --target 0.7 --items 12 --model twopl --latent-shape bimodal --m 500
+# --seed 11`; sac_schema_6.json with those of sac_schema_3.json to
+# sac_schema_5.json: `calibrate --algorithm sac --target 0.6 --items 12 --model
+# twopl --item-source pool --latent-shape skew_pos --m 500 --n-iter 30
+# --m-per-iter 100 --seed 12`.
+@pytest.mark.parametrize("name", ["eqc_schema_5.json", "sac_schema_6.json"])
 def test_current_schema_documents_keep_their_bytes(name):
     path = Path(__file__).parent / "data" / "result_docs" / name
     doc = json.loads(path.read_text())
@@ -511,7 +512,9 @@ def test_current_schema_documents_keep_their_bytes(name):
 # schema-2 digests were recorded with scipy's expit as the logistic, which numpy's
 # exp may differ from in the last bits; sac_schema_3.json's with numpy's logistic,
 # while SAC's avg_info iterations still ran in float64; eqc_schema_3.json's and
-# sac_schema_4.json's while copula pools still ran Phi^-1(Phi(z)).
+# sac_schema_4.json's while copula pools still ran Phi^-1(Phi(z));
+# eqc_schema_4.json's and sac_schema_5.json's while the information kernel
+# still ran h = exp(-|x|) / (1 + exp(-|x|))^2.
 _PAST_DOC_RESPONSES = {
     "eqc_schema_1.json": "6a3dfc40f41a750822c8bd14c34d1992435f2c15b5e037f045d51c4428b36505",
     "sac_schema_2.json": "b906c4ff61f059819fe130acc4fe1fdb891aa3d4433721fcdf5f309dff428ac7",
@@ -519,6 +522,8 @@ _PAST_DOC_RESPONSES = {
     "sac_schema_3.json": "2c915104d05558b76d5cc37b804e6063bee0160fae46794cd0fcd0576680fc4c",
     "eqc_schema_3.json": "f284b860a3ef6575d73137ba9cda8429dbb1e733a30814fb1b2416344abd7ddf",
     "sac_schema_4.json": "2c915104d05558b76d5cc37b804e6063bee0160fae46794cd0fcd0576680fc4c",
+    "eqc_schema_4.json": "f284b860a3ef6575d73137ba9cda8429dbb1e733a30814fb1b2416344abd7ddf",
+    "sac_schema_5.json": "2c915104d05558b76d5cc37b804e6063bee0160fae46794cd0fcd0576680fc4c",
 }
 
 

@@ -188,10 +188,10 @@ def test_pool_generation_failure_propagates():
         eqc_calibrate(cfg)
 
 
-@pytest.mark.parametrize("version", [None, 0, 5, 6, True, 3.0])
+@pytest.mark.parametrize("version", [None, 0, 6, 7, True, 3.0])
 def test_result_document_with_unknown_schema_version_rejected(version):
     doc = eqc_calibrate(replace(FLAGSHIP, m_quadrature=1000)).to_dict()
-    assert doc["schema_version"] == 4
+    assert doc["schema_version"] == 5
     if version is None:
         del doc["schema_version"]
     else:

@@ -1,4 +1,9 @@
 import math
+import os
+import subprocess
+import sys
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -31,7 +36,7 @@ from irtcalib.study import ResponseDataset
 from irtcalib import test_information as total_information
 from irtcalib import test_information_dc as total_information_dc
 from irtcalib import psychometrics
-from irtcalib.psychometrics import _P_HI, _P_LO, _strictly_increasing, metric_value
+from irtcalib.psychometrics import _P_HI, _P_LO, _strictly_increasing, metric_value, reliability_from_information
 from irtcalib.rng import stream
 
 from conftest import make_rasch_pool
@@ -159,16 +164,23 @@ def test_dc_derivative_negative_beyond_root():
 
 def _single_shot_information(theta, pool, c):
     """The information kernel as one (M, I) pass: the bit-level reference."""
+    a = c * pool.lambda0
+    flat = np.ravel(theta)
+    x = np.column_stack((flat, np.ones_like(flat))) @ np.array((a, -a * pool.beta))
+    with np.errstate(over="ignore"):
+        np.cosh(x, out=x)
+    x += 1.0
+    np.reciprocal(x, out=x)
+    return (x @ (0.5 * a * a)).reshape(np.shape(theta))
+
+
+def _exp_form_information(theta, pool, c):
+    """Test information through h = exp(-|x|) / (1 + exp(-|x|))^2: the numerical reference."""
     lam = c * pool.lambda0
-    x = np.subtract.outer(theta, pool.beta)
-    x *= lam
-    np.abs(x, out=x)
+    x = np.abs(np.subtract.outer(theta, pool.beta) * lam)
     np.negative(x, out=x)
     np.exp(x, out=x)
-    denom = x + 1.0
-    denom *= denom
-    x /= denom
-    return x @ (lam * lam)
+    return (x / (x + 1.0) ** 2) @ (lam * lam)
 
 
 def _broadcast_information_dc(theta, pool, c):
@@ -204,41 +216,82 @@ def test_blocked_kernel_bit_identical_to_single_shot(m, n_items, log_c, seed):
     assert np.array_equal(total_information_dc(theta, pool, c), _broadcast_information_dc(theta, pool, c))
 
 
-# The kernel takes |theta - beta| and then scales by -lam, where it used to scale,
-# take the absolute value and negate: rounding is symmetric in sign, so both give
-# -|lam*(theta - beta)| bit for bit, in either dtype.
-_differences = st.one_of(
-    st.floats(allow_nan=False, allow_infinity=False),
-    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2e-308, -1e-310, 1e-40, -1e-45, 1e308, -1e308]),
-)
+# h(x) = 1/(2 + 2*cosh x) at x = a*theta - a*beta against the exp form at
+# x = a*(theta - beta): the two round x differently, by up to about
+# eps/2 * (|a*theta| + |a*beta| + 2|x|), or 2.6e-13 relative in h here; 20,000
+# random cases measured at most 1.14e-13. Totals below INFO_FLOOR count as zero.
+# |x| reaches 1e3, past cosh's overflow in both dtypes, without a warning.
+_EXP_FORM_RTOL = 5e-13
 
 
 @settings(deadline=None, max_examples=200)
-@given(d=arrays(np.float64, st.integers(1, 40), elements=_differences),
-       lam=arrays(np.float64, st.integers(1, 8), elements=st.floats(1e-3, 1e3)),
-       dtype=st.sampled_from([np.float64, np.float32]))
-@example(d=np.array([0.0, -0.0, 5e-324, -1e308]), lam=np.array([1e-3, 1e3]), dtype=np.float32)
-def test_kernel_negation_folded_into_the_scale_is_bit_identical(d, lam, dtype):
-    beta = np.zeros(lam.size)
-    with np.errstate(over="ignore", under="ignore"):  # float32 casts of +-1e308 and 1e-45
-        x = np.subtract.outer(d.astype(dtype), beta.astype(dtype))
-        old = np.negative(np.abs(x * lam.astype(dtype)))
-        assert (np.abs(x) * (-lam).astype(dtype)).tobytes() == old.tobytes()
-        np.exp(old, out=old)
-        expected = old / (old + 1.0) ** 2
-        block = psychometrics._kernel_block(d.astype(dtype), beta.astype(dtype), (-lam).astype(dtype))
-        assert block.tobytes() == expected.tobytes()
+@given(theta=arrays(np.float64, st.integers(1, 40), elements=st.floats(-10, 10)),
+       items=st.integers(1, 8).flatmap(lambda n: st.tuples(
+           arrays(np.float64, n, elements=st.floats(-10, 10)),
+           arrays(np.float64, n, elements=st.floats(0.1, 5.0)))),
+       c=st.floats(0.05, 10.0))
+@example(theta=np.array([-10.0, 0.0, 10.0]), items=(np.array([10.0, -10.0]), np.array([5.0, 0.1])), c=10.0)
+def test_kernel_matches_the_exp_form_without_warnings(theta, items, c):
+    pool = ItemPool(model="twopl", beta=items[0], lambda0=items[1])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        info = psychometrics._test_info_values(theta, pool, c)
+        fast = psychometrics._test_info_values(theta, pool, c, np.float32)
+    with np.errstate(under="ignore"):
+        np.testing.assert_allclose(info, _exp_form_information(theta, pool, c),
+                                   rtol=_EXP_FORM_RTOL, atol=psychometrics.INFO_FLOOR)
+    assert np.all(np.isfinite(fast)) and np.all(fast >= 0)
+
+
+# Every item at |x| >= 720 leaves the total below INFO_FLOOR in both forms (cosh
+# overflows to h = 0, exp(-|x|) to a subnormal); one item at |x| = 600 does not.
+@pytest.mark.parametrize("xs,underflow", [([720.0], True), ([-720.0, 800.0, 1e3], True),
+                                          ([600.0, 1e3, -1e3], False), ([-600.5], False)])
+def test_kernel_underflow_flag_agrees_with_the_exp_form(xs, underflow):
+    pool = ItemPool(model="twopl", beta=-np.array(xs), lambda0=np.ones(len(xs)))
+    theta = np.zeros(3)
+    with np.errstate(under="ignore"):
+        reference = _exp_form_information(theta, pool, 1.0)
+    for info in (reference, total_information(theta, pool, 1.0)):
+        assert reliability_from_information(info, 1.0, 1.0).underflow is underflow
 
 
 def test_workspace_views_one_aligned_buffer_in_both_dtypes():
     for rows, n in ((3, 5), (2000, 60), (7, 1)):
-        arrays64 = psychometrics._workspace(rows, n, np.dtype(np.float64))
-        arrays32 = psychometrics._workspace(rows, n, np.dtype(np.float32))
-        for arr, dtype in zip(arrays64 + arrays32, [np.float64] * 2 + [np.float32] * 2):
+        arr64 = psychometrics._workspace(rows, n, np.dtype(np.float64))
+        arr32 = psychometrics._workspace(rows, n, np.dtype(np.float32))
+        for arr, dtype in ((arr64, np.float64), (arr32, np.float32)):
             assert arr.dtype == dtype and arr.shape == (rows, n) and arr.flags.c_contiguous
             assert arr.ctypes.data % 64 == 0
-        assert arrays32[0].ctypes.data == arrays64[0].ctypes.data  # one buffer, no second allocation
-        assert not np.shares_memory(*arrays32) and not np.shares_memory(*arrays64)
+        assert arr32.ctypes.data == arr64.ctypes.data  # one buffer, no second allocation
+
+
+# The README's claim: the kernel's bits do not depend on the BLAS thread count.
+_THREAD_PROBE = """
+import hashlib, numpy as np
+from irtcalib import ItemPool, psychometrics
+rng = np.random.default_rng(0)
+pool = ItemPool(model="twopl", beta=rng.normal(0, 1.5, 60), lambda0=np.exp(rng.normal(0, 0.3, 60)))
+theta = rng.normal(0, 1.3, 20_000)
+digest = hashlib.sha256()
+for dtype in (np.float32, np.float64):
+    for c in (0.3, 1.0, 4.0):
+        digest.update(psychometrics._test_info_values(theta, pool, c, dtype).tobytes())
+print(digest.hexdigest())
+"""
+
+
+def test_kernel_bits_do_not_depend_on_blas_threads():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    digests = []
+    for threads in ("1", "2"):
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads,
+               "PYTHONPATH": os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+        done = subprocess.run([sys.executable, "-c", _THREAD_PROBE], env=env, capture_output=True,
+                              text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        digests.append(done.stdout.strip())
+    assert len(digests[0]) == 64 and digests[0] == digests[1]
 
 
 # SAC's avg_info iterations run the kernel in float32; the summary stays float64.

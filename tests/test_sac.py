@@ -281,11 +281,11 @@ def test_twopl_result_roundtrip():
 
 def test_schema_version_one_document_loads():
     doc = json.loads(json.dumps(_small_twopl_run().to_dict()))
-    assert doc["schema_version"] == 5
+    assert doc["schema_version"] == 6
     doc["schema_version"] = 1
     clone = SacResult.from_dict(doc)
     assert clone.c_star == doc["c_star"]
-    assert clone.to_dict() == {**doc, "schema_version": 5}
+    assert clone.to_dict() == {**doc, "schema_version": 6}
 
 
 @pytest.mark.parametrize("status", [[1], "success"])
@@ -295,7 +295,7 @@ def test_result_document_with_unknown_status_rejected(status):
         SacResult.from_dict({**doc, "status": status})
 
 
-@pytest.mark.parametrize("version", [None, 0, 6, True, 3.0])
+@pytest.mark.parametrize("version", [None, 0, 7, True, 3.0])
 def test_unknown_schema_version_rejected(version):
     doc = _small_twopl_run().to_dict()
     if version is None:
