@@ -40,7 +40,7 @@ from .items import ItemPool, PoolConfig, build_pool
 from .latent import LatentSpec, sample_latent
 from .psychometrics import (
     DEFAULT_INTERVAL, METRIC_AVG_INFO, METRIC_MSEM, ScaleInterval, analytic_ceiling, monotonicity_scan,
-    reference_ceiling, reliability_from_information, test_information,
+    reference_ceiling, reliability_from_information, sample_variance, test_information,
 )
 from .rng import child_seed, stream
 
@@ -209,7 +209,7 @@ class _FrozenObjective:
         theta_rng = stream(config.seed, "eqc/theta")
         self.theta = sample_latent(config.latent, config.m_quadrature, rng=theta_rng).theta
         self.pool = build_pool(config.items, child_seed(config.seed, "eqc/pool"))
-        self.sigma2 = float(np.var(self.theta, ddof=1))
+        self.sigma2 = sample_variance(self.theta)
         self.evaluations = 0
 
     def rho(self, c: float) -> float:

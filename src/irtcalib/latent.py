@@ -165,6 +165,9 @@ class LatentSample:
         return sample_moments(self.theta)
 
 
+_TINY = np.finfo(float).tiny  # the smallest normal float64
+
+
 def _constant(x: np.ndarray, mean, m2) -> bool:
     """Whether sample ``x``, of mean ``mean`` and spread ``m2``, is constant up to rounding.
 
@@ -175,24 +178,44 @@ def _constant(x: np.ndarray, mean, m2) -> bool:
     return bool(m2 <= (np.finfo(float).eps * mean) ** 2 or x.min() == x.max())
 
 
+def _shape_ratios(d: np.ndarray) -> tuple:
+    """Skewness m3/m2^1.5 and excess kurtosis m4/m2^2 - 3 of deviations ``d``, in scipy's order of operations.
+
+    Each ratio comes with whether it kept its bits: it is finite and its
+    denominator, m2^1.5 or m2^2, is a normal float.
+    """
+    d2 = d * d
+    m2 = np.mean(d2)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        dens = m2**1.5, m2**2
+        ratios = float(np.mean(d2 * d) / dens[0]), float(np.mean(d2 * d2) / dens[1] - 3.0)
+    return ratios, [bool(np.isfinite(r) and _TINY <= den < np.inf) for r, den in zip(ratios, dens)]
+
+
 def sample_moments(x: np.ndarray) -> dict:
     """Mean, unbiased variance, skewness, and excess kurtosis of a sample.
 
     Skewness m3/m2^1.5 and excess kurtosis m4/m2^2 - 3 are the biased ratios
     of the central moments m_k = mean((x - mean(x))^k), as ``scipy.stats``
     computes them by default. Both are NaN for a constant sample (see
-    :func:`_constant`).
+    :func:`_constant`). Past scales of about 1e-77 and 1e77 a ratio's
+    denominator m2^1.5 or m2^2 leaves the normal floats, and scipy's ratio
+    loses its bits or is 0/0 or inf/inf. That ratio, or one that is not
+    finite, is then taken on the deviations rescaled by the power of two that
+    puts the largest in [0.5, 1). The rescaling is exact, and a ratio scipy
+    computes over a normal denominator keeps its bits.
     """
     x = np.asarray(x, dtype=float)
     mean = np.mean(x)
     d = x - mean
-    d2 = d * d
-    m2 = np.mean(d2)
+    m2 = np.mean(d * d)
     skew = kurt = float("nan")
     if not _constant(x, mean, m2):
-        with np.errstate(divide="ignore", invalid="ignore"):  # m2**1.5 may underflow, as in scipy
-            skew = float(np.mean(d2 * d) / m2**1.5)
-            kurt = float(np.mean(d2 * d2) / m2**2 - 3.0)
+        ratios, kept = _shape_ratios(d)
+        if not all(kept):
+            unit, _ = _shape_ratios(np.ldexp(d, -np.frexp(np.max(np.abs(d)))[1]))
+            ratios = [r if k else u for r, k, u in zip(ratios, kept, unit)]
+        skew, kurt = ratios
     return {
         "mean": float(mean),
         "var": float(np.var(x, ddof=1)) if x.size > 1 else 0.0,

@@ -17,7 +17,9 @@ Conventions used throughout:
 
 Information values below ``1e-300`` are treated as exact zeros: the mean
 squared error of measurement is then infinite, ``w_bar`` collapses to 0, and
-the summary carries an ``underflow`` flag instead of silent NaNs.
+the summary carries an ``underflow`` flag instead of silent NaNs. The
+sample variance and the means of ``J`` and ``1/J`` are the reductions numpy's
+``var`` and ``mean`` run, bit for bit, without their Python wrappers.
 """
 
 from __future__ import annotations
@@ -200,6 +202,23 @@ class ReliabilitySummary:
     underflow: bool = False
 
 
+def _mean(x: np.ndarray) -> float:
+    """``np.mean`` of a float64 array: the same pairwise sum and division, without the wrapper."""
+    return float(x.sum() / x.size)
+
+
+def sample_variance(x: np.ndarray) -> float:
+    """``np.var(x, ddof=1)`` of a float64 array of two or more values, without the wrapper.
+
+    The same ufunc reductions in the same order as numpy's ``_var``: the
+    pairwise-summed mean, the squared deviations in place, their pairwise
+    sum over ``n - 1``. The result is bit-identical.
+    """
+    d = x - x.sum() / x.size
+    d *= d
+    return float(d.sum() / (x.size - 1))
+
+
 def reliability_from_information(info, sigma2: float, c: float) -> ReliabilitySummary:
     """Both reliability metrics from per-person test information at scale ``c``.
 
@@ -207,9 +226,9 @@ def reliability_from_information(info, sigma2: float, c: float) -> ReliabilitySu
     rule: every reliability the package reports is computed here.
     """
     info = np.asarray(info, dtype=float)
-    j_bar = float(np.mean(info))
-    underflow = bool(np.any(info < INFO_FLOOR))
-    msem = float("inf") if underflow else float(np.mean(1.0 / info))
+    j_bar = _mean(info)
+    underflow = bool((info < INFO_FLOOR).any())
+    msem = float("inf") if underflow else _mean(1.0 / info)
     w_bar = sigma2 / (sigma2 + msem) if np.isfinite(msem) else 0.0
     top = sigma2 * j_bar
     return ReliabilitySummary(
@@ -238,7 +257,7 @@ def reliability_summary(
     if theta.size == 0:
         raise EmptyRequestError("theta sample must be nonempty")
     if sigma2 is None:
-        sigma2 = float(np.var(theta, ddof=1)) if theta.size > 1 else 0.0
+        sigma2 = sample_variance(theta) if theta.size > 1 else 0.0
     return reliability_from_information(_test_info_values(theta, pool, float(c), dtype), sigma2, c)
 
 

@@ -50,6 +50,7 @@ from .psychometrics import (
     metric_value,
     prob_correct,
     reliability_from_information,
+    sample_variance,
     test_information,
 )
 from .rng import child_seed, stream
@@ -177,7 +178,7 @@ def realized_reliability(dataset: ResponseDataset, metric: str = METRIC_AVG_INFO
     if theta.size < 2:
         raise InsufficientDataError("realized reliability needs at least 2 persons")
     info = test_information(theta, dataset.pool, dataset.c_applied)
-    summary = reliability_from_information(info, float(np.var(theta, ddof=1)), dataset.c_applied)
+    summary = reliability_from_information(info, sample_variance(theta), dataset.c_applied)
     return metric_value(summary, metric)
 
 

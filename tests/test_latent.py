@@ -2,7 +2,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy import integrate, optimize, stats
@@ -264,7 +264,7 @@ def samples(draw):
     kind = draw(st.sampled_from(["lattice", "floats", "constant"]))
     if kind == "lattice":
         ints = draw(arrays(np.int64, n, elements=st.integers(-20, 20)))
-        scale = draw(st.sampled_from([2.0**-30, 1e-3, 0.37, 25.0]))
+        scale = draw(st.sampled_from([2.0**-300, 2.0**-266, 2.0**-30, 1e-3, 0.37, 25.0, 2.0**300]))
         return ints * scale + draw(st.sampled_from([0.0, 1.0, -3.5]))
     if kind == "floats":
         return draw(arrays(np.float64, n, elements=st.floats(-10, 10)))
@@ -279,6 +279,9 @@ def _scipy(f, *args):
 
 @settings(deadline=None)
 @given(x=samples())
+@example(x=np.array([-20.0, 3.0, 7.0, 7.0]) * 2.0**-300)
+@example(x=np.array([-20.0, 3.0, 7.0, 7.0]) * 2.0**-266)
+@example(x=np.array([-20.0, 3.0, 7.0, 7.0]) * 2.0**300)
 def test_sample_moments_equal_scipys(x):
     mom = sample_moments(x)
     got = [mom["skew"], mom["excess_kurtosis"]]
@@ -287,7 +290,22 @@ def test_sample_moments_equal_scipys(x):
         # ulps off them; scipy then reports skewness +-1 and excess kurtosis -2.
         assert np.isnan(got).all()
     else:
-        np.testing.assert_array_equal(got, [_scipy(stats.skew, x), _scipy(stats.kurtosis, x)])
+        expected = np.array([_scipy(stats.skew, x), _scipy(stats.kurtosis, x)])
+        mean = np.mean(x)
+        m2 = np.mean((x - mean) ** 2)
+        if not _constant(x, mean, m2):
+            # Past scales of about 1e-77 and 1e77 (the lattice at 2^-300, 2^-266
+            # and 2^300) a denominator m2^1.5 or m2^2 is not a normal float, and
+            # scipy's ratio has lost its bits or is not finite. It is then
+            # scipy's on the sample rescaled exactly by the power of two that
+            # puts its largest deviation in [0.5, 1).
+            unit = np.ldexp(x, -np.frexp(np.max(np.abs(x - mean)))[1])
+            with np.errstate(over="ignore"):
+                normal = [np.finfo(float).tiny <= m2**p < np.inf for p in (1.5, 2)]
+            expected = np.where(np.isfinite(expected) & normal, expected,
+                                [_scipy(stats.skew, unit), _scipy(stats.kurtosis, unit)])
+            assert np.isfinite(got).all()
+        np.testing.assert_array_equal(got, expected)
 
 
 @settings(deadline=None)

@@ -4,6 +4,7 @@ import subprocess
 import sys
 import warnings
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from scipy import optimize
 from scipy.special import expit
 
 from irtcalib import (
+    DivergedObjectiveError,
     EmptyRequestError,
     ItemPool,
     LatentSpec,
@@ -35,9 +37,10 @@ from irtcalib.latent import VALIDATION_SHAPE_PARAMS
 from irtcalib.study import ResponseDataset
 from irtcalib import test_information as total_information
 from irtcalib import test_information_dc as total_information_dc
-from irtcalib import psychometrics
+from irtcalib import psychometrics, sac
 from irtcalib.psychometrics import _P_HI, _P_LO, _strictly_increasing, metric_value, reliability_from_information
 from irtcalib.rng import stream
+from irtcalib.sac import SacConfig, sac_calibrate
 
 from conftest import make_rasch_pool
 
@@ -592,3 +595,84 @@ def test_jensen_gap_larger_for_heavy_tails():
         LatentSpec(shape="heavy_tail", shape_params={"nu": 5.0}), 50_000, rng=stream(36, "latent")
     ).theta
     assert _jensen_gap(theta_t, pool, 1.0) > _jensen_gap(theta_n, pool, 1.0)
+
+
+# --- the summary without numpy's mean and var wrappers ------------------------
+
+
+def _wrapped_summary(theta, pool, c, dtype):
+    """``reliability_summary`` computed with ``np.var`` and ``np.mean``, as it was before: the bit-level reference."""
+    theta = np.asarray(theta, dtype=float)
+    sigma2 = float(np.var(theta, ddof=1)) if theta.size > 1 else 0.0
+    info = np.asarray(psychometrics._test_info_values(theta, pool, c, dtype), dtype=float)
+    j_bar = float(np.mean(info))
+    underflow = bool(np.any(info < psychometrics.INFO_FLOOR))
+    msem = float("inf") if underflow else float(np.mean(1.0 / info))
+    w_bar = sigma2 / (sigma2 + msem) if np.isfinite(msem) else 0.0
+    top = sigma2 * j_bar
+    return {"j_bar": j_bar, "sigma2_theta": float(sigma2), "rho_tilde": top / (top + 1.0),
+            "msem": msem, "w_bar": float(w_bar), "underflow": underflow}
+
+
+def _bits(value):
+    return (type(value), np.float64(value).tobytes())
+
+
+# Far persons sit at a distance d of 600 to 3000 in x from every item, so
+# their information is exactly 0 (cosh overflows) or, near d = 700 in float64,
+# positive but below INFO_FLOOR.
+@settings(deadline=None, max_examples=80)
+@given(m=st.sampled_from([1, 2, 3, _BLOCK - 1, _BLOCK, _BLOCK + 1, 20_000]), n_items=st.integers(1, 40),
+       log_c=st.floats(np.log(0.05), np.log(20.0)), dtype=st.sampled_from([np.float32, np.float64]),
+       far=st.lists(st.floats(600.0, 3000.0).flatmap(lambda d: st.sampled_from([-d, d])), max_size=3),
+       seed=st.integers(0, 2**32 - 1))
+@example(m=2, n_items=1, log_c=0.0, dtype=np.float64, far=[700.0], seed=0)
+@example(m=3, n_items=2, log_c=0.0, dtype=np.float64, far=[-650.0], seed=0)
+@example(m=_BLOCK + 1, n_items=30, log_c=np.log(3.0), dtype=np.float32, far=[-720.0], seed=1)
+def test_summary_matches_numpys_mean_and_var_bit_for_bit(m, n_items, log_c, dtype, far, seed):
+    rng = np.random.default_rng(seed)
+    pool = ItemPool(model="twopl", beta=rng.normal(0, 1.5, n_items), lambda0=np.exp(rng.normal(0, 0.3, n_items)))
+    c = float(np.exp(log_c))
+    theta = rng.normal(0, 1.3, m)
+    reach = c * pool.lambda0.min()
+    far_theta = [pool.beta.max() + d / reach if d > 0 else pool.beta.min() + d / reach for d in far]
+    theta[rng.permutation(m)[: len(far)]] = far_theta[:m]
+    expected = _wrapped_summary(theta, pool, c, dtype)
+    with np.errstate(under="ignore"):
+        summary = reliability_summary(theta, pool, c, dtype=dtype)
+    assert {k: _bits(getattr(summary, k)) for k in expected} == {k: _bits(v) for k, v in expected.items()}
+    assert summary.m_points == m and summary.c == c
+
+
+# SAC's msem iterations read underflow first: the diverging iteration, its
+# scale and every trace value stay where the wrapped formulas put them.
+@settings(deadline=None, max_examples=12)
+@given(sigma=st.sampled_from([25.0, 30.0]), metric=st.sampled_from(["avg_info", "msem"]),
+       seed=st.integers(0, 2**32 - 1))
+@example(sigma=30.0, metric="msem", seed=0)  # diverges at iteration 4
+def test_sac_diverges_where_the_wrapped_summary_did(sigma, metric, seed):
+    cfg = SacConfig(target_rho=0.6, latent=LatentSpec(sigma=sigma), metric=metric,
+                    items=PoolConfig(model="rasch", source="parametric", n_items=10), n_iter=40, burn_in=20,
+                    m_per_iter=200, interval=ScaleInterval(1.0, 10.0), eval_m=200, seed=seed)
+
+    def outcome():
+        try:
+            result = sac_calibrate(cfg)
+        except DivergedObjectiveError as exc:
+            return str(exc)
+        return result.trace_c.tobytes(), result.trace_rho.tobytes(), result.achieved_rho
+
+    fast = outcome()
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(sac, "reliability_summary", lambda theta, pool, c, dtype=np.float64:
+                      SimpleNamespace(**_wrapped_summary(theta, pool, c, dtype)))
+        assert outcome() == fast
+
+
+@settings(deadline=None, max_examples=300)
+@given(n=st.one_of(st.integers(2, 70), st.integers(2, 65_537)), log_scale=st.floats(-30.0, 30.0),
+       loc=st.floats(-1e3, 1e3), seed=st.integers(0, 2**32 - 1))
+@example(n=65_537, log_scale=0.0, loc=0.0, seed=0)
+def test_sample_variance_is_np_var_bit_for_bit(n, log_scale, loc, seed):
+    x = loc + np.exp(log_scale) * np.random.default_rng(seed).standard_normal(n)
+    assert _bits(psychometrics.sample_variance(x)) == _bits(float(np.var(x, ddof=1)))
