@@ -6,8 +6,17 @@ scale, and Brent's bracketing root-finder pins the scale that hits the
 target. The solver, :func:`_brent_root`, is a port of scipy's ``brentq``
 (Brent 1973, *Algorithms for Minimization without Derivatives*) that returns
 the same root bit for bit without importing scipy; it starts from the bracket
-values and returns the root's reliability, so no scale is evaluated twice and
+values and returns the root's evaluation, so no scale is evaluated twice and
 ``evaluations`` counts distinct scales.
+
+It solves where the curve is nearly straight: in ``u = log c``, for
+``g(u) = log(sigma2*Jbar(e^u)) - log(rho*/(1 - rho*))``, the log-odds of
+``rho_tilde`` less the target's. ``g`` is taken from ``Jbar``, so it stays
+finite where ``rho_tilde`` rounds to 1, and is ``-inf`` where ``Jbar``
+underflows to 0. A tolerance of ``tolerance / c_upper`` in ``u`` closes the
+bracket in ``c`` below ``tolerance``. On the desk grid this takes 8-9
+evaluations per solve, bracket ends included, where Brent on
+``rho_tilde(c)`` took about 12.6.
 
 The function increases with the scale while most of the latent mass lies
 within ``|c*lambda0*(theta - beta)| < 2.399`` of the items (where
@@ -39,8 +48,8 @@ from .errors import (
 from .items import ItemPool, PoolConfig, build_pool
 from .latent import LatentSpec, sample_latent
 from .psychometrics import (
-    DEFAULT_INTERVAL, METRIC_AVG_INFO, METRIC_MSEM, ScaleInterval, analytic_ceiling, monotonicity_scan,
-    reference_ceiling, reliability_from_information, sample_variance, test_information,
+    DEFAULT_INTERVAL, METRIC_AVG_INFO, METRIC_MSEM, ReliabilitySummary, ScaleInterval, analytic_ceiling,
+    monotonicity_scan, prepare_samples, reference_ceiling, reliability_from_information, test_information,
 )
 from .rng import child_seed, stream
 
@@ -157,12 +166,13 @@ class CalibrationResult(ResultDocument):
     """Calibrated scale plus the diagnostics needed to judge and reuse it."""
 
     RESULT_TYPE = "eqc"
+    # 6: the root is found in u = log c (c* moves by up to about 5e-9 relative);
     # 5: the information kernel takes h(x) = 1/(2 + 2 cosh x) (last-bit moves);
     # 4: 2PL copula pools take log lambda from z_lam directly, so their
     # discriminations move in the last bits;
     # 3: evaluations counts distinct scales; 2: it counted calls, which
     # re-evaluated both bracket ends and the root; 1: also held latent.seed
-    SCHEMA_VERSION = 5
+    SCHEMA_VERSION = 6
     STATUSES = STATUSES
 
     c_star: float
@@ -208,17 +218,46 @@ class _FrozenObjective:
     def __init__(self, config: EqcConfig):
         theta_rng = stream(config.seed, "eqc/theta")
         self.theta = sample_latent(config.latent, config.m_quadrature, rng=theta_rng).theta
+        self.sample = prepare_samples(self.theta.reshape(1, -1))[0]
+        self.sigma2 = self.sample.sigma2
         self.pool = build_pool(config.items, child_seed(config.seed, "eqc/pool"))
-        self.sigma2 = sample_variance(self.theta)
         self.evaluations = 0
 
-    def rho(self, c: float) -> float:
+    def summary(self, c: float) -> ReliabilitySummary:
         self.evaluations += 1
-        info = test_information(self.theta, self.pool, c)
-        value = reliability_from_information(info, self.sigma2, c).rho_tilde
-        if not np.isfinite(value):
+        info = test_information(self.sample, self.pool, c)
+        summary = reliability_from_information(info, self.sigma2, c)
+        if not np.isfinite(summary.rho_tilde):
             raise NumericalError(f"empirical reliability is non-finite at c={c}")
-        return value
+        return summary
+
+    def rho(self, c: float) -> float:
+        return self.summary(c).rho_tilde
+
+
+def _log_top(summary: ReliabilitySummary) -> float:
+    """``log(sigma2 * Jbar)``, the log-odds of ``rho_tilde``; -inf where ``Jbar`` is 0."""
+    top = summary.sigma2_theta * summary.j_bar
+    return math.log(top) if top > 0 else -math.inf
+
+
+def _log_scale_root(frozen: _FrozenObjective, target: float, lo: ReliabilitySummary, hi: ReliabilitySummary,
+                    xtol: float) -> ReliabilitySummary:
+    """The evaluation at the root of ``g(u) = log(sigma2*Jbar(e^u)) - log(target/(1 - target))``.
+
+    :func:`_brent_root` solves ``g`` on ``[log c_lower, log c_upper]``, where
+    the curve is nearly straight, to ``xtol`` in ``u``. It evaluates the
+    scale ``e^u``; its bracket ends are the evaluations ``lo`` and ``hi``.
+    """
+    u_lo, u_hi = math.log(lo.c), math.log(hi.c)
+    seen = {u_lo: lo, u_hi: hi}
+
+    def log_top(u: float) -> float:
+        summary = seen[u] = frozen.summary(math.exp(u))
+        return _log_top(summary)
+
+    u, _ = _brent_root(log_top, math.log(target / (1.0 - target)), u_lo, u_hi, _log_top(lo), _log_top(hi), xtol)
+    return seen[u]
 
 
 def _brent_root(rho, target, xa, xb, rho_a, rho_b, xtol):
@@ -292,7 +331,8 @@ def eqc_calibrate(config: EqcConfig) -> CalibrationResult:
     """
     frozen = _FrozenObjective(config)
     c_lo, c_hi = config.interval.c_lower, config.interval.c_upper
-    rho_lo, rho_hi = frozen.rho(c_lo), frozen.rho(c_hi)
+    lo, hi = frozen.summary(c_lo), frozen.summary(c_hi)
+    rho_lo, rho_hi = lo.rho_tilde, hi.rho_tilde
     target = config.target_rho
 
     status = STATUS_SUCCESS
@@ -301,7 +341,9 @@ def eqc_calibrate(config: EqcConfig) -> CalibrationResult:
     elif target >= rho_hi:
         status, c_star, achieved = STATUS_BOUNDARY_HIGH, c_hi, rho_hi
     else:
-        c_star, achieved = _brent_root(frozen.rho, target, c_lo, c_hi, rho_lo, rho_hi, config.tolerance)
+        # A width below tolerance / c_upper in u is one below tolerance in c.
+        root = _log_scale_root(frozen, target, lo, hi, config.tolerance / c_hi)
+        c_star, achieved = root.c, root.rho_tilde
 
     result = CalibrationResult(
         c_star=float(c_star),
@@ -320,8 +362,21 @@ def eqc_calibrate(config: EqcConfig) -> CalibrationResult:
 
 
 def infeasible_message(result: CalibrationResult) -> str:
-    """Why a boundary-status result was returned, and what to change."""
+    """Why a boundary-status result was returned, and what to change.
+
+    Where reliability is lower at ``c_upper`` than at ``c_lower`` there is no
+    attainable bracket to state: the curve falls across the interval and may
+    peak inside it.
+    """
     cfg = result.config
+    if result.rho_upper < result.rho_lower:
+        return (
+            f"target {cfg.target_rho} may be infeasible: reliability falls across c in "
+            f"[{cfg.interval.c_lower}, {cfg.interval.c_upper}], from {result.rho_lower:.4f} to "
+            f"{result.rho_upper:.4f}, and may peak inside the interval, where the target could be "
+            f"reachable; the boundary solution c = {result.c_star} was returned. `irtcalib bounds` "
+            "reports this configuration; EQC does not yet search for the peak (ROADMAP item 1)."
+        )
     return (
         f"infeasible target: {cfg.target_rho} lies outside the attainable bracket "
         f"[{result.rho_lower:.4f}, {result.rho_upper:.4f}] for c in "

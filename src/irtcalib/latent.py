@@ -168,14 +168,31 @@ class LatentSample:
 _TINY = np.finfo(float).tiny  # the smallest normal float64
 
 
-def _constant(x: np.ndarray, mean, m2) -> bool:
-    """Whether sample ``x``, of mean ``mean`` and spread ``m2``, is constant up to rounding.
+def _unit_sample(x: np.ndarray) -> tuple:
+    """Sample ``x`` scaled by the power of two ``2^-e`` that puts its largest
+    deviation from its mean in [0.5, 1), and ``e``.
 
-    It is when ``m2 <= (eps*mean)^2``, the floor below which ``scipy.stats.skew``
-    and ``kurtosis`` return NaN, or when its values are all equal: the mean of
-    equal values can round some ulps off them, and their m2 past the floor.
+    The scaling is exact, and the largest scaled deviation's square and fourth
+    power are normal floats at every scale of ``x``, where ``(x - mean)^2``
+    overflows past about 1e154 and underflows below about 1e-154.
     """
-    return bool(m2 <= (np.finfo(float).eps * mean) ** 2 or x.min() == x.max())
+    e = int(np.frexp(np.max(np.abs(x - np.mean(x))))[1])
+    return np.ldexp(x, -e), e
+
+
+def _constant(x: np.ndarray) -> bool:
+    """Whether sample ``x`` is constant up to rounding.
+
+    It is when ``m2 <= (eps*mean)^2``, with ``m2 = mean((x - mean)^2)``, the floor
+    below which ``scipy.stats.skew`` and ``kurtosis`` return NaN, or when its
+    values are all equal: the mean of equal values can round some ulps off
+    them, and their m2 past the floor. The test runs on :func:`_unit_sample`,
+    so it does not depend on the sample's scale.
+    """
+    unit, _ = _unit_sample(x)
+    mean = np.mean(unit)
+    d = unit - mean
+    return bool(np.mean(d * d) <= (np.finfo(float).eps * mean) ** 2 or x.min() == x.max())
 
 
 def _shape_ratios(d: np.ndarray) -> tuple:
@@ -184,9 +201,9 @@ def _shape_ratios(d: np.ndarray) -> tuple:
     Each ratio comes with whether it kept its bits: it is finite and its
     denominator, m2^1.5 or m2^2, is a normal float.
     """
-    d2 = d * d
-    m2 = np.mean(d2)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        d2 = d * d
+        m2 = np.mean(d2)
         dens = m2**1.5, m2**2
         ratios = float(np.mean(d2 * d) / dens[0]), float(np.mean(d2 * d2) / dens[1] - 3.0)
     return ratios, [bool(np.isfinite(r) and _TINY <= den < np.inf) for r, den in zip(ratios, dens)]
@@ -198,27 +215,28 @@ def sample_moments(x: np.ndarray) -> dict:
     Skewness m3/m2^1.5 and excess kurtosis m4/m2^2 - 3 are the biased ratios
     of the central moments m_k = mean((x - mean(x))^k), as ``scipy.stats``
     computes them by default. Both are NaN for a constant sample (see
-    :func:`_constant`). Past scales of about 1e-77 and 1e77 a ratio's
-    denominator m2^1.5 or m2^2 leaves the normal floats, and scipy's ratio
-    loses its bits or is 0/0 or inf/inf. That ratio, or one that is not
-    finite, is then taken on the deviations rescaled by the power of two that
-    puts the largest in [0.5, 1). The rescaling is exact, and a ratio scipy
-    computes over a normal denominator keeps its bits.
+    :func:`_constant`, which does not depend on the sample's scale). Past
+    scales of about 1e-77 and 1e77 a ratio's denominator m2^1.5 or m2^2
+    leaves the normal floats, and scipy's ratio loses its bits or is 0/0 or
+    inf/inf. That ratio, or one that is not finite, is then scipy's on
+    :func:`_unit_sample`. The rescaling is exact, and a ratio scipy computes
+    over a normal denominator keeps its bits. The variance is ``inf`` or 0 at
+    scales where float64 cannot hold it.
     """
     x = np.asarray(x, dtype=float)
-    mean = np.mean(x)
-    d = x - mean
-    m2 = np.mean(d * d)
     skew = kurt = float("nan")
-    if not _constant(x, mean, m2):
-        ratios, kept = _shape_ratios(d)
+    if not _constant(x):
+        ratios, kept = _shape_ratios(x - np.mean(x))
         if not all(kept):
-            unit, _ = _shape_ratios(np.ldexp(d, -np.frexp(np.max(np.abs(d)))[1]))
-            ratios = [r if k else u for r, k, u in zip(ratios, kept, unit)]
+            unit, _ = _unit_sample(x)
+            rescaled, _ = _shape_ratios(unit - np.mean(unit))
+            ratios = [r if k else u for r, k, u in zip(ratios, kept, rescaled)]
         skew, kurt = ratios
+    with np.errstate(over="ignore"):
+        var = float(np.var(x, ddof=1)) if x.size > 1 else 0.0
     return {
-        "mean": float(mean),
-        "var": float(np.var(x, ddof=1)) if x.size > 1 else 0.0,
+        "mean": float(np.mean(x)),
+        "var": var,
         "skew": skew,
         "excess_kurtosis": kurt,
     }
@@ -299,11 +317,14 @@ def _gaussian_kde(x: np.ndarray, grid: np.ndarray) -> np.ndarray:
     The bandwidth is Scott's rule, h = sd * n^(-1/5) with the sample SD
     (ddof=1), and the density is mean_i phi((g - x_i)/h) / h with phi the
     standard normal density: ``scipy.stats.gaussian_kde`` in one dimension.
+    The SD is taken on :func:`_unit_sample` and scaled back: ``np.std``'s
+    bits wherever ``np.std`` does not overflow or underflow, and finite there.
     A few grid points are evaluated at a time, so no temporary holds more
     than about ``_KDE_BLOCK_CELLS`` values.
     """
     n = x.size
-    h = np.std(x, ddof=1) * n**-0.2
+    unit, e = _unit_sample(x)
+    h = np.ldexp(np.std(unit, ddof=1), e) * n**-0.2
     scaled = x / h
     rows = max(1, _KDE_BLOCK_CELLS // n)
     sums = np.empty(grid.size)
@@ -356,8 +377,7 @@ def describe_shapes(specs: list[LatentSpec], n: int, seeds: list[int], grid_size
         counts[spec.shape] = counts.get(spec.shape, 0) + 1
         label = spec.shape if counts[spec.shape] == 1 else f"{spec.shape}_{counts[spec.shape]}"
         theta = sample_latent(spec, n, rng=stream(seed, "latent")).theta
-        mean = np.mean(theta)
-        if _constant(theta, mean, np.mean((theta - mean) ** 2)):
+        if _constant(theta):
             raise DegenerateInputError(
                 f"shape {label!r} drew a constant sample; it has no density to estimate")
         labels.append(label)

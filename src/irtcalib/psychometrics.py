@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -101,34 +102,86 @@ def _blocks(m: int):
     return zip(bounds[:-1], bounds[1:])
 
 
-def _test_info_values(theta: np.ndarray, pool: ItemPool, c: float, dtype=np.float64) -> np.ndarray:
-    """Per-person test information at scale ``c`` over a 1-D ``theta``, in ``dtype``.
+class PreparedSample(NamedTuple):
+    """A latent sample made ready for the information kernel and the summary.
+
+    ``theta`` is the sample, ``design`` its ``[theta, 1]`` rows in the kernel
+    dtype and ``sigma2`` its unbiased variance (0 for one value). Made by
+    :func:`prepare_samples`; it reads as ``theta`` under ``np.asarray``.
+    """
+
+    theta: np.ndarray
+    design: np.ndarray
+    sigma2: float
+
+    def __array__(self, dtype=None, copy=None):
+        return np.array(self.theta, dtype=dtype, copy=copy)
+
+
+def _design(theta: np.ndarray, dtype) -> np.ndarray:
+    """The kernel's ``(n, 2)`` design ``[theta, 1]`` in ``dtype``."""
+    design = np.ones((theta.size, 2), dtype)
+    design[:, 0] = theta
+    return design
+
+
+def prepare_samples(rows: np.ndarray, dtype=np.float64) -> list[PreparedSample]:
+    """One :class:`PreparedSample` per row of the float64 ``(k, m)`` array ``rows``.
+
+    One design covers every row, and each row's variance is
+    :func:`sample_variance`'s reductions taken along axis 1, which give its
+    bits row by row.
+    """
+    k, m = rows.shape
+    design = _design(rows.ravel(), dtype)
+    sigma2 = np.zeros(k)
+    if m > 1:
+        d = rows - (rows.sum(axis=1) / m)[:, None]
+        d *= d
+        sigma2 = d.sum(axis=1) / (m - 1)
+    return [PreparedSample(row, design[j * m:(j + 1) * m], float(s2))
+            for j, (row, s2) in enumerate(zip(rows, sigma2))]
+
+
+def _information(design: np.ndarray, pool: ItemPool, c: float) -> np.ndarray:
+    """Per-person test information at scale ``c`` over a kernel design, in its dtype.
 
     With ``a = c*lambda0``, each row block takes ``x = a*theta - a*beta`` as
     one K=2 GEMM ``[theta, 1] @ [[a], [-a*beta]]``, turns it in place into
     ``1/(1 + cosh x) = 2*h(x)`` (0 where cosh overflows), and sums it with
-    one GEMV against ``a^2/2``.
+    one GEMV against ``a^2/2``. ``cosh`` overflows past ``|x|`` near 710.5
+    (89.4 in float32), so the caller holds ``np.errstate(over="ignore")``.
     """
+    dtype = design.dtype
     a = c * pool.lambda0
     coef = np.array((a, -a * pool.beta, 0.5 * a * a), dtype)  # the GEMM's rows, then the GEMV's
-    design = np.ones((theta.size, 2), dtype)
-    design[:, 0] = theta
-    out = np.empty(theta.size, dtype)
-    with np.errstate(over="ignore"):
-        for start, stop in _blocks(theta.size):
-            x = _workspace(stop - start, a.size, out.dtype)
-            np.matmul(design[start:stop], coef[:2], out=x)
-            np.cosh(x, out=x)
-            x += 1.0
-            np.reciprocal(x, out=x)
-            np.matmul(x, coef[2], out=out[start:stop])
+    out = np.empty(len(design), dtype)
+    for start, stop in _blocks(out.size):
+        x = _workspace(stop - start, a.size, dtype)
+        np.matmul(design[start:stop], coef[:2], out=x)
+        np.cosh(x, out=x)
+        x += 1.0
+        np.reciprocal(x, out=x)
+        np.matmul(x, coef[2], out=out[start:stop])
     return out
 
 
+def _test_info_values(theta: np.ndarray, pool: ItemPool, c: float, dtype=np.float64) -> np.ndarray:
+    """Per-person test information at scale ``c`` over a 1-D ``theta``, in ``dtype``."""
+    with np.errstate(over="ignore"):
+        return _information(_design(theta, dtype), pool, c)
+
+
 def test_information(theta, pool: ItemPool, c: float):
-    """Test information: sum of item informations at scale ``c``, shaped like ``theta``."""
+    """Test information: sum of item informations at scale ``c``, shaped like ``theta``.
+
+    A :class:`PreparedSample` is evaluated on its own design, in its dtype.
+    """
     if c <= 0:
         raise ParameterError(f"scale c must be positive, got {c}")
+    if isinstance(theta, PreparedSample):
+        with np.errstate(over="ignore"):
+            return _information(theta.design, pool, float(c))
     arr = np.atleast_1d(np.asarray(theta, dtype=float))
     out = _test_info_values(arr.ravel(), pool, float(c))
     return float(out[0]) if np.ndim(theta) == 0 else out.reshape(arr.shape)
@@ -252,13 +305,23 @@ def reliability_summary(
     sample; pass 1.0 to use the theoretical variance of a standardized
     latent distribution instead. ``dtype`` is the precision of the
     information kernel only; the summary itself is float64 arithmetic.
+
+    A :class:`PreparedSample` prepared in ``dtype`` brings its design and its
+    variance, and is evaluated under the caller's ``np.errstate``, which must
+    ignore overflow (see :func:`_information`), so that a loop over many
+    samples enters it once. Any other sample is prepared here.
     """
-    theta = np.asarray(theta_sample, dtype=float)
-    if theta.size == 0:
-        raise EmptyRequestError("theta sample must be nonempty")
-    if sigma2 is None:
-        sigma2 = sample_variance(theta) if theta.size > 1 else 0.0
-    return reliability_from_information(_test_info_values(theta, pool, float(c), dtype), sigma2, c)
+    if isinstance(theta_sample, PreparedSample) and theta_sample.design.dtype == dtype:
+        sample = theta_sample
+        info = _information(sample.design, pool, float(c))
+    else:
+        theta = np.asarray(theta_sample, dtype=float)
+        if theta.size == 0:
+            raise EmptyRequestError("theta sample must be nonempty")
+        sample = prepare_samples(theta.reshape(1, -1), dtype)[0]
+        with np.errstate(over="ignore"):
+            info = _information(sample.design, pool, float(c))
+    return reliability_from_information(info, sample.sigma2 if sigma2 is None else sigma2, c)
 
 
 def metric_value(summary: ReliabilitySummary, metric: str) -> float:

@@ -10,8 +10,12 @@ metric directly.
 
 The pools do not depend on the scale, so all ``n_iter`` of them are drawn
 up front in one batch from the stream ``"sac/pools"`` (row ``n - 1`` serves
-iteration ``n``); the abilities are drawn one batch per iteration from the
-sequential stream ``"sac/theta"``.
+iteration ``n``); the abilities are drawn one batch per iteration, in
+iteration order, from the sequential stream ``"sac/theta"``. Neither do the
+abilities, so they are drawn and prepared for the kernel (see
+:func:`~irtcalib.psychometrics.prepare_samples`) a chunk of iterations at a
+time: each iteration then runs only its scale's coefficients, the kernel
+passes and the summary.
 
 An ``avg_info`` iteration runs the information kernel in float32: the update
 reads only the sign and rough size of a measurement that is noisy at about
@@ -54,6 +58,7 @@ from .psychometrics import (
     METRICS,
     ScaleInterval,
     metric_value,
+    prepare_samples,
     reliability_summary,
 )
 from .rng import child_seed, stream
@@ -127,12 +132,13 @@ class SacResult(ResultDocument):
     """Averaged scale, its independent evaluation, and the full iterate trace."""
 
     RESULT_TYPE = "sac"
+    # 7: a warm start from an EQC result starts from its schema 6 c* (a fixed c_init keeps every bit);
     # 6: the information kernel takes h(x) = 1/(2 + 2 cosh x) (c* moves by about 2e-9 relative);
     # 5: 2PL copula pools take log lambda from z_lam directly (last-bit moves);
     # 4: avg_info iterations run the information kernel in float32 (msem keeps its bits);
     # 3: no latent.seed or redraw_items (both constant in effect);
     # 2: iteration pools are drawn in one batch; 1: one build_pool per iteration
-    SCHEMA_VERSION = 6
+    SCHEMA_VERSION = 7
     STATUSES = STATUSES
 
     c_star: float
@@ -228,10 +234,21 @@ class _PoolRow(NamedTuple):
         return self.beta.size
 
 
-def _summary(config: SacConfig, rng: np.random.Generator, pool, c: float, dtype=np.float64):
-    """Draw ``m_per_iter`` abilities from ``rng`` and summarise them at scale ``c`` on ``pool``."""
-    theta = sample_latent(config.latent, config.m_per_iter, rng=rng).theta
-    return reliability_summary(theta, pool, c, dtype=dtype)
+# Abilities drawn and prepared per chunk of iterations: a fixed count of
+# rows, so memory does not grow with n_iter; a chunk holds at least one batch.
+_CHUNK_ROWS = 1 << 15
+
+
+def _batches(config: SacConfig, rng: np.random.Generator, count: int, dtype):
+    """``count`` batches of ``m_per_iter`` abilities from ``rng``, one ``sample_latent``
+    call each in batch order, prepared for the kernel a chunk of batches at a time."""
+    m = config.m_per_iter
+    per_chunk = max(1, _CHUNK_ROWS // m)
+    for first in range(0, count, per_chunk):
+        rows = np.empty((min(per_chunk, count - first), m))
+        for row in rows:
+            row[:] = sample_latent(config.latent, m, rng=rng).theta
+        yield from prepare_samples(rows, dtype)
 
 
 def sac_calibrate(config: SacConfig) -> SacResult:
@@ -242,12 +259,12 @@ def sac_calibrate(config: SacConfig) -> SacResult:
     large but finite error variances are propagated as ordinary noise.
     """
     c0 = config.resolved_c_init()
-    theta_rng = stream(config.seed, "sac/theta")
     betas, lambdas = draw_pools(config.items, config.n_iter, stream(config.seed, "sac/pools"))
     dtype = np.float32 if config.metric == METRIC_AVG_INFO else np.float64
+    batches = _batches(config, stream(config.seed, "sac/theta"), config.n_iter, dtype)
 
     def rho_of(n: int, c: float) -> float:
-        summary = _summary(config, theta_rng, _PoolRow(betas[n - 1], lambdas[n - 1]), c, dtype)
+        summary = reliability_summary(next(batches), _PoolRow(betas[n - 1], lambdas[n - 1]), c, dtype=dtype)
         if config.metric != METRIC_AVG_INFO and summary.underflow:
             raise DivergedObjectiveError(
                 f"error-variance objective diverged at iteration {n} (c={c}): "
@@ -255,16 +272,21 @@ def sac_calibrate(config: SacConfig) -> SacResult:
             )
         return metric_value(summary, config.metric)
 
-    trace_c, trace_rho, clamps = _iterate(config, c0, rho_of)
+    # The kernel's cosh overflows to inf past |x| near 89.4 (float32) or
+    # 710.5, giving h = 0. The loop, chunk draws included, enters the
+    # errstate that ignores it once, not once per iteration.
+    with np.errstate(over="ignore"):
+        trace_c, trace_rho, clamps = _iterate(config, c0, rho_of)
     c_star = float(np.mean(trace_c[config.burn_in:]))
 
     # Independent evaluation: blocks shaped like iteration batches, fresh streams.
-    eval_rng = stream(config.seed, "sac/eval")
     n_blocks = max(1, config.resolved_eval_m() // config.m_per_iter)
     pools = [build_pool(config.items, child_seed(config.seed, "sac/eval-pool", b))
              for b in range(n_blocks)]
-    achieved = float(np.mean([metric_value(_summary(config, eval_rng, pool, c_star), config.metric)
-                              for pool in pools]))
+    blocks = _batches(config, stream(config.seed, "sac/eval"), n_blocks, np.float64)
+    with np.errstate(over="ignore"):
+        achieved = float(np.mean([metric_value(reliability_summary(sample, pool, c_star), config.metric)
+                                  for sample, pool in zip(blocks, pools)]))
 
     clamp_fraction = clamps / config.n_iter
     status = STATUS_BOUNDARY_CHATTER if clamp_fraction > _BOUNDARY_CHATTER_FRACTION else STATUS_OK

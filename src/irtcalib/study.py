@@ -71,7 +71,9 @@ ALGORITHMS = ("eqc", "sac_info", "sac_msem")
 # 2PL rows change in their last bits and Rasch rows do not.
 # 6: the information kernel takes h(x) = 1/(2 + 2 cosh x) (CalibrationResult
 # schema 5, SacResult schema 6), so rows of every algorithm move in their last bits.
-SCHEMA_VERSION = 6
+# 7: EQC finds its root in u = log c (CalibrationResult schema 6, SacResult
+# schema 7); eqc rows and the SAC rows that warm-start from them move.
+SCHEMA_VERSION = 7
 
 # Target windows judged attainable for each standard test length.
 ADAPTIVE_TARGET_RANGE = {15: (0.30, 0.60), 30: (0.40, 0.70), 60: (0.50, 0.80)}

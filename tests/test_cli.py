@@ -153,7 +153,7 @@ def test_generate_zero_persons(eqc_json, tmp_path):
                 "--out", str(tmp_path / "x.csv")]) == 2
 
 
-@pytest.mark.parametrize("version", [None, 6])
+@pytest.mark.parametrize("version", [None, 7])
 def test_generate_rejects_unknown_schema_version(eqc_json, tmp_path, capsys, version):
     doc = json.loads(eqc_json.read_text())
     if version is None:
@@ -303,7 +303,7 @@ def test_validate_summary_records_schema_version(tmp_path):
     cfg_path.write_text(json.dumps(cfg))
     assert run(["validate", "--config", str(cfg_path), "--out-dir", str(tmp_path / "out"), "--threads", "1"]) == 0
     summary = json.loads((tmp_path / "out" / "study_summary.json").read_text())
-    assert summary["schema_version"] == 6
+    assert summary["schema_version"] == 7
 
 
 def test_validate_full_profile_echo(tmp_path, capsys):
@@ -458,7 +458,11 @@ def test_validate_rejects_unknown_latent_keys(form, tmp_path, capsys):
 
 # Result documents of past schema versions, written by the package at that
 # version with these calibrate flags. Each still loads, re-serialises to the
-# document the same flags write now, and generates the same responses. Only
+# document the same flags write now, and generates the same responses. Since
+# EQC schema 6 finds its root in u = log c, the root's keys (_ROOT_KEYS) move:
+# an EQC document's c_star, achieved_rho, abs_error and evaluations, and a SAC
+# document's c_init, warm-started from that root, and the numbers after it;
+# c_star by less than 1e-8 relative. Every other key keeps its value. Only
 # Rasch documents are listed: the 2PL copula pools of eqc_schema_2.json
 # (`--target 0.6 --items 15 --model twopl --latent-shape skew_pos --m 500
 # --c-lower 0.1 --c-upper 10 --seed 5`) and of the later 2PL fixtures moved in
@@ -472,6 +476,7 @@ _PAST_DOCS = [
       "--model", "rasch", "--latent-shape", "heavy_tail", "--m", "500", "--n-iter", "40",
       "--m-per-iter", "200", "--c-lower", "0.1", "--c-upper", "10", "--seed", "4"]),
 ]
+_ROOT_KEYS = ("c_star", "achieved_rho", "abs_error", "evaluations", "c_init")
 
 
 @pytest.mark.parametrize("name,flags", _PAST_DOCS, ids=[name for name, _ in _PAST_DOCS])
@@ -482,7 +487,11 @@ def test_past_schema_documents_load_and_generate_the_same_responses(name, flags,
     old, new = json.loads(old_path.read_text()), json.loads(new_path.read_text())
     assert old["schema_version"] < new["schema_version"]
     del new["reproducibility"]
-    assert cli._load_result(old_path).to_dict() == new
+    loaded = cli._load_result(old_path).to_dict()
+    assert list(loaded) == list(new)
+    assert {k: v for k, v in loaded.items() if k not in _ROOT_KEYS} == {
+        k: v for k, v in new.items() if k not in _ROOT_KEYS}
+    assert loaded["c_star"] == pytest.approx(new["c_star"], rel=1e-8, abs=0)
     csvs = []
     for path in (old_path, new_path):
         csv = tmp_path / f"{path.stem}.csv"
@@ -493,14 +502,14 @@ def test_past_schema_documents_load_and_generate_the_same_responses(name, flags,
 
 
 # Documents of the current schema, written by `calibrate --out`: loading one and
-# writing it again gives its bytes back, key order included. eqc_schema_5.json
-# was written with the flags of eqc_schema_3.json and eqc_schema_4.json:
+# writing it again gives its bytes back, key order included. eqc_schema_6.json
+# was written with the flags of eqc_schema_3.json to eqc_schema_5.json:
 # `calibrate --target 0.7 --items 12 --model twopl --latent-shape bimodal --m 500
-# --seed 11`; sac_schema_6.json with those of sac_schema_3.json to
-# sac_schema_5.json: `calibrate --algorithm sac --target 0.6 --items 12 --model
+# --seed 11`; sac_schema_7.json with those of sac_schema_3.json to
+# sac_schema_6.json: `calibrate --algorithm sac --target 0.6 --items 12 --model
 # twopl --item-source pool --latent-shape skew_pos --m 500 --n-iter 30
 # --m-per-iter 100 --seed 12`.
-@pytest.mark.parametrize("name", ["eqc_schema_5.json", "sac_schema_6.json"])
+@pytest.mark.parametrize("name", ["eqc_schema_6.json", "sac_schema_7.json"])
 def test_current_schema_documents_keep_their_bytes(name):
     path = Path(__file__).parent / "data" / "result_docs" / name
     doc = json.loads(path.read_text())
@@ -514,7 +523,8 @@ def test_current_schema_documents_keep_their_bytes(name):
 # while SAC's avg_info iterations still ran in float64; eqc_schema_3.json's and
 # sac_schema_4.json's while copula pools still ran Phi^-1(Phi(z));
 # eqc_schema_4.json's and sac_schema_5.json's while the information kernel
-# still ran h = exp(-|x|) / (1 + exp(-|x|))^2.
+# still ran h = exp(-|x|) / (1 + exp(-|x|))^2; eqc_schema_5.json's and
+# sac_schema_6.json's while EQC still found its root in c.
 _PAST_DOC_RESPONSES = {
     "eqc_schema_1.json": "6a3dfc40f41a750822c8bd14c34d1992435f2c15b5e037f045d51c4428b36505",
     "sac_schema_2.json": "b906c4ff61f059819fe130acc4fe1fdb891aa3d4433721fcdf5f309dff428ac7",
@@ -524,6 +534,8 @@ _PAST_DOC_RESPONSES = {
     "sac_schema_4.json": "2c915104d05558b76d5cc37b804e6063bee0160fae46794cd0fcd0576680fc4c",
     "eqc_schema_4.json": "f284b860a3ef6575d73137ba9cda8429dbb1e733a30814fb1b2416344abd7ddf",
     "sac_schema_5.json": "2c915104d05558b76d5cc37b804e6063bee0160fae46794cd0fcd0576680fc4c",
+    "eqc_schema_5.json": "f284b860a3ef6575d73137ba9cda8429dbb1e733a30814fb1b2416344abd7ddf",
+    "sac_schema_6.json": "2c915104d05558b76d5cc37b804e6063bee0160fae46794cd0fcd0576680fc4c",
 }
 
 

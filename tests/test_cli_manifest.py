@@ -13,7 +13,8 @@ A change that moves output bytes on purpose re-records the manifest with::
 
     PYTHONPATH=src python tests/test_cli_manifest.py --record
 
-and lists every changed digest in CHANGES.md.
+which prints every invocation and key whose digest moved against the old
+manifest, for the list of changed digests in CHANGES.md.
 """
 
 from __future__ import annotations
@@ -156,13 +157,25 @@ def run_manifest(workdir: Path) -> dict:
     return {"environment": environment(), "invocations": entries}
 
 
+def moved_digests(expected: dict, actual: dict) -> dict:
+    """``{invocation: [key, ...]}`` for each invocation of ``actual`` whose keys differ
+    from ``expected``'s; a file written, moved or no longer written shows as ``files/<path>``."""
+    moved = {}
+    for name, entry in actual["invocations"].items():
+        old = expected["invocations"].get(name, {})
+        keys = [key for key in ("argv", "exit", "stdout", "stderr") if entry[key] != old.get(key)]
+        files, old_files = entry["files"], old.get("files", {})
+        keys += [f"files/{path}" for path in sorted(files.keys() | old_files.keys())
+                 if files.get(path) != old_files.get(path)]
+        if keys:
+            moved[name] = keys
+    return moved
+
+
 def test_cli_outputs_match_manifest(tmp_path):
     expected = json.loads(MANIFEST_PATH.read_text())
     actual = run_manifest(tmp_path)
-    moved = {name: [key for key in ("argv", "exit", "stdout", "stderr", "files")
-                    if entry[key] != expected["invocations"].get(name, {}).get(key)]
-             for name, entry in actual["invocations"].items()}
-    moved = {name: keys for name, keys in moved.items() if keys}
+    moved = moved_digests(expected, actual)
     assert list(actual["invocations"]) == list(expected["invocations"]) and not moved, (
         f"outputs moved: {moved}; the manifest was recorded under {expected['environment']} "
         f"and this run has {actual['environment']}"
@@ -174,7 +187,12 @@ if __name__ == "__main__":
 
     if sys.argv[1:] != ["--record"]:
         sys.exit(f"usage: PYTHONPATH=src python {sys.argv[0]} --record")
+    old = json.loads(MANIFEST_PATH.read_text()) if MANIFEST_PATH.exists() else {"invocations": {}}
     with tempfile.TemporaryDirectory() as tmp:
         manifest = run_manifest(Path(tmp))
     MANIFEST_PATH.write_text(json.dumps(manifest, indent=1) + "\n")
     print(f"wrote {MANIFEST_PATH}")
+    for name, keys in moved_digests(old, manifest).items():
+        print(f"moved: {name}: {', '.join(keys)}")
+    for name in old["invocations"].keys() - manifest["invocations"].keys():
+        print(f"dropped: {name}")

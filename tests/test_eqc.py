@@ -1,4 +1,5 @@
 import json
+import math
 import re
 import warnings
 from dataclasses import replace
@@ -24,9 +25,10 @@ from irtcalib import (
 )
 from irtcalib import eqc
 from irtcalib.eqc import _MAX_ITER, _brent_root, _FrozenObjective
-from irtcalib.items import MODELS
+from irtcalib.items import MODELS, ItemPool
 from irtcalib.latent import VALIDATION_SHAPE_PARAMS
 from irtcalib.rng import child_seed
+from irtcalib.study import DESK_PROFILE, _solve_eqc, make_desk_grid
 
 FLAGSHIP = EqcConfig(
     target_rho=0.75,
@@ -188,10 +190,10 @@ def test_pool_generation_failure_propagates():
         eqc_calibrate(cfg)
 
 
-@pytest.mark.parametrize("version", [None, 0, 6, 7, True, 3.0])
+@pytest.mark.parametrize("version", [None, 0, 7, 8, True, 3.0])
 def test_result_document_with_unknown_schema_version_rejected(version):
     doc = eqc_calibrate(replace(FLAGSHIP, m_quadrature=1000)).to_dict()
-    assert doc["schema_version"] == 5
+    assert doc["schema_version"] == 6
     if version is None:
         del doc["schema_version"]
     else:
@@ -349,3 +351,81 @@ def test_evaluations_count_distinct_scales(monkeypatch, target, status):
     assert result.status == status
     assert result.evaluations == len(scales) == len(set(scales))
     assert result.evaluations > 2 if status == "success" else result.evaluations == 2
+
+
+# The solve in log coordinates: g(u) = log(sigma2 * Jbar(e^u)) - log(target / (1 - target)).
+
+def _g(frozen, target, ends):
+    """g on ``frozen``'s quadrature; the bracket ends ``ends`` (u to c) are evaluated at their own scales."""
+    def g(u):
+        summary = frozen.summary(ends.get(u, math.exp(u)))
+        top = summary.sigma2_theta * summary.j_bar
+        return (math.log(top) if top > 0 else -math.inf) - math.log(target / (1.0 - target))
+    return g
+
+
+@settings(max_examples=40, deadline=None)
+@given(shape=st.sampled_from(sorted(VALIDATION_SHAPE_PARAMS)), model=st.sampled_from(MODELS),
+       source=st.sampled_from(["parametric", "empirical_pool"]), n_items=st.sampled_from([5, 15, 30, 60]),
+       tolerance=st.sampled_from([1e-4, 1e-8, 1e-12]), where=st.floats(0.01, 0.99),
+       seed=st.integers(0, 2**16))
+def test_eqc_root_is_brentqs_root_of_g_in_log_scale(shape, model, source, n_items, tolerance, where, seed):
+    cfg = EqcConfig(target_rho=0.5, latent=LatentSpec(shape=shape, shape_params=VALIDATION_SHAPE_PARAMS[shape]),
+                    items=PoolConfig(model=model, source=source, n_items=n_items), m_quadrature=500,
+                    interval=ScaleInterval(0.1, 10.0), tolerance=tolerance, seed=seed)
+    frozen = _FrozenObjective(cfg)
+    rho_lo, rho_hi = frozen.rho(0.1), frozen.rho(10.0)
+    target = rho_lo + where * (rho_hi - rho_lo)
+    assume(rho_lo < target < rho_hi)
+    result = eqc_calibrate(replace(cfg, target_rho=target))
+    ends = {math.log(0.1): 0.1, math.log(10.0): 10.0}
+    u = optimize.brentq(_g(frozen, target, ends), math.log(0.1), math.log(10.0), xtol=tolerance / 10.0,
+                        maxiter=_MAX_ITER)
+    assert result.status == "success"
+    assert result.c_star == ends.get(u, math.exp(u))
+    assert result.achieved_rho == frozen.rho(result.c_star)
+
+
+@pytest.mark.parametrize("master_seed", [1, 7])
+def test_desk_solves_take_at_most_nine_evaluations(master_seed):
+    for condition in make_desk_grid():
+        result = _solve_eqc(master_seed, DESK_PROFILE, condition)
+        assert result.status == "success"
+        assert result.evaluations <= 9
+        assert abs(result.achieved_rho - condition.target_rho) < 1e-8
+
+
+# At c = 1e-170 and below, (c*lambda0)^2 / 2 underflows to 0, so Jbar is 0 and g is -inf.
+@pytest.mark.parametrize("c_lower", [1e-300, 1e-200, 1e-170])
+@pytest.mark.parametrize("target", [0.3, 0.7])
+def test_a_bracket_end_where_information_underflows_still_gives_a_root(c_lower, target):
+    cfg = replace(FLAGSHIP, target_rho=target, m_quadrature=2000, interval=ScaleInterval(c_lower, 10.0))
+    result = eqc_calibrate(cfg)
+    assert result.rho_lower == 0.0
+    assert result.status == "success"
+    assert c_lower < result.c_star < 10.0
+    assert abs(result.achieved_rho - target) < 1e-8
+
+
+def test_information_underflowing_across_the_bracket_is_a_boundary():
+    cfg = replace(FLAGSHIP, m_quadrature=2000, interval=ScaleInterval(1e-200, 1e-190))
+    with pytest.warns(FeasibilityWarning):
+        result = eqc_calibrate(cfg)
+    assert (result.status, result.c_star, result.achieved_rho) == ("boundary_high", 1e-190, 0.0)
+    assert result.rho_lower == result.rho_upper == 0.0
+
+
+def test_falling_curve_message_states_no_inverted_bracket():
+    # Items far from a narrow latent mass: reliability falls from 0.0029 at c = 0.1 to 8e-11 at c = 10.
+    pool = ItemPool(model="rasch", beta=np.repeat([-3.0, 3.0], 15), lambda0=np.ones(30))
+    cfg = EqcConfig(target_rho=0.05, latent=LatentSpec(sigma=0.2), items=pool, m_quadrature=2000,
+                    interval=ScaleInterval(0.1, 10.0))
+    with pytest.warns(FeasibilityWarning) as caught:
+        result = eqc_calibrate(cfg)
+    assert result.status == "boundary_high"
+    assert result.rho_upper < result.rho_lower
+    message = str(caught[0].message)
+    assert message == eqc.infeasible_message(result)
+    assert "falls across c in [0.1, 10.0], from 0.0029 to 0.0000" in message
+    assert "may peak inside the interval" in message and "irtcalib bounds" in message
+    assert "attainable bracket" not in message

@@ -282,6 +282,8 @@ def _scipy(f, *args):
 @example(x=np.array([-20.0, 3.0, 7.0, 7.0]) * 2.0**-300)
 @example(x=np.array([-20.0, 3.0, 7.0, 7.0]) * 2.0**-266)
 @example(x=np.array([-20.0, 3.0, 7.0, 7.0]) * 2.0**300)
+@example(x=np.array([-20.0, 3.0, 7.0, 7.0]) * 2.0**-560)
+@example(x=np.array([-20.0, 3.0, 7.0, 7.0]) * 2.0**560)
 def test_sample_moments_equal_scipys(x):
     mom = sample_moments(x)
     got = [mom["skew"], mom["excess_kurtosis"]]
@@ -292,13 +294,15 @@ def test_sample_moments_equal_scipys(x):
     else:
         expected = np.array([_scipy(stats.skew, x), _scipy(stats.kurtosis, x)])
         mean = np.mean(x)
-        m2 = np.mean((x - mean) ** 2)
-        if not _constant(x, mean, m2):
+        with np.errstate(over="ignore"):  # past about 1e154 (the examples at 2^560) m2 overflows
+            m2 = np.mean((x - mean) ** 2)
+        if not _constant(x):
             # Past scales of about 1e-77 and 1e77 (the lattice at 2^-300, 2^-266
-            # and 2^300) a denominator m2^1.5 or m2^2 is not a normal float, and
-            # scipy's ratio has lost its bits or is not finite. It is then
-            # scipy's on the sample rescaled exactly by the power of two that
-            # puts its largest deviation in [0.5, 1).
+            # and 2^300, and the examples at 2^-560 and 2^560) a denominator
+            # m2^1.5 or m2^2 is not a normal float, and scipy's ratio has lost
+            # its bits or is not finite. It is then scipy's on the sample
+            # rescaled exactly by the power of two that puts its largest
+            # deviation in [0.5, 1).
             unit = np.ldexp(x, -np.frexp(np.max(np.abs(x - mean)))[1])
             with np.errstate(over="ignore"):
                 normal = [np.finfo(float).tiny <= m2**p < np.inf for p in (1.5, 2)]
@@ -311,8 +315,7 @@ def test_sample_moments_equal_scipys(x):
 @settings(deadline=None)
 @given(x=samples())
 def test_gaussian_kde_is_scipys_up_to_rounding(x):
-    mean = np.mean(x)
-    assume(not _constant(x, mean, np.mean((x - mean) ** 2)) and np.std(x) > 1e-100)
+    assume(not _constant(x) and np.std(x) > 1e-100)
     h = np.std(x, ddof=1) * x.size**-0.2
     grid = np.linspace(x.min() - 40 * h, x.max() + 40 * h, 41)
     got = _gaussian_kde(x, grid)
@@ -326,6 +329,21 @@ def test_gaussian_kde_is_scipys_up_to_rounding(x):
     rtol = 512 * np.finfo(float).eps * (np.max(np.abs(grid)) / h + 40)
     atol = rtol * np.finfo(float).tiny + x.size * 2.0**-1074
     np.testing.assert_allclose(got, expected, rtol=rtol, atol=atol)
+
+
+# theta = sigma * z: at sigma = 1e200 the squared deviations overflow and at
+# 1e-170 they underflow, yet the sample's shape and its density are sigma = 1's.
+@pytest.mark.parametrize("sigma", [1e200, 1e-170])
+def test_describe_shapes_does_not_depend_on_the_scale(sigma):
+    specs = [LatentSpec(shape="skew_pos", shape_params={"k": 4.0}, sigma=s) for s in (1.0, sigma)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        unit, scaled = (describe_shapes([spec], 1000, seeds=[3]) for spec in specs)
+    for key in ("skew", "excess_kurtosis"):
+        assert scaled.moments["skew_pos"][key] == pytest.approx(unit.moments["skew_pos"][key], rel=1e-12)
+    assert scaled.moments["skew_pos"]["var"] == (np.inf if sigma > 1 else 0.0)
+    np.testing.assert_allclose(scaled.theta / sigma, unit.theta, rtol=1e-12)
+    np.testing.assert_allclose(scaled.densities["skew_pos"] * sigma, unit.densities["skew_pos"], rtol=1e-9)
 
 
 _CONSTANT_MIXTURE = LatentSpec(shape="mixture", shape_params={"components": [

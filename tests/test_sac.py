@@ -6,6 +6,8 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from irtcalib import (
     ConfigurationError,
@@ -22,8 +24,9 @@ from irtcalib import (
     sac_deviation_study,
     step_size,
 )
-from irtcalib import sac
-from irtcalib.items import build_pool, draw_pools
+from irtcalib import psychometrics, sac
+from irtcalib.items import ItemPool, build_pool, draw_pools
+from irtcalib.latent import sample_latent
 from irtcalib.psychometrics import reliability_summary
 from irtcalib.sac import _iterate
 from irtcalib.rng import child_seed, stream
@@ -281,11 +284,11 @@ def test_twopl_result_roundtrip():
 
 def test_schema_version_one_document_loads():
     doc = json.loads(json.dumps(_small_twopl_run().to_dict()))
-    assert doc["schema_version"] == 6
+    assert doc["schema_version"] == 7
     doc["schema_version"] = 1
     clone = SacResult.from_dict(doc)
     assert clone.c_star == doc["c_star"]
-    assert clone.to_dict() == {**doc, "schema_version": 6}
+    assert clone.to_dict() == {**doc, "schema_version": 7}
 
 
 @pytest.mark.parametrize("status", [[1], "success"])
@@ -295,7 +298,7 @@ def test_result_document_with_unknown_status_rejected(status):
         SacResult.from_dict({**doc, "status": status})
 
 
-@pytest.mark.parametrize("version", [None, 0, 7, True, 3.0])
+@pytest.mark.parametrize("version", [None, 0, 8, True, 3.0])
 def test_unknown_schema_version_rejected(version):
     doc = _small_twopl_run().to_dict()
     if version is None:
@@ -421,3 +424,85 @@ def test_deviation_study_matches_reference_statistics(monkeypatch):
     }
     assert list(out) == ["n_seeds", "mean_delta", "sd_delta", "mae",
                          "pct_within_001", "pct_within_002", "pct_within_005"]
+
+
+# --- chunked iterations against the per-iteration loop -------------------------
+
+
+def _per_iteration_sac(cfg):
+    """SAC as one draw and one whole summary per iteration and evaluation block:
+    the loop before iterations ran in chunks, kept as the bit-level reference."""
+    dtype = np.float32 if cfg.metric == "avg_info" else np.float64
+
+    def summary(rng, pool, c, dtype=np.float64):
+        theta = sample_latent(cfg.latent, cfg.m_per_iter, rng=rng).theta
+        sigma2 = psychometrics.sample_variance(theta) if theta.size > 1 else 0.0
+        info = psychometrics._test_info_values(theta, pool, c, dtype)
+        return psychometrics.reliability_from_information(info, sigma2, c)
+
+    theta_rng = stream(cfg.seed, "sac/theta")
+    betas, lambdas = draw_pools(cfg.items, cfg.n_iter, stream(cfg.seed, "sac/pools"))
+
+    def rho_of(n, c):
+        result = summary(theta_rng, sac._PoolRow(betas[n - 1], lambdas[n - 1]), c, dtype)
+        if cfg.metric != "avg_info" and result.underflow:
+            raise DivergedObjectiveError(
+                f"error-variance objective diverged at iteration {n} (c={c}): "
+                "test information underflowed to zero on the batch"
+            )
+        return sac.metric_value(result, cfg.metric)
+
+    trace_c, trace_rho, clamps = _iterate(cfg, cfg.resolved_c_init(), rho_of)
+    c_star = float(np.mean(trace_c[cfg.burn_in:]))
+    eval_rng = stream(cfg.seed, "sac/eval")
+    n_blocks = max(1, cfg.resolved_eval_m() // cfg.m_per_iter)
+    pools = [build_pool(cfg.items, child_seed(cfg.seed, "sac/eval-pool", b)) for b in range(n_blocks)]
+    achieved = float(np.mean([sac.metric_value(summary(eval_rng, pool, c_star), cfg.metric) for pool in pools]))
+    return trace_c, trace_rho, clamps / cfg.n_iter, c_star, achieved
+
+
+def _outcome(run, cfg):
+    try:
+        out = run(cfg)
+    except DivergedObjectiveError as exc:
+        return str(exc)
+    if isinstance(out, SacResult):
+        out = (out.trace_c, out.trace_rho, out.clamp_fraction, out.c_star, out.achieved_rho)
+    trace_c, trace_rho, *rest = out
+    return trace_c.tobytes(), trace_rho.tobytes(), *(np.float64(v).tobytes() for v in rest)
+
+
+_SHAPES = {
+    "normal": {}, "bimodal": {"delta": 0.8}, "skew_pos": {"k": 4.0}, "heavy_tail": {"nu": 5.0},
+    "mixture": {"components": [{"weight": 1.0, "mean": -1.0, "sd": 0.5}, {"weight": 2.0, "mean": 1.0, "sd": 1.0}]},
+}
+_POOLS = [
+    PoolConfig(model="rasch", source="parametric", n_items=12),
+    PoolConfig(model="twopl", source="empirical_pool", n_items=20),
+    PoolConfig(model="twopl", source="parametric", n_items=9, gen_method="conditional"),
+    ItemPool(model="twopl", beta=np.linspace(-2.0, 2.0, 10), lambda0=np.linspace(0.6, 1.6, 10)),
+]
+
+
+# chunk_rows patches the chunk: with 4100 rows, m = 2047, 2048 and 2049 run
+# two batches per chunk and m = 4097 one; an odd n_iter then ends on a part
+# chunk. At sigma = 30 and c = 6, about one batch of 2048 in seven has a
+# person whose information underflows, so msem iterations diverge.
+@settings(deadline=None, max_examples=40)
+@given(metric=st.sampled_from(["avg_info", "msem"]), shape=st.sampled_from(sorted(_SHAPES)),
+       m=st.sampled_from([1, 2, 2047, 2048, 2049, 4097]), n_iter=st.integers(2, 9),
+       chunk_rows=st.sampled_from([1, 4100, sac._CHUNK_ROWS]), items=st.sampled_from(range(len(_POOLS))),
+       sigma=st.sampled_from([1.0, 30.0]), c_init=st.sampled_from([1.2, 6.0]), seed=st.integers(0, 2**32 - 1))
+@example(metric="msem", shape="normal", m=2049, n_iter=9, chunk_rows=4100, items=0, sigma=30.0, c_init=6.0,
+         seed=3)  # diverges at iteration 6, the second batch of the third chunk
+@example(metric="avg_info", shape="bimodal", m=2, n_iter=7, chunk_rows=4100, items=3, sigma=1.0, c_init=1.2,
+         seed=1)
+def test_chunked_iterations_equal_the_per_iteration_loop(metric, shape, m, n_iter, chunk_rows, items, sigma,
+                                                         c_init, seed):
+    cfg = SacConfig(target_rho=0.6, latent=LatentSpec(shape=shape, shape_params=_SHAPES[shape], sigma=sigma),
+                    items=_POOLS[items], metric=metric, n_iter=n_iter, burn_in=n_iter // 2, m_per_iter=m,
+                    interval=ScaleInterval(0.5, 10.0), c_init=c_init, eval_m=3 * m, seed=seed)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(sac, "_CHUNK_ROWS", chunk_rows)
+        chunked = _outcome(sac_calibrate, cfg)
+    assert chunked == _outcome(_per_iteration_sac, cfg)
