@@ -548,6 +548,13 @@ def _parse_shape_list(text: str, seed: int) -> tuple[list[LatentSpec], list[int]
     return specs, seeds
 
 
+def _moment(x: float, sign: str = "") -> str:
+    """``x`` to four decimals, or to four significant digits where four
+    decimals would show a nonzero value as zero or run past six integer digits."""
+    fmt = "f" if x == 0 or 5e-5 <= abs(x) < 1e6 else "g"
+    return f"{x:{sign}.4{fmt}}"
+
+
 def cmd_shapes(args) -> int:
     specs, seeds = _parse_shape_list(args.shapes, args.seed)
     table = describe_shapes(specs, args.n, seeds)
@@ -558,9 +565,10 @@ def cmd_shapes(args) -> int:
         theo = theoretical_moments(spec)
         moment_block[label] = {"sample": moments, "theoretical": theo}
         print(
-            f"  {label}: sample mean {moments['mean']:+.4f}, var {moments['var']:.4f}, "
-            f"skew {moments['skew']:+.4f} (theory {theo['skewness']:+.4f}), "
-            f"excess kurtosis {moments['excess_kurtosis']:+.4f} (theory {theo['excess_kurtosis']:+.4f})"
+            f"  {label}: sample mean {_moment(moments['mean'], '+')}, var {_moment(moments['var'])}, "
+            f"skew {_moment(moments['skew'], '+')} (theory {_moment(theo['skewness'], '+')}), "
+            f"excess kurtosis {_moment(moments['excess_kurtosis'], '+')} "
+            f"(theory {_moment(theo['excess_kurtosis'], '+')})"
         )
     _write_json(
         str(args.out) + ".meta.json",

@@ -321,10 +321,20 @@ def _gaussian_kde(x: np.ndarray, grid: np.ndarray) -> np.ndarray:
     bits wherever ``np.std`` does not overflow or underflow, and finite there.
     A few grid points are evaluated at a time, so no temporary holds more
     than about ``_KDE_BLOCK_CELLS`` values.
+
+    The sum of the terms exp(-u^2/2) is divided by ``norm = n*h*sqrt(2*pi)``.
+    Where ``norm`` is below 1 (h below about 1/n), that division would
+    magnify exp's rounding of a subnormal term, up to 2^-1074 absolute, into
+    a relative error of up to 2e-11 in a normal density (and a term below
+    2^-1075 would be lost). There ``-log(norm)``, capped at 700 so that its
+    exp stays finite, joins each exponent instead, and the sum is divided by
+    ``norm * exp(shift)``, near 1; elsewhere the shift is 0 and changes no bit.
     """
     n = x.size
     unit, e = _unit_sample(x)
     h = np.ldexp(np.std(unit, ddof=1), e) * n**-0.2
+    norm = n * h * np.sqrt(2.0 * np.pi)
+    shift = min(-np.log(norm), 700.0) if norm < 1.0 else 0.0
     scaled = x / h
     rows = max(1, _KDE_BLOCK_CELLS // n)
     sums = np.empty(grid.size)
@@ -332,9 +342,11 @@ def _gaussian_kde(x: np.ndarray, grid: np.ndarray) -> np.ndarray:
         block = grid[start:start + rows, None] / h - scaled
         block *= block
         block *= -0.5
+        if shift:
+            block += shift
         np.exp(block, out=block)
         block.sum(axis=1, out=sums[start:start + rows])
-    return sums / (n * h * np.sqrt(2.0 * np.pi))
+    return sums / (norm * np.exp(shift))
 
 
 @dataclass

@@ -17,13 +17,17 @@ abilities, so they are drawn and prepared for the kernel (see
 time: each iteration then runs only its scale's coefficients, the kernel
 passes and the summary.
 
-An ``avg_info`` iteration runs the information kernel in float32: the update
-reads only the sign and rough size of a measurement that is noisy at about
-1e-2, and float32 moves it by about 1e-8. Everything reported (the
-evaluation blocks behind ``achieved_rho``) and every ``msem`` iteration stay
-float64, since float32's ``cosh`` overflows, giving ``h = 0``, at ``|x|``
-near 89.4 rather than 710.5 and would move the ``INFO_FLOOR`` rule onto
-other batches.
+Every iteration runs the information kernel in float32: the update reads
+only the sign and rough size of a measurement that is noisy at about 1e-2,
+and float32 moves it by about 1e-8. Float32's ``cosh`` overflows, giving
+``h = 0``, at ``|x|`` near 89.4 rather than 710.5, so an ``msem`` iteration
+keeps its float32 summary only where that summary proves every person's
+information far above the ``INFO_FLOOR`` (see :func:`_msem_summary`), and
+evaluates the batch again in float64 otherwise; the ``INFO_FLOOR`` rule and
+:class:`DivergedObjectiveError` therefore meet the same batches as in
+float64. After a batch whose summary does not prove it, the next batches go
+straight to float64 until one does. Everything reported (the evaluation
+blocks behind ``achieved_rho``) stays float64.
 
 The reported ``achieved_rho`` comes from an independent evaluation stream:
 ``eval_m / m_per_iter`` blocks, each shaped exactly like an iteration batch
@@ -56,6 +60,8 @@ from .psychometrics import (
     DEFAULT_INTERVAL,
     METRIC_AVG_INFO,
     METRICS,
+    PreparedSample,
+    ReliabilitySummary,
     ScaleInterval,
     metric_value,
     prepare_samples,
@@ -132,13 +138,14 @@ class SacResult(ResultDocument):
     """Averaged scale, its independent evaluation, and the full iterate trace."""
 
     RESULT_TYPE = "sac"
+    # 8: msem iterations run the kernel in float32, re-checked in float64 near the floor (c* moves by about 3e-9);
     # 7: a warm start from an EQC result starts from its schema 6 c* (a fixed c_init keeps every bit);
     # 6: the information kernel takes h(x) = 1/(2 + 2 cosh x) (c* moves by about 2e-9 relative);
     # 5: 2PL copula pools take log lambda from z_lam directly (last-bit moves);
     # 4: avg_info iterations run the information kernel in float32 (msem keeps its bits);
     # 3: no latent.seed or redraw_items (both constant in effect);
     # 2: iteration pools are drawn in one batch; 1: one build_pool per iteration
-    SCHEMA_VERSION = 7
+    SCHEMA_VERSION = 8
     STATUSES = STATUSES
 
     c_star: float
@@ -251,6 +258,42 @@ def _batches(config: SacConfig, rng: np.random.Generator, count: int, dtype):
         yield from prepare_samples(rows, dtype)
 
 
+# The float32 information floor T of an msem iteration. Per person, float32
+# loses only terms of two kinds: those where cosh overflows (|x| > 89.4, and
+# there the exact 1/(1 + cosh x) < 1/FLT_MAX = 2.94e-39), and those rounded
+# in the subnormal range (each kernel value, product and partial sum below
+# FLT_MIN = 1.18e-38 is off by at most 2^-150 = 7.0e-46). With weights
+# w_i = (c*lambda0_i)^2/2 and W their sum over the I items, a person's J
+# loses at most 2.94e-39*W + 7.0e-46*(W + 2I), so J >= T = 1e-20 keeps the
+# loss below float32's own rounding 2^-24*J = 6.0e-28 while W <= 1e11 and
+# I <= 1e17 (every W <= 1e11 is c*lambda0 <= 4.4e4 on 100 items). Because
+# max(1/J) <= sum(1/J) = m*msem, an msem below 1/(m*T) proves every J >= T.
+# The proof also keeps the INFO_FLOOR rule exact: the lost terms only lower
+# float32's J, and float32's rounding of x = a*theta - a*beta, at most
+# 4*2^-24*(|a*theta| + |a*beta|), moves h and so J by a factor below
+# exp(640) < 1e278 while |a*theta| + |a*beta| < 2.6e9; the float64 J of a
+# proven batch is then above 1e-298, clear of INFO_FLOOR = 1e-300.
+_MSEM_FLOOR32 = 1e-20
+
+
+def _proves_floor(summary: ReliabilitySummary, m: int) -> bool:
+    """Whether the msem of ``m`` persons proves every information at least ``_MSEM_FLOOR32``."""
+    return summary.msem * m < 1.0 / _MSEM_FLOOR32  # inf and nan fail too
+
+
+def _msem_summary(sample: PreparedSample, pool: ItemPool | _PoolRow, c: float,
+                  float32: bool = True) -> ReliabilitySummary:
+    """An msem iteration's summary of a float32-prepared batch: its float32
+    summary where that proves every person's information at least
+    ``_MSEM_FLOOR32``, and the float64 one of the same batch otherwise, or
+    at once when ``float32`` is false."""
+    if float32:
+        summary = reliability_summary(sample, pool, c, dtype=np.float32)
+        if _proves_floor(summary, sample.theta.size):
+            return summary
+    return reliability_summary(sample, pool, c)
+
+
 def sac_calibrate(config: SacConfig) -> SacResult:
     """Run the full stochastic calibration.
 
@@ -260,17 +303,28 @@ def sac_calibrate(config: SacConfig) -> SacResult:
     """
     c0 = config.resolved_c_init()
     betas, lambdas = draw_pools(config.items, config.n_iter, stream(config.seed, "sac/pools"))
-    dtype = np.float32 if config.metric == METRIC_AVG_INFO else np.float64
-    batches = _batches(config, stream(config.seed, "sac/theta"), config.n_iter, dtype)
+    batches = _batches(config, stream(config.seed, "sac/theta"), config.n_iter, np.float32)
+
+    # An msem batch whose summary does not prove the float32 floor sends the
+    # next batch straight to float64, until a float64 summary proves it: near
+    # the floor float32's cosh overflows on many cells, where numpy's cosh
+    # runs about 19 times slower (AVX-512 Xeon), and the batch would be
+    # evaluated again anyway.
+    float32 = True
 
     def rho_of(n: int, c: float) -> float:
-        summary = reliability_summary(next(batches), _PoolRow(betas[n - 1], lambdas[n - 1]), c, dtype=dtype)
-        if config.metric != METRIC_AVG_INFO and summary.underflow:
+        nonlocal float32
+        sample, pool = next(batches), _PoolRow(betas[n - 1], lambdas[n - 1])
+        if config.metric == METRIC_AVG_INFO:
+            return reliability_summary(sample, pool, c, dtype=np.float32).rho_tilde
+        summary = _msem_summary(sample, pool, c, float32)
+        float32 = _proves_floor(summary, sample.theta.size)
+        if summary.underflow:
             raise DivergedObjectiveError(
                 f"error-variance objective diverged at iteration {n} (c={c}): "
                 "test information underflowed to zero on the batch"
             )
-        return metric_value(summary, config.metric)
+        return summary.w_bar
 
     # The kernel's cosh overflows to inf past |x| near 89.4 (float32) or
     # 710.5, giving h = 0. The loop, chunk draws included, enters the

@@ -303,7 +303,7 @@ def test_validate_summary_records_schema_version(tmp_path):
     cfg_path.write_text(json.dumps(cfg))
     assert run(["validate", "--config", str(cfg_path), "--out-dir", str(tmp_path / "out"), "--threads", "1"]) == 0
     summary = json.loads((tmp_path / "out" / "study_summary.json").read_text())
-    assert summary["schema_version"] == 7
+    assert summary["schema_version"] == 8
 
 
 def test_validate_full_profile_echo(tmp_path, capsys):
@@ -403,6 +403,25 @@ def test_shapes_applies_mu_and_sigma(tmp_path):
     assert meta["moments"]["bimodal"]["sample"]["mean"] == pytest.approx(1.0, abs=0.05)
 
 
+# Moments print to four decimals, and to four significant digits where four
+# decimals would show a nonzero value as zero or run past six integer digits.
+@pytest.mark.parametrize("sigma, mean", [("1e200", "-6.708e+197"), ("1e-170", "-6.708e-173")])
+def test_shapes_prints_moments_readably_at_any_scale(sigma, mean, tmp_path, capsys):
+    assert run(["shapes", "--shapes", f"normal:sigma={sigma}", "--n", "1000", "--out",
+                str(tmp_path / "dens.csv")]) == 0
+    line = capsys.readouterr().out.splitlines()[-1]
+    meta = json.loads((tmp_path / "dens.csv.meta.json").read_text())["moments"]["normal"]["sample"]
+    assert f"{meta['mean']:+.4g}" == mean
+    assert line == (f"  normal: sample mean {mean}, var {meta['var']:.4f}, skew {meta['skew']:+.4f} (theory +0.0000), "
+                    f"excess kurtosis {meta['excess_kurtosis']:+.4f} (theory +0.0000)")
+    assert len(line) < 120
+
+
+def test_shapes_keeps_four_decimals_within_six_integer_digits(tmp_path, capsys):
+    assert run(["shapes", "--shapes", "normal:sigma=1e5", "--n", "1000", "--out", str(tmp_path / "d.csv")]) == 0
+    assert "sample mean -670.7550, var 1.067e+10, skew -0.0370" in capsys.readouterr().out
+
+
 def test_calibrate_rejects_parameter_the_shape_does_not_take(capsys):
     code = run(["calibrate", "--target", "0.5", "--latent-shape", "normal",
                 "--latent-params", "delta=0.8", "--m", "500"])
@@ -463,10 +482,12 @@ def test_validate_rejects_unknown_latent_keys(form, tmp_path, capsys):
 # an EQC document's c_star, achieved_rho, abs_error and evaluations, and a SAC
 # document's c_init, warm-started from that root, and the numbers after it;
 # c_star by less than 1e-8 relative. Every other key keeps its value. Only
-# Rasch documents are listed: the 2PL copula pools of eqc_schema_2.json
-# (`--target 0.6 --items 15 --model twopl --latent-shape skew_pos --m 500
-# --c-lower 0.1 --c-upper 10 --seed 5`) and of the later 2PL fixtures moved in
-# their last bits at EQC schema 4 and SAC schema 5.
+# Rasch documents and sac_schema_7.json are listed: the 2PL copula pools of
+# eqc_schema_2.json (`--target 0.6 --items 15 --model twopl --latent-shape
+# skew_pos --m 500 --c-lower 0.1 --c-upper 10 --seed 5`) and of the 2PL
+# fixtures up to eqc_schema_3.json and sac_schema_4.json moved in their last
+# bits at EQC schema 4 and SAC schema 5. sac_schema_7.json is an avg_info
+# document, which SAC schema 8 leaves as it was but for its schema_version.
 _PAST_DOCS = [
     ("eqc_schema_1.json",
      ["--target", "0.5", "--items", "15", "--model", "rasch", "--latent-shape", "bimodal",
@@ -475,6 +496,9 @@ _PAST_DOCS = [
      ["--algorithm", "sac", "--metric", "msem", "--target", "0.5", "--items", "15",
       "--model", "rasch", "--latent-shape", "heavy_tail", "--m", "500", "--n-iter", "40",
       "--m-per-iter", "200", "--c-lower", "0.1", "--c-upper", "10", "--seed", "4"]),
+    ("sac_schema_7.json",
+     ["--algorithm", "sac", "--target", "0.6", "--items", "12", "--model", "twopl", "--item-source", "pool",
+      "--latent-shape", "skew_pos", "--m", "500", "--n-iter", "30", "--m-per-iter", "100", "--seed", "12"]),
 ]
 _ROOT_KEYS = ("c_star", "achieved_rho", "abs_error", "evaluations", "c_init")
 
@@ -505,11 +529,12 @@ def test_past_schema_documents_load_and_generate_the_same_responses(name, flags,
 # writing it again gives its bytes back, key order included. eqc_schema_6.json
 # was written with the flags of eqc_schema_3.json to eqc_schema_5.json:
 # `calibrate --target 0.7 --items 12 --model twopl --latent-shape bimodal --m 500
-# --seed 11`; sac_schema_7.json with those of sac_schema_3.json to
-# sac_schema_6.json: `calibrate --algorithm sac --target 0.6 --items 12 --model
-# twopl --item-source pool --latent-shape skew_pos --m 500 --n-iter 30
-# --m-per-iter 100 --seed 12`.
-@pytest.mark.parametrize("name", ["eqc_schema_6.json", "sac_schema_7.json"])
+# --seed 11`; sac_schema_8.json, an msem document, with those of
+# sac_schema_3.json to sac_schema_7.json and `--metric msem`: `calibrate
+# --algorithm sac --metric msem --target 0.6 --items 12 --model twopl
+# --item-source pool --latent-shape skew_pos --m 500 --n-iter 30 --m-per-iter
+# 100 --seed 12`.
+@pytest.mark.parametrize("name", ["eqc_schema_6.json", "sac_schema_8.json"])
 def test_current_schema_documents_keep_their_bytes(name):
     path = Path(__file__).parent / "data" / "result_docs" / name
     doc = json.loads(path.read_text())
@@ -524,7 +549,8 @@ def test_current_schema_documents_keep_their_bytes(name):
 # sac_schema_4.json's while copula pools still ran Phi^-1(Phi(z));
 # eqc_schema_4.json's and sac_schema_5.json's while the information kernel
 # still ran h = exp(-|x|) / (1 + exp(-|x|))^2; eqc_schema_5.json's and
-# sac_schema_6.json's while EQC still found its root in c.
+# sac_schema_6.json's while EQC still found its root in c; sac_schema_7.json's
+# while SAC's msem iterations still ran the kernel in float64.
 _PAST_DOC_RESPONSES = {
     "eqc_schema_1.json": "6a3dfc40f41a750822c8bd14c34d1992435f2c15b5e037f045d51c4428b36505",
     "sac_schema_2.json": "b906c4ff61f059819fe130acc4fe1fdb891aa3d4433721fcdf5f309dff428ac7",
@@ -536,6 +562,7 @@ _PAST_DOC_RESPONSES = {
     "sac_schema_5.json": "2c915104d05558b76d5cc37b804e6063bee0160fae46794cd0fcd0576680fc4c",
     "eqc_schema_5.json": "f284b860a3ef6575d73137ba9cda8429dbb1e733a30814fb1b2416344abd7ddf",
     "sac_schema_6.json": "2c915104d05558b76d5cc37b804e6063bee0160fae46794cd0fcd0576680fc4c",
+    "sac_schema_7.json": "2c915104d05558b76d5cc37b804e6063bee0160fae46794cd0fcd0576680fc4c",
 }
 
 

@@ -314,6 +314,7 @@ def test_sample_moments_equal_scipys(x):
 
 @settings(deadline=None)
 @given(x=samples())
+@example(x=np.array([-14.0, -8.0, 16.0]) * 2.0**-300)
 def test_gaussian_kde_is_scipys_up_to_rounding(x):
     assume(not _constant(x) and np.std(x) > 1e-100)
     h = np.std(x, ddof=1) * x.size**-0.2
@@ -322,13 +323,39 @@ def test_gaussian_kde_is_scipys_up_to_rounding(x):
     expected = _scipy(lambda: stats.gaussian_kde(x)(grid))
     # A term's exponent u^2/2, u = (g - x_i)/h, is a difference of g/h and
     # x_i/h, values up to R = max|g|/h, and its h may differ from scipy's in
-    # the last bit. For terms that do not underflow (u < 38.6) that puts the
-    # relative error near eps * (77*R + 1500), under 150 * eps * (R + 40);
-    # the largest over 12,000 samples was 143 * eps * (R + 40). Subnormal
-    # densities also round absolutely, by up to 2^-1074 per term.
+    # the last bit. Where exp(-u^2/2) is a normal float (u < 37.6) that puts
+    # the relative error near eps * (77*R + 1500), under 150 * eps * (R + 40);
+    # the largest over 12,000 samples was 143 * eps * (R + 40). The grid also
+    # reaches terms whose exp is subnormal (u in [37.6, 38.6)) or 0, rounded
+    # absolutely by up to 2^-1074. scipy multiplies each such term by
+    # 1/(h*sqrt(2*pi)) and divides it by n, so its density can be off by up
+    # to 2^-1074/(h*sqrt(2*pi)) in all: at x = [-14, -8, 16] * 2^-300 one
+    # term, exp(-719.77) = 2.6e-313, is 5.2e10 subnormal steps, and one step
+    # is 1.9e-11 of the density 5.5e-225 it feeds. The package's own
+    # subnormal terms round by up to 2^-1074 each as densities (see
+    # test_gaussian_kde_keeps_its_precision_at_tiny_bandwidths).
     rtol = 512 * np.finfo(float).eps * (np.max(np.abs(grid)) / h + 40)
-    atol = rtol * np.finfo(float).tiny + x.size * 2.0**-1074
+    atol = rtol * np.finfo(float).tiny + 2.0**-1074 * (x.size + 2 / (h * np.sqrt(2 * np.pi)))
     np.testing.assert_allclose(got, expected, rtol=rtol, atol=atol)
+
+
+# The density in long double, whose exponent range leaves no term subnormal:
+# at bandwidths below about 1/n the package keeps the relative precision of
+# its normal terms on every density a float64 can hold, where scipy's
+# rounds subnormal terms and loses the ones below 2^-1075.
+@settings(deadline=None)
+@given(x=samples())
+@example(x=np.array([-14.0, -8.0, 16.0]) * 2.0**-300)
+def test_gaussian_kde_keeps_its_precision_at_tiny_bandwidths(x):
+    assume(not _constant(x) and np.std(x) > 1e-280)
+    h = np.std(x, ddof=1) * x.size**-0.2
+    grid = np.linspace(x.min() - 40 * h, x.max() + 40 * h, 41)
+    got = _gaussian_kde(x, grid)
+    u = (grid[:, None].astype(np.longdouble) - x) / np.longdouble(h)
+    exact = np.exp(-u * u / 2).sum(axis=1) / (x.size * np.longdouble(h) * np.sqrt(2 * np.pi, dtype=np.longdouble))
+    normal = (exact >= np.finfo(float).tiny) & (exact <= np.finfo(float).max)
+    rtol = 512 * np.finfo(float).eps * (np.max(np.abs(grid)) / h + 40)
+    np.testing.assert_allclose(got[normal], exact[normal].astype(float), rtol=rtol, atol=0)
 
 
 # theta = sigma * z: at sigma = 1e200 the squared deviations overflow and at
