@@ -234,21 +234,14 @@ def cmd_calibrate(args) -> int:
     interval = ScaleInterval(args.c_lower, args.c_upper)
     metric = _METRIC_ALIASES[args.metric]
 
-    if args.algorithm == "eqc" and metric == METRIC_MSEM:
-        print(
-            "error: the deterministic quadrature algorithm supports only the "
-            "average-information metric; use --algorithm sac for MSEM targeting",
-            file=sys.stderr,
-        )
-        return EXIT_USAGE
-
-    eqc_cfg = EqcConfig(
+    eqc_cfg = EqcConfig(  # for --algorithm eqc it rejects msem itself; a warm start is avg_info
         target_rho=args.target,
         latent=latent,
         items=items,
         m_quadrature=args.m,
         interval=interval,
         tolerance=args.tolerance,
+        metric=metric if args.algorithm == "eqc" else METRIC_AVG_INFO,
         seed=args.seed,
     )
 

@@ -216,17 +216,15 @@ class _FrozenObjective:
     """The empirical reliability function on the frozen quadrature."""
 
     def __init__(self, config: EqcConfig):
-        theta_rng = stream(config.seed, "eqc/theta")
-        self.theta = sample_latent(config.latent, config.m_quadrature, rng=theta_rng).theta
-        self.sample = prepare_samples(self.theta.reshape(1, -1))[0]
-        self.sigma2 = self.sample.sigma2
+        theta = sample_latent(config.latent, config.m_quadrature, rng=stream(config.seed, "eqc/theta")).theta
+        self.sample = prepare_samples(theta.reshape(1, -1))[0]
         self.pool = build_pool(config.items, child_seed(config.seed, "eqc/pool"))
         self.evaluations = 0
 
     def summary(self, c: float) -> ReliabilitySummary:
         self.evaluations += 1
         info = test_information(self.sample, self.pool, c)
-        summary = reliability_from_information(info, self.sigma2, c)
+        summary = reliability_from_information(info, self.sample.sigma2, c)
         if not np.isfinite(summary.rho_tilde):
             raise NumericalError(f"empirical reliability is non-finite at c={c}")
         return summary
@@ -248,15 +246,27 @@ def _log_scale_root(frozen: _FrozenObjective, target: float, lo: ReliabilitySumm
     :func:`_brent_root` solves ``g`` on ``[log c_lower, log c_upper]``, where
     the curve is nearly straight, to ``xtol`` in ``u``. It evaluates the
     scale ``e^u``; its bracket ends are the evaluations ``lo`` and ``hi``.
+    Where ``Jbar`` is 0 at ``lo``, ``g`` is -inf there and Brent's steps
+    from it are wasted, so the bracket is first bisected in ``u`` until its
+    lower end is finite. (``hi`` reaches the target, so its ``g`` is finite.)
     """
     u_lo, u_hi = math.log(lo.c), math.log(hi.c)
+    g_lo, g_hi = _log_top(lo), _log_top(hi)
+    goal = math.log(target / (1.0 - target))
     seen = {u_lo: lo, u_hi: hi}
 
     def log_top(u: float) -> float:
         summary = seen[u] = frozen.summary(math.exp(u))
         return _log_top(summary)
 
-    u, _ = _brent_root(log_top, math.log(target / (1.0 - target)), u_lo, u_hi, _log_top(lo), _log_top(hi), xtol)
+    while g_lo == -math.inf and u_hi - u_lo > xtol:
+        u = 0.5 * (u_lo + u_hi)
+        g = log_top(u)
+        if g < goal:
+            u_lo, g_lo = u, g
+        else:
+            u_hi, g_hi = u, g
+    u, _ = _brent_root(log_top, goal, u_lo, u_hi, g_lo, g_hi, xtol)
     return seen[u]
 
 
@@ -352,7 +362,7 @@ def eqc_calibrate(config: EqcConfig) -> CalibrationResult:
         rho_lower=rho_lo,
         rho_upper=rho_hi,
         pool=frozen.pool,
-        quadrature_sigma2=frozen.sigma2,
+        quadrature_sigma2=frozen.sample.sigma2,
         evaluations=frozen.evaluations,
         config=config,
     )
@@ -403,13 +413,13 @@ def feasibility_report(config: EqcConfig, scan_msem: bool = False, grid_size: in
         "c_upper": interval.c_upper,
         "rho_lower": rho_lo,
         "rho_upper": rho_hi,
-        "analytic_ceiling": analytic_ceiling(frozen.pool, frozen.sigma2, interval.c_upper),
+        "analytic_ceiling": analytic_ceiling(frozen.pool, frozen.sample.sigma2, interval.c_upper),
         "reference_ceiling": reference_ceiling(frozen.pool.n_items),
-        "latent_variance": frozen.sigma2,
+        "latent_variance": frozen.sample.sigma2,
         "feasible": bool(rho_lo < config.target_rho < rho_hi),
     }
     if scan_msem:
-        scan = monotonicity_scan(frozen.pool, frozen.theta, METRIC_MSEM, interval, grid_size)
+        scan = monotonicity_scan(frozen.pool, frozen.sample, METRIC_MSEM, interval, grid_size)
         report["msem_scan"] = {"is_monotone": scan.is_monotone, "grid": scan.grid}
     return report
 

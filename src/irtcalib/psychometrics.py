@@ -5,7 +5,13 @@ Conventions used throughout:
 * ``h(x) = s(x)(1 - s(x)) = 1/(2 + 2*cosh x)`` is the logistic variance
   kernel with ``s`` the inverse logit; ``0 < h(x) <= 1/4`` with equality
   only at 0. The information kernel takes the cosh form, which is exactly 0
-  past cosh's overflow (``|x|`` near 710.5, or 89.4 in float32).
+  past cosh's overflow (``|x|`` near 710.5, or 89.4 in float32); the kernel
+  ignores that overflow itself, so no caller sets ``np.errstate`` for it.
+* A latent sample reaches the kernel as a :class:`PreparedSample`, made only
+  by :func:`prepare_samples`: its ``[theta, 1]`` design in the kernel dtype
+  and its unbiased variance. :func:`test_information`,
+  :func:`reliability_summary` and :func:`monotonicity_scan` take either a
+  prepared sample or an array, which they prepare themselves.
 * Item information at scale ``c`` is ``(c*lambda0)^2 * h(c*lambda0*(theta - beta))``
   and test information is the sum over items.
 * Two marginal reliability functionals share the variance-ratio form:
@@ -19,7 +25,7 @@ Information values below ``1e-300`` are treated as exact zeros: the mean
 squared error of measurement is then infinite, ``w_bar`` collapses to 0, and
 the summary carries an ``underflow`` flag instead of silent NaNs. The
 sample variance and the means of ``J`` and ``1/J`` are the reductions numpy's
-``var`` and ``mean`` run, bit for bit, without their Python wrappers.
+``var(ddof=1)`` and ``mean`` run, bit for bit, without their Python wrappers.
 """
 
 from __future__ import annotations
@@ -107,15 +113,12 @@ class PreparedSample(NamedTuple):
 
     ``theta`` is the sample, ``design`` its ``[theta, 1]`` rows in the kernel
     dtype and ``sigma2`` its unbiased variance (0 for one value). Made by
-    :func:`prepare_samples`; it reads as ``theta`` under ``np.asarray``.
+    :func:`prepare_samples`.
     """
 
     theta: np.ndarray
     design: np.ndarray
     sigma2: float
-
-    def __array__(self, dtype=None, copy=None):
-        return np.array(self.theta, dtype=dtype, copy=copy)
 
 
 def _design(theta: np.ndarray, dtype) -> np.ndarray:
@@ -128,9 +131,9 @@ def _design(theta: np.ndarray, dtype) -> np.ndarray:
 def prepare_samples(rows: np.ndarray, dtype=np.float64) -> list[PreparedSample]:
     """One :class:`PreparedSample` per row of the float64 ``(k, m)`` array ``rows``.
 
-    One design covers every row, and each row's variance is
-    :func:`sample_variance`'s reductions taken along axis 1, which give its
-    bits row by row.
+    One design covers every row. Each row's variance is ``np.var(row,
+    ddof=1)`` bit for bit: the same pairwise-summed mean, squared deviations
+    and pairwise sum over ``m - 1``, taken along axis 1.
     """
     k, m = rows.shape
     design = _design(rows.ravel(), dtype)
@@ -143,33 +146,45 @@ def prepare_samples(rows: np.ndarray, dtype=np.float64) -> list[PreparedSample]:
             for j, (row, s2) in enumerate(zip(rows, sigma2))]
 
 
+def _prepared(sample, dtype) -> PreparedSample:
+    """``sample`` ready for the kernel in ``dtype``.
+
+    A :class:`PreparedSample` in ``dtype`` is used as it is; one in another
+    dtype gets a design in ``dtype`` and keeps its variance; anything else
+    is flattened and goes through :func:`prepare_samples`.
+    """
+    if isinstance(sample, PreparedSample):
+        if sample.design.dtype == dtype:
+            return sample
+        return sample._replace(design=_design(sample.theta, dtype))
+    theta = np.asarray(sample, dtype=float)
+    if theta.size == 0:
+        raise EmptyRequestError("theta sample must be nonempty")
+    return prepare_samples(theta.reshape(1, -1), dtype)[0]
+
+
 def _information(design: np.ndarray, pool: ItemPool, c: float) -> np.ndarray:
     """Per-person test information at scale ``c`` over a kernel design, in its dtype.
 
     With ``a = c*lambda0``, each row block takes ``x = a*theta - a*beta`` as
     one K=2 GEMM ``[theta, 1] @ [[a], [-a*beta]]``, turns it in place into
-    ``1/(1 + cosh x) = 2*h(x)`` (0 where cosh overflows), and sums it with
-    one GEMV against ``a^2/2``. ``cosh`` overflows past ``|x|`` near 710.5
-    (89.4 in float32), so the caller holds ``np.errstate(over="ignore")``.
+    ``1/(1 + cosh x) = 2*h(x)`` (0 where cosh overflows, past ``|x|`` near
+    710.5, or 89.4 in float32; that overflow is ignored here), and sums it
+    with one GEMV against ``a^2/2``.
     """
     dtype = design.dtype
     a = c * pool.lambda0
     coef = np.array((a, -a * pool.beta, 0.5 * a * a), dtype)  # the GEMM's rows, then the GEMV's
     out = np.empty(len(design), dtype)
-    for start, stop in _blocks(out.size):
-        x = _workspace(stop - start, a.size, dtype)
-        np.matmul(design[start:stop], coef[:2], out=x)
-        np.cosh(x, out=x)
-        x += 1.0
-        np.reciprocal(x, out=x)
-        np.matmul(x, coef[2], out=out[start:stop])
-    return out
-
-
-def _test_info_values(theta: np.ndarray, pool: ItemPool, c: float, dtype=np.float64) -> np.ndarray:
-    """Per-person test information at scale ``c`` over a 1-D ``theta``, in ``dtype``."""
     with np.errstate(over="ignore"):
-        return _information(_design(theta, dtype), pool, c)
+        for start, stop in _blocks(out.size):
+            x = _workspace(stop - start, a.size, dtype)
+            np.matmul(design[start:stop], coef[:2], out=x)
+            np.cosh(x, out=x)
+            x += 1.0
+            np.reciprocal(x, out=x)
+            np.matmul(x, coef[2], out=out[start:stop])
+    return out
 
 
 def test_information(theta, pool: ItemPool, c: float):
@@ -180,10 +195,9 @@ def test_information(theta, pool: ItemPool, c: float):
     if c <= 0:
         raise ParameterError(f"scale c must be positive, got {c}")
     if isinstance(theta, PreparedSample):
-        with np.errstate(over="ignore"):
-            return _information(theta.design, pool, float(c))
+        return _information(theta.design, pool, float(c))
     arr = np.atleast_1d(np.asarray(theta, dtype=float))
-    out = _test_info_values(arr.ravel(), pool, float(c))
+    out = _information(_design(arr.ravel(), np.float64), pool, float(c))
     return float(out[0]) if np.ndim(theta) == 0 else out.reshape(arr.shape)
 
 
@@ -260,18 +274,6 @@ def _mean(x: np.ndarray) -> float:
     return float(x.sum() / x.size)
 
 
-def sample_variance(x: np.ndarray) -> float:
-    """``np.var(x, ddof=1)`` of a float64 array of two or more values, without the wrapper.
-
-    The same ufunc reductions in the same order as numpy's ``_var``: the
-    pairwise-summed mean, the squared deviations in place, their pairwise
-    sum over ``n - 1``. The result is bit-identical.
-    """
-    d = x - x.sum() / x.size
-    d *= d
-    return float(d.sum() / (x.size - 1))
-
-
 def reliability_from_information(info, sigma2: float, c: float) -> ReliabilitySummary:
     """Both reliability metrics from per-person test information at scale ``c``.
 
@@ -306,21 +308,11 @@ def reliability_summary(
     latent distribution instead. ``dtype`` is the precision of the
     information kernel only; the summary itself is float64 arithmetic.
 
-    A :class:`PreparedSample` prepared in ``dtype`` brings its design and its
-    variance, and is evaluated under the caller's ``np.errstate``, which must
-    ignore overflow (see :func:`_information`), so that a loop over many
-    samples enters it once. Any other sample is prepared here.
+    A :class:`PreparedSample` brings its variance, and its design when it
+    was prepared in ``dtype``.
     """
-    if isinstance(theta_sample, PreparedSample) and theta_sample.design.dtype == dtype:
-        sample = theta_sample
-        info = _information(sample.design, pool, float(c))
-    else:
-        theta = np.asarray(theta_sample, dtype=float)
-        if theta.size == 0:
-            raise EmptyRequestError("theta sample must be nonempty")
-        sample = prepare_samples(theta.reshape(1, -1), dtype)[0]
-        with np.errstate(over="ignore"):
-            info = _information(sample.design, pool, float(c))
+    sample = _prepared(theta_sample, dtype)
+    info = _information(sample.design, pool, float(c))
     return reliability_from_information(info, sample.sigma2 if sigma2 is None else sigma2, c)
 
 
@@ -379,13 +371,13 @@ def monotonicity_scan(
     ``is_monotone`` is True only if the metric is strictly increasing, every
     step exceeding 1e-10; ties or any decrease count as non-monotone. This is
     the practical screen for whether error-variance targeting is well-posed
-    on the chosen interval.
+    on the chosen interval. The sample is prepared once for the whole grid.
     """
     if grid_size < 3:
         raise ParameterError(f"grid_size must be >= 3, got {grid_size}")
-    theta = np.asarray(latent_sample, dtype=float)
+    sample = _prepared(latent_sample, np.float64)
     grid_c = np.geomspace(interval.c_lower, interval.c_upper, int(grid_size))
-    values = [metric_value(reliability_summary(theta, pool, c), metric) for c in grid_c]
+    values = [metric_value(reliability_summary(sample, pool, c), metric) for c in grid_c]
     return MonotonicityScan(
         is_monotone=_strictly_increasing(np.asarray(values)),
         grid=list(zip((float(c) for c in grid_c), (float(v) for v in values))),

@@ -285,8 +285,9 @@ def _msem_summary(sample: PreparedSample, pool: ItemPool | _PoolRow, c: float,
                   float32: bool = True) -> ReliabilitySummary:
     """An msem iteration's summary of a float32-prepared batch: its float32
     summary where that proves every person's information at least
-    ``_MSEM_FLOOR32``, and the float64 one of the same batch otherwise, or
-    at once when ``float32`` is false."""
+    ``_MSEM_FLOOR32``, and the float64 one of the same batch (a float64
+    design, the batch's own variance) otherwise, or at once when ``float32``
+    is false."""
     if float32:
         summary = reliability_summary(sample, pool, c, dtype=np.float32)
         if _proves_floor(summary, sample.theta.size):
@@ -326,11 +327,7 @@ def sac_calibrate(config: SacConfig) -> SacResult:
             )
         return summary.w_bar
 
-    # The kernel's cosh overflows to inf past |x| near 89.4 (float32) or
-    # 710.5, giving h = 0. The loop, chunk draws included, enters the
-    # errstate that ignores it once, not once per iteration.
-    with np.errstate(over="ignore"):
-        trace_c, trace_rho, clamps = _iterate(config, c0, rho_of)
+    trace_c, trace_rho, clamps = _iterate(config, c0, rho_of)
     c_star = float(np.mean(trace_c[config.burn_in:]))
 
     # Independent evaluation: blocks shaped like iteration batches, fresh streams.
@@ -338,9 +335,8 @@ def sac_calibrate(config: SacConfig) -> SacResult:
     pools = [build_pool(config.items, child_seed(config.seed, "sac/eval-pool", b))
              for b in range(n_blocks)]
     blocks = _batches(config, stream(config.seed, "sac/eval"), n_blocks, np.float64)
-    with np.errstate(over="ignore"):
-        achieved = float(np.mean([metric_value(reliability_summary(sample, pool, c_star), config.metric)
-                                  for sample, pool in zip(blocks, pools)]))
+    achieved = float(np.mean([metric_value(reliability_summary(sample, pool, c_star), config.metric)
+                              for sample, pool in zip(blocks, pools)]))
 
     clamp_fraction = clamps / config.n_iter
     status = STATUS_BOUNDARY_CHATTER if clamp_fraction > _BOUNDARY_CHATTER_FRACTION else STATUS_OK

@@ -49,8 +49,8 @@ from .psychometrics import (
     ScaleInterval,
     metric_value,
     prob_correct,
+    prepare_samples,
     reliability_from_information,
-    sample_variance,
     test_information,
 )
 from .rng import child_seed, stream
@@ -182,8 +182,9 @@ def realized_reliability(dataset: ResponseDataset, metric: str = METRIC_AVG_INFO
     theta = dataset.theta_true
     if theta.size < 2:
         raise InsufficientDataError("realized reliability needs at least 2 persons")
-    info = test_information(theta, dataset.pool, dataset.c_applied)
-    summary = reliability_from_information(info, sample_variance(theta), dataset.c_applied)
+    sample = prepare_samples(theta.reshape(1, -1))[0]
+    info = test_information(sample, dataset.pool, dataset.c_applied)
+    summary = reliability_from_information(info, sample.sigma2, dataset.c_applied)
     return metric_value(summary, metric)
 
 

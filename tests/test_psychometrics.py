@@ -177,6 +177,11 @@ def _single_shot_information(theta, pool, c):
     return (x @ (0.5 * a * a)).reshape(np.shape(theta))
 
 
+def _prepared(theta, dtype=np.float64):
+    """``theta`` as one prepared sample with its design in ``dtype``."""
+    return psychometrics.prepare_samples(np.reshape(theta, (1, -1)), dtype)[0]
+
+
 def _exp_form_information(theta, pool, c):
     """Test information through h = exp(-|x|) / (1 + exp(-|x|))^2: the numerical reference."""
     lam = c * pool.lambda0
@@ -223,7 +228,8 @@ def test_blocked_kernel_bit_identical_to_single_shot(m, n_items, log_c, seed):
 # x = a*(theta - beta): the two round x differently, by up to about
 # eps/2 * (|a*theta| + |a*beta| + 2|x|), or 2.6e-13 relative in h here; 20,000
 # random cases measured at most 1.14e-13. Totals below INFO_FLOOR count as zero.
-# |x| reaches 1e3, past cosh's overflow in both dtypes, without a warning.
+# |x| reaches 1e3, past cosh's overflow in both dtypes, without a warning: the
+# kernel ignores that overflow itself, and the caller sets no np.errstate.
 _EXP_FORM_RTOL = 5e-13
 
 
@@ -236,10 +242,19 @@ _EXP_FORM_RTOL = 5e-13
 @example(theta=np.array([-10.0, 0.0, 10.0]), items=(np.array([10.0, -10.0]), np.array([5.0, 0.1])), c=10.0)
 def test_kernel_matches_the_exp_form_without_warnings(theta, items, c):
     pool = ItemPool(model="twopl", beta=items[0], lambda0=items[1])
+    interval = ScaleInterval(c, 2.0 * c)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        info = psychometrics._test_info_values(theta, pool, c)
-        fast = psychometrics._test_info_values(theta, pool, c, np.float32)
+        info = total_information(theta, pool, c)
+        fast = total_information(_prepared(theta, np.float32), pool, c)
+        summaries = [reliability_summary(theta, pool, c, dtype=dtype) for dtype in (np.float64, np.float32)]
+        for dtype in (np.float64, np.float32):
+            summaries += [reliability_summary(_prepared(theta, prep), pool, c, dtype=dtype)
+                          for prep in (np.float64, np.float32)]
+        scans = [monotonicity_scan(pool, sample, "msem", interval, 3)
+                 for sample in (theta, _prepared(theta), _prepared(theta, np.float32))]
+    assert summaries[2:4] == [summaries[0]] * 2 and summaries[4:] == [summaries[1]] * 2
+    assert scans[1:] == [scans[0]] * 2
     with np.errstate(under="ignore"):
         np.testing.assert_allclose(info, _exp_form_information(theta, pool, c),
                                    rtol=_EXP_FORM_RTOL, atol=psychometrics.INFO_FLOOR)
@@ -279,7 +294,8 @@ theta = rng.normal(0, 1.3, 20_000)
 digest = hashlib.sha256()
 for dtype in (np.float32, np.float64):
     for c in (0.3, 1.0, 4.0):
-        digest.update(psychometrics._test_info_values(theta, pool, c, dtype).tobytes())
+        sample = psychometrics.prepare_samples(theta.reshape(1, -1), dtype)[0]
+        digest.update(psychometrics.test_information(sample, pool, c).tobytes())
 print(digest.hexdigest())
 """
 
@@ -528,6 +544,8 @@ def test_scan_gap_pool_msem_non_monotone(scan_gap_pool, narrow_latent):
     theta = sample_latent(narrow_latent, 20_000, rng=stream(11, "latent")).theta
     scan = monotonicity_scan(scan_gap_pool, theta, "msem", ScaleInterval(1.0, 50.0), 25)
     assert not scan.is_monotone
+    for dtype in (np.float64, np.float32):  # a prepared sample scans as its theta does
+        assert monotonicity_scan(scan_gap_pool, _prepared(theta, dtype), "msem", ScaleInterval(1.0, 50.0), 25) == scan
     values = dict(scan.grid)
     grid_c = np.array([c for c, _ in scan.grid])
     w = {c: values[c] for c in grid_c}
@@ -604,7 +622,7 @@ def _wrapped_summary(theta, pool, c, dtype):
     """``reliability_summary`` computed with ``np.var`` and ``np.mean``, as it was before: the bit-level reference."""
     theta = np.asarray(theta, dtype=float)
     sigma2 = float(np.var(theta, ddof=1)) if theta.size > 1 else 0.0
-    info = np.asarray(psychometrics._test_info_values(theta, pool, c, dtype), dtype=float)
+    info = np.asarray(total_information(_prepared(theta, dtype), pool, c), dtype=float)
     j_bar = float(np.mean(info))
     underflow = bool(np.any(info < psychometrics.INFO_FLOOR))
     msem = float("inf") if underflow else float(np.mean(1.0 / info))
@@ -638,10 +656,14 @@ def test_summary_matches_numpys_mean_and_var_bit_for_bit(m, n_items, log_c, dtyp
     far_theta = [pool.beta.max() + d / reach if d > 0 else pool.beta.min() + d / reach for d in far]
     theta[rng.permutation(m)[: len(far)]] = far_theta[:m]
     expected = _wrapped_summary(theta, pool, c, dtype)
+    other = np.float64 if dtype == np.float32 else np.float32
     with np.errstate(under="ignore"):
         summary = reliability_summary(theta, pool, c, dtype=dtype)
+        # a sample prepared in the other dtype gets a design in dtype and keeps its variance
+        reprepared = reliability_summary(_prepared(theta, other), pool, c, dtype=dtype)
     assert {k: _bits(getattr(summary, k)) for k in expected} == {k: _bits(v) for k, v in expected.items()}
     assert summary.m_points == m and summary.c == c
+    assert {k: _bits(v) for k, v in vars(reprepared).items()} == {k: _bits(v) for k, v in vars(summary).items()}
 
 
 # SAC's msem iterations read underflow first: the diverging iteration, its
@@ -664,15 +686,18 @@ def test_sac_diverges_where_the_wrapped_summary_did(sigma, metric, seed):
 
     fast = outcome()
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(sac, "reliability_summary", lambda theta, pool, c, dtype=np.float64:
-                      SimpleNamespace(**_wrapped_summary(theta, pool, c, dtype)))
+        patch.setattr(sac, "reliability_summary", lambda sample, pool, c, dtype=np.float64:
+                      SimpleNamespace(**_wrapped_summary(sample.theta, pool, c, dtype)))
         assert outcome() == fast
 
 
+# The variance prepare_samples records for each row of a chunk of k rows.
 @settings(deadline=None, max_examples=300)
-@given(n=st.one_of(st.integers(2, 70), st.integers(2, 65_537)), log_scale=st.floats(-30.0, 30.0),
-       loc=st.floats(-1e3, 1e3), seed=st.integers(0, 2**32 - 1))
-@example(n=65_537, log_scale=0.0, loc=0.0, seed=0)
-def test_sample_variance_is_np_var_bit_for_bit(n, log_scale, loc, seed):
-    x = loc + np.exp(log_scale) * np.random.default_rng(seed).standard_normal(n)
-    assert _bits(psychometrics.sample_variance(x)) == _bits(float(np.var(x, ddof=1)))
+@given(k=st.integers(1, 4), n=st.one_of(st.integers(2, 70), st.integers(2, 65_537)),
+       log_scale=st.floats(-30.0, 30.0), loc=st.floats(-1e3, 1e3), seed=st.integers(0, 2**32 - 1))
+@example(k=1, n=65_537, log_scale=0.0, loc=0.0, seed=0)
+@example(k=3, n=65_537, log_scale=0.0, loc=0.0, seed=0)
+def test_sample_variance_is_np_var_bit_for_bit(k, n, log_scale, loc, seed):
+    rows = loc + np.exp(log_scale) * np.random.default_rng(seed).standard_normal((k, n))
+    samples = psychometrics.prepare_samples(rows)
+    assert [_bits(s.sigma2) for s in samples] == [_bits(float(np.var(row, ddof=1))) for row in rows]

@@ -448,14 +448,11 @@ def _per_iteration_sac(cfg):
 
     def summary(rng, pool, c, dtype=np.float64):
         theta = sample_latent(cfg.latent, cfg.m_per_iter, rng=rng).theta
-        sigma2 = psychometrics.sample_variance(theta) if theta.size > 1 else 0.0
         if cfg.metric == "msem" and dtype == np.float32 and not proven[0]:
             dtype = np.float64
-        result = psychometrics.reliability_from_information(
-            psychometrics._test_info_values(theta, pool, c, dtype), sigma2, c)
+        result = reliability_summary(theta, pool, c, dtype=dtype)
         if cfg.metric == "msem" and dtype == np.float32 and not result.msem * theta.size < 1 / sac._MSEM_FLOOR32:
-            result = psychometrics.reliability_from_information(
-                psychometrics._test_info_values(theta, pool, c), sigma2, c)
+            result = reliability_summary(theta, pool, c)
         proven[0] = result.msem * theta.size < 1 / sac._MSEM_FLOOR32
         return result
 
@@ -548,10 +545,9 @@ def test_msem_summary_underflows_exactly_where_float64_does(shape, sigma, c, m, 
     theta = sample_latent(LatentSpec(shape=shape, shape_params=_SHAPES[shape], sigma=sigma), m,
                           rng=np.random.default_rng(seed)).theta
     sample = psychometrics.prepare_samples(theta.reshape(1, -1), np.float32)[0]
-    with np.errstate(over="ignore"):
-        summary = sac._msem_summary(sample, pool, c)
-        fast = reliability_summary(sample, pool, c, dtype=np.float32)
-        floor32 = psychometrics._test_info_values(theta, pool, c, np.float32).min()
+    summary = sac._msem_summary(sample, pool, c)
+    fast = reliability_summary(sample, pool, c, dtype=np.float32)
+    floor32 = psychometrics.test_information(sample, pool, c).min()
     exact = reliability_summary(theta, pool, c)
     assert summary.underflow == exact.underflow
     if fast.msem * m < 1 / sac._MSEM_FLOOR32:
