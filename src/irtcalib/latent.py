@@ -7,8 +7,8 @@ Shapes:
 * ``normal``      -- standard normal.
 * ``bimodal``     -- z = s*delta + eps with s a random sign and
                      eps ~ Normal(0, 1 - delta^2); delta in (0, 1).
-* ``skew_pos``    -- z = (Gamma(k, 1) - k) / sqrt(k); k > 0.
-* ``heavy_tail``  -- z = t_nu / sqrt(nu / (nu - 2)); nu > 2, and nu > 4 is
+* ``skew_pos``    -- z = (Gamma(k, 1) - k) / sqrt(k); finite k > 0.
+* ``heavy_tail``  -- z = t_nu / sqrt(nu / (nu - 2)); finite nu > 2, and nu > 4 is
                      needed for a finite fourth moment.
 * ``mixture``     -- arbitrary normal mixture, re-centered and re-scaled
                      analytically so the standardization invariant holds.
@@ -109,13 +109,13 @@ class LatentSpec:
                 raise ParameterError(f"shape_params.delta must lie in (0, 1), got {delta}")
         elif self.shape == "skew_pos":
             k = p["k"]
-            if k <= 0:
-                raise ParameterError(f"shape_params.k must be positive, got {k}")
+            if not (np.isfinite(k) and k > 0):
+                raise ParameterError(f"shape_params.k must be finite and positive, got {k}")
         elif self.shape == "heavy_tail":
             nu = p["nu"]
-            if nu <= 2:
+            if not (np.isfinite(nu) and nu > 2):
                 raise ParameterError(
-                    f"shape_params.nu must exceed 2 (variance undefined), got {nu}"
+                    f"shape_params.nu must be finite and exceed 2 (variance undefined), got {nu}"
                 )
             if nu <= 4:
                 warnings.warn(

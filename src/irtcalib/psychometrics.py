@@ -30,7 +30,6 @@ sample variance and the means of ``J`` and ``1/J`` are the reductions numpy's
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -77,27 +76,6 @@ def logistic_kernel(x):
 # result is bit-identical to the single-shot formula. 2048 keeps SAC's batches
 # of up to 2000 draws in one block.
 _BLOCK_ROWS = 2048
-_local = threading.local()
-
-
-def _workspace(rows: int, n: int, dtype: np.dtype) -> np.ndarray:
-    """A C-contiguous ``(rows, n)`` array of ``dtype`` in a per-thread buffer, reused across calls and grown only.
-
-    Every dtype views the same float64 buffer, which starts on a 64-byte
-    boundary: at the 16-byte offset that large allocations get, a SAC
-    calibration after an EQC solve (2PL, I=60, 500 draws) ran about 8% slower
-    than with per-call temporaries, measured on an AVX-512 Xeon with one BLAS
-    thread.
-    """
-    size = rows * n
-    words = -(-size * dtype.itemsize // 8)
-    buf = getattr(_local, "buf", None)
-    if buf is None or buf.size < words:
-        raw = np.empty(words + 8)
-        start = -raw.ctypes.data % 64 // 8
-        buf = _local.buf = raw[start : start + words]
-    flat = buf if dtype == buf.dtype else buf.view(dtype)
-    return flat[:size].reshape(rows, n)
 
 
 def _blocks(m: int):
@@ -170,7 +148,8 @@ def _information(design: np.ndarray, pool: ItemPool, c: float) -> np.ndarray:
     one K=2 GEMM ``[theta, 1] @ [[a], [-a*beta]]``, turns it in place into
     ``1/(1 + cosh x) = 2*h(x)`` (0 where cosh overflows, past ``|x|`` near
     710.5, or 89.4 in float32; that overflow is ignored here), and sums it
-    with one GEMV against ``a^2/2``.
+    with one GEMV against ``a^2/2``. ``x`` is the block's own temporary: the
+    kernel keeps no state, so threads may call it at once.
     """
     dtype = design.dtype
     a = c * pool.lambda0
@@ -178,12 +157,12 @@ def _information(design: np.ndarray, pool: ItemPool, c: float) -> np.ndarray:
     out = np.empty(len(design), dtype)
     with np.errstate(over="ignore"):
         for start, stop in _blocks(out.size):
-            x = _workspace(stop - start, a.size, dtype)
-            np.matmul(design[start:stop], coef[:2], out=x)
+            x = np.matmul(design[start:stop], coef[:2])
             np.cosh(x, out=x)
             x += 1.0
             np.reciprocal(x, out=x)
             np.matmul(x, coef[2], out=out[start:stop])
+            del x  # so the next block's temporary is the only one alive
     return out
 
 

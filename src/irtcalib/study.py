@@ -377,19 +377,14 @@ def _solve_eqc(master_seed: int, profile: StudyProfile, condition: StudyConditio
         return eqc_calibrate(eqc_cfg)
 
 
-def _calibrate(master_seed: int, profile: StudyProfile, condition: StudyCondition, eqc_result=None):
-    """Calibrate one condition; returns (result, reason-if-skipped).
+def _calibrate(master_seed: int, profile: StudyProfile, condition: StudyCondition,
+               eqc_result: CalibrationResult):
+    """Calibrate one condition that is not skipped, from its cell's :func:`_solve_eqc` result.
 
-    ``eqc_result`` is the cell's :func:`_solve_eqc` result, solved here when
-    not given: an ``eqc`` condition returns it, and SAC warm-starts from it.
+    An ``eqc`` condition returns that result; SAC warm-starts from it.
     """
-    if eqc_result is None:
-        eqc_result = _solve_eqc(master_seed, profile, condition)
-    reason = _skip_reason(profile, condition, eqc_result)
-    if reason is not None:
-        return None, reason
     if condition.algorithm == "eqc":
-        return eqc_result, None
+        return eqc_result
     sac_cfg = SacConfig(
         target_rho=condition.target_rho,
         latent=condition.latent,
@@ -402,7 +397,7 @@ def _calibrate(master_seed: int, profile: StudyProfile, condition: StudyConditio
         c_init=eqc_result,
         seed=child_seed(master_seed, "study/sac/" + condition.calibration_key()),
     )
-    return sac_calibrate(sac_cfg), None
+    return sac_calibrate(sac_cfg)
 
 
 def _skip_reason(profile: StudyProfile, condition: StudyCondition, eqc_result) -> str | None:
@@ -431,7 +426,7 @@ def _run_group(args):
             skipped.append((condition.condition_id, reason))
             continue
         if condition.algorithm not in calibrations:
-            calibrations[condition.algorithm] = _calibrate(master_seed, profile, condition, eqc_result)[0]
+            calibrations[condition.algorithm] = _calibrate(master_seed, profile, condition, eqc_result)
         summaries.append(_summarize(master_seed, profile, condition, calibrations[condition.algorithm]))
     return summaries, skipped
 

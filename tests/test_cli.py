@@ -604,6 +604,8 @@ _BAD_LATENT_PARAMS = {
     "mixture_not_a_list": ("mixture", '{"components": 5}', "components must be a nonempty list"),
     "json": ("normal", "{bad", "invalid JSON object"),
     "key_value": ("bimodal", "delta=abc", "delta must be a number"),
+    **{f"{key}_{value}": (shape, f"{key}={value}", f"shape_params.{key} must be finite")
+       for shape, key in (("skew_pos", "k"), ("heavy_tail", "nu")) for value in ("nan", "inf", "-inf")},
 }
 
 
@@ -629,6 +631,9 @@ _BAD_CONFIGS = {
     "latent_bool_sigma": ({"conditions": [_tiny_condition(latent={"shape": "normal", "sigma": True,
                                                                   "mu": "0.5"})]},
                           "must be a real number"),
+    "latent_nan_nu": ({"conditions": [_tiny_condition(latent={"shape": "heavy_tail",
+                                                              "shape_params": {"nu": float("nan")}})]},
+                      "shape_params.nu must be finite"),
     "latent_params_list": ({"conditions": [_tiny_condition(latent={"shape": "normal",
                                                                    "shape_params": [1]})]},
                            "shape_params must be an object"),

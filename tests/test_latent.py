@@ -198,6 +198,18 @@ def test_from_dict_checks_types_before_converting(block, field):
         LatentSpec.from_dict(block)
 
 
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("shape,key", [("skew_pos", "k"), ("heavy_tail", "nu")])
+def test_non_finite_shape_parameters_rejected(shape, key, value):
+    # NaN fails no ordered comparison, so a bound alone would let it through
+    # to draw all-NaN abilities.
+    message = f"shape_params.{key} must be finite"
+    with pytest.raises(ParameterError, match=message):
+        LatentSpec(shape=shape, shape_params={key: value})
+    with pytest.raises(ParameterError, match=message):
+        LatentSpec.from_dict({"shape": shape, "shape_params": {key: value}})
+
+
 def test_from_dict_converts_integers_to_floats():
     spec = LatentSpec.from_dict({"shape": "normal", "mu": 0, "sigma": 2})
     assert (repr(spec.mu), repr(spec.sigma)) == ("0.0", "2.0")

@@ -2,7 +2,9 @@ import math
 import os
 import subprocess
 import sys
+import threading
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -274,14 +276,28 @@ def test_kernel_underflow_flag_agrees_with_the_exp_form(xs, underflow):
         assert reliability_from_information(info, 1.0, 1.0).underflow is underflow
 
 
-def test_workspace_views_one_aligned_buffer_in_both_dtypes():
-    for rows, n in ((3, 5), (2000, 60), (7, 1)):
-        arr64 = psychometrics._workspace(rows, n, np.dtype(np.float64))
-        arr32 = psychometrics._workspace(rows, n, np.dtype(np.float32))
-        for arr, dtype in ((arr64, np.float64), (arr32, np.float32)):
-            assert arr.dtype == dtype and arr.shape == (rows, n) and arr.flags.c_contiguous
-            assert arr.ctypes.data % 64 == 0
-        assert arr32.ctypes.data == arr64.ctypes.data  # one buffer, no second allocation
+def test_kernel_is_thread_safe():
+    # Two threads run the kernel at once, in opposite orders over prepared
+    # samples of both dtypes at sizes around and across the 2048-row block;
+    # every result equals the serial one bit for bit.
+    rng = np.random.default_rng(8)
+    pool = ItemPool(model="twopl", beta=rng.normal(0, 1.5, 40), lambda0=np.exp(rng.normal(0, 0.3, 40)))
+    calls = [(psychometrics.prepare_samples(rng.normal(0, 1.3, (1, m)), dtype)[0], c)
+             for m in (_BLOCK - 1, _BLOCK + 1, 2 * _BLOCK + 5, 3 * _BLOCK - 1)
+             for dtype in (np.float64, np.float32) for c in (0.5, 2.0)]
+    serial = [total_information(sample, pool, c).tobytes() for sample, c in calls]
+    barrier = threading.Barrier(2, timeout=60)
+
+    def run(order):
+        barrier.wait()
+        return [(k, total_information(calls[k][0], pool, calls[k][1]).tobytes())
+                for _ in range(5) for k in order]
+
+    order = list(range(len(calls)))
+    with ThreadPoolExecutor(2) as executor:
+        results = [r for rs in executor.map(run, (order, order[::-1])) for r in rs]
+    assert len(results) == 2 * 5 * len(calls)
+    assert all(info == serial[k] for k, info in results)
 
 
 # The README's claim: the kernel's bits do not depend on the BLAS thread count.
@@ -346,8 +362,9 @@ def test_kernel_allocates_no_person_by_item_temporaries():
     rng = np.random.default_rng(5)
     pool = ItemPool(model="twopl", beta=rng.normal(0, 1, 60), lambda0=np.exp(rng.normal(0, 0.3, 60)))
     theta = rng.normal(0, 1, 20_000)
-    total_information(theta, pool, 1.2)  # sizes the per-thread workspace
-    assert _traced_peak(total_information, theta, pool, 1.2) < 4 * theta.nbytes
+    # One block-sized temporary alive at a time, beside the design and the output.
+    block = psychometrics._BLOCK_ROWS * pool.n_items * theta.itemsize
+    assert _traced_peak(total_information, theta, pool, 1.2) < block + 4 * theta.nbytes
     # test_information_dc keeps block-sized temporaries, never one (M, I) array.
     assert _traced_peak(total_information_dc, theta, pool, 1.2) < theta.nbytes * pool.n_items
 

@@ -355,8 +355,8 @@ def test_records_are_not_held_in_memory(tmp_path):
     # held until the file is written would take it to about 1.2 MB.
     (condition,) = small_conditions(n_persons=(2,), replications=4000)
     profile = StudyProfile(label="tiny", m_quadrature=200)
-    # An untraced warm-up run takes one-off costs (lazy imports, the kernel
-    # workspace) out of the traced peak.
+    # An untraced warm-up run takes one-off costs (lazy imports) out of the
+    # traced peak.
     run_validation_study([condition], tmp_path / "warm", master_seed=2, profile=replace(profile, replications=2))
     tracemalloc.start()
     try:
@@ -449,8 +449,9 @@ def test_replicate_regenerates_from_public_api(tmp_path, algorithm, metric):
     master_seed = 9
     (condition,) = small_conditions(algorithm=algorithm, n_persons=(60,), replications=3)
     run_validation_study([condition], tmp_path, master_seed=master_seed, profile=SMALL_PROFILE)
-    calibration, reason = study._calibrate(master_seed, SMALL_PROFILE, condition)
-    assert reason is None
+    eqc_result = study._solve_eqc(master_seed, SMALL_PROFILE, condition)
+    assert study._skip_reason(SMALL_PROFILE, condition, eqc_result) is None
+    calibration = study._calibrate(master_seed, SMALL_PROFILE, condition, eqc_result)
     records = read_records(tmp_path)
     assert len(records) == 3
     for record in records:
