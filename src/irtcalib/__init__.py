@@ -44,12 +44,10 @@ from .psychometrics import (
     DEFAULT_INTERVAL,
     METRIC_AVG_INFO,
     METRIC_MSEM,
-    MonotonicityScan,
     ReliabilitySummary,
     ScaleInterval,
     analytic_ceiling,
     logistic_kernel,
-    monotonicity_scan,
     phi,
     prob_correct,
     reference_ceiling,

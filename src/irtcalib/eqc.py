@@ -48,8 +48,8 @@ from .errors import (
 from .items import ItemPool, PoolConfig, build_pool
 from .latent import LatentSpec, sample_latent
 from .psychometrics import (
-    DEFAULT_INTERVAL, METRIC_AVG_INFO, METRIC_MSEM, ReliabilitySummary, ScaleInterval, analytic_ceiling,
-    monotonicity_scan, prepare_samples, reference_ceiling, reliability_from_information, test_information,
+    DEFAULT_INTERVAL, METRIC_AVG_INFO, ReliabilitySummary, ScaleInterval, analytic_ceiling, prepare_samples,
+    reference_ceiling, reliability_from_information, test_information,
 )
 from .rng import child_seed, stream
 
@@ -83,8 +83,10 @@ class EqcConfig:
             raise ParameterError(f"target_rho must lie in (0, 1), got {self.target_rho}")
         if self.m_quadrature < 100:
             raise ParameterError(f"m_quadrature must be >= 100, got {self.m_quadrature}")
-        if self.tolerance <= 0:
-            raise ParameterError(f"tolerance must be positive, got {self.tolerance}")
+        width = self.interval.c_upper - self.interval.c_lower
+        if not 0 < self.tolerance < width:  # False for NaN; a tolerance as wide as the bracket solves nothing
+            raise ParameterError(
+                f"tolerance must be positive and below c_upper - c_lower = {width}, got {self.tolerance}")
         if self.metric != METRIC_AVG_INFO:
             raise ConfigurationError(
                 "quadrature calibration supports only the average-information metric; "
@@ -401,9 +403,14 @@ def feasibility_report(config: EqcConfig, scan_msem: bool = False, grid_size: in
 
     Reports the Monte Carlo bracket reliabilities at the interval endpoints,
     the closed-form ceiling at ``c_upper``, the reference ceiling for the
-    test length, and (on request) a monotonicity scan of the error-variance
-    metric over the interval.
+    test length, and (on request) a scan of the frozen objective's
+    error-variance reliability ``w_bar`` over ``grid_size >= 3`` geometric
+    grid points of the interval. The scan is monotone only if every step
+    exceeds 1e-10, so ties count as non-monotone: the screen for whether
+    error-variance targeting is well-posed on the interval.
     """
+    if scan_msem and grid_size < 3:
+        raise ParameterError(f"grid_size must be >= 3, got {grid_size}")
     frozen = _FrozenObjective(config)
     interval = config.interval
     rho_lo, rho_hi = frozen.rho(interval.c_lower), frozen.rho(interval.c_upper)
@@ -419,8 +426,10 @@ def feasibility_report(config: EqcConfig, scan_msem: bool = False, grid_size: in
         "feasible": bool(rho_lo < config.target_rho < rho_hi),
     }
     if scan_msem:
-        scan = monotonicity_scan(frozen.pool, frozen.sample, METRIC_MSEM, interval, grid_size)
-        report["msem_scan"] = {"is_monotone": scan.is_monotone, "grid": scan.grid}
+        grid = [(float(c), frozen.summary(float(c)).w_bar)
+                for c in np.geomspace(interval.c_lower, interval.c_upper, int(grid_size))]
+        steps = np.diff([w for _, w in grid])
+        report["msem_scan"] = {"is_monotone": bool(np.all(steps > 1e-10)), "grid": grid}
     return report
 
 

@@ -1,4 +1,4 @@
-"""Closed-form IRT math for the two-parameter logistic model.
+"""The 2PL information kernel, the reliability summaries on it and their closed-form bounds.
 
 Conventions used throughout:
 
@@ -9,9 +9,9 @@ Conventions used throughout:
   ignores that overflow itself, so no caller sets ``np.errstate`` for it.
 * A latent sample reaches the kernel as a :class:`PreparedSample`, made only
   by :func:`prepare_samples`: its ``[theta, 1]`` design in the kernel dtype
-  and its unbiased variance. :func:`test_information`,
-  :func:`reliability_summary` and :func:`monotonicity_scan` take either a
-  prepared sample or an array, which they prepare themselves.
+  and its unbiased variance. :func:`test_information` and
+  :func:`reliability_summary` take either a prepared sample or an array,
+  which they prepare themselves.
 * Item information at scale ``c`` is ``(c*lambda0)^2 * h(c*lambda0*(theta - beta))``
   and test information is the sum over items.
 * Two marginal reliability functionals share the variance-ratio form:
@@ -277,22 +277,16 @@ def reliability_from_information(info, sigma2: float, c: float) -> ReliabilitySu
     )
 
 
-def reliability_summary(
-    theta_sample, pool: ItemPool, c: float, sigma2: float | None = None, *, dtype=np.float64
-) -> ReliabilitySummary:
-    """Evaluate both reliability metrics on a latent sample.
+def reliability_summary(theta_sample, pool: ItemPool, c: float, *, dtype=np.float64) -> ReliabilitySummary:
+    """Evaluate both reliability metrics on a latent sample, with its unbiased variance.
 
-    ``sigma2`` defaults to the unbiased sample variance of the supplied
-    sample; pass 1.0 to use the theoretical variance of a standardized
-    latent distribution instead. ``dtype`` is the precision of the
-    information kernel only; the summary itself is float64 arithmetic.
-
-    A :class:`PreparedSample` brings its variance, and its design when it
-    was prepared in ``dtype``.
+    ``dtype`` is the precision of the information kernel only; the summary
+    itself is float64 arithmetic. A :class:`PreparedSample` brings its
+    variance, and its design when it was prepared in ``dtype``.
     """
     sample = _prepared(theta_sample, dtype)
     info = _information(sample.design, pool, float(c))
-    return reliability_from_information(info, sample.sigma2 if sigma2 is None else sigma2, c)
+    return reliability_from_information(info, sample.sigma2, c)
 
 
 def metric_value(summary: ReliabilitySummary, metric: str) -> float:
@@ -326,38 +320,3 @@ def reference_ceiling(n_items: int) -> float:
         raise ParameterError(f"n_items must be >= 1, got {n_items}")
     return reliability_from_information(n_items / 4.0, sigma2=1.0, c=1.0).rho_tilde
 
-
-@dataclass
-class MonotonicityScan:
-    is_monotone: bool
-    grid: list  # (c, reliability) pairs
-
-
-def _strictly_increasing(values: np.ndarray, tol: float = 1e-10) -> bool:
-    diffs = np.diff(np.asarray(values, dtype=float))
-    return bool(diffs.size > 0 and np.all(diffs > tol))
-
-
-def monotonicity_scan(
-    pool: ItemPool,
-    latent_sample,
-    metric: str,
-    interval: ScaleInterval,
-    grid_size: int = 25,
-) -> MonotonicityScan:
-    """Evaluate a reliability metric on a geometric grid over the interval.
-
-    ``is_monotone`` is True only if the metric is strictly increasing, every
-    step exceeding 1e-10; ties or any decrease count as non-monotone. This is
-    the practical screen for whether error-variance targeting is well-posed
-    on the chosen interval. The sample is prepared once for the whole grid.
-    """
-    if grid_size < 3:
-        raise ParameterError(f"grid_size must be >= 3, got {grid_size}")
-    sample = _prepared(latent_sample, np.float64)
-    grid_c = np.geomspace(interval.c_lower, interval.c_upper, int(grid_size))
-    values = [metric_value(reliability_summary(sample, pool, c), metric) for c in grid_c]
-    return MonotonicityScan(
-        is_monotone=_strictly_increasing(np.asarray(values)),
-        grid=list(zip((float(c) for c in grid_c), (float(v) for v in values))),
-    )

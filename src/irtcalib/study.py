@@ -545,12 +545,14 @@ def run_validation_study(
     each cell solves EQC once, its ``eqc`` conditions use that solve and its
     ``sac_info``/``sac_msem`` calibrations warm-start from it, and conditions
     differing only in sample size share one calibration. With ``n_jobs > 1``
-    cells run in separate processes (a cell is the unit of work, so
-    processes beyond the number of cells stay idle); outputs are
-    byte-identical to a serial run because every value derives only from
-    ``(master_seed, condition)`` and the condition summaries are sorted by
-    id before the per-replicate records are read off them.
+    cells run in separate processes, at most one per cell, since a cell is
+    the unit of work; outputs are byte-identical to a serial run because
+    every value derives only from ``(master_seed, condition)`` and the
+    condition summaries are sorted by id before the per-replicate records
+    are read off them.
     """
+    if n_jobs < 1:
+        raise ParameterError(f"n_jobs (--threads) must be >= 1, got {n_jobs}")
     if not conditions:
         raise EmptyRequestError("condition list is empty")
     ids = [c.condition_id for c in conditions]
@@ -567,7 +569,7 @@ def run_validation_study(
     if n_jobs > 1 and len(work) > 1:
         from concurrent.futures import ProcessPoolExecutor  # loads multiprocessing, which only this path needs
 
-        with ProcessPoolExecutor(max_workers=n_jobs) as pool:
+        with ProcessPoolExecutor(max_workers=min(n_jobs, len(work))) as pool:
             outputs = list(pool.map(_run_group, work))
     else:
         outputs = [_run_group(w) for w in work]

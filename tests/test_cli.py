@@ -108,7 +108,9 @@ def test_calibrate_sac_midpoint_skips_eqc_solve(tmp_path, monkeypatch):
     assert doc["c_init"] == pytest.approx(5.05)
     # The EQC flags are still validated although the solve is skipped.
     assert run(argv + ["--m", "50"]) == 2
-    assert run(argv + ["--tolerance", "0"]) == 2
+    # inf and 1e300 close no bracket, so they would report the lower end as a success; NaN fails every comparison.
+    for tolerance in ("0", "inf", "nan", "1e300"):
+        assert run(argv + ["--tolerance", tolerance]) == 2
 
 
 def test_calibrate_eqc_msem_rejected(capsys):
@@ -596,6 +598,15 @@ def test_threads_default_ignores_environment(monkeypatch, tmp_path):
     assert code == 0
 
 
+def test_validate_zero_threads_exit_2(tmp_path, capsys):
+    cfg_path = tmp_path / "study.json"
+    cfg_path.write_text(json.dumps({"conditions": [_tiny_condition()]}))
+    out_dir = tmp_path / "out"
+    assert run(["validate", "--config", str(cfg_path), "--out-dir", str(out_dir), "--threads", "0"]) == 2
+    assert "n_jobs (--threads) must be >= 1, got 0" in capsys.readouterr().err
+    assert not out_dir.exists()
+
+
 _BAD_LATENT_PARAMS = {
     "mixture_string_weight": ("mixture", '{"components": [{"weight": "a", "mean": 0, "sd": 1}]}',
                               "components[0].weight must be a real number"),
@@ -606,6 +617,9 @@ _BAD_LATENT_PARAMS = {
     "key_value": ("bimodal", "delta=abc", "delta must be a number"),
     **{f"{key}_{value}": (shape, f"{key}={value}", f"shape_params.{key} must be finite")
        for shape, key in (("skew_pos", "k"), ("heavy_tail", "nu")) for value in ("nan", "inf", "-inf")},
+    # Past k = 2**52 the skew_pos draw loses its resolution.
+    **{f"k_{value}": ("skew_pos", f"k={value}", "shape_params.k must be finite and lie in (0, 2**52]")
+       for value in ("1e30", "1e308")},
 }
 
 
@@ -634,6 +648,8 @@ _BAD_CONFIGS = {
     "latent_nan_nu": ({"conditions": [_tiny_condition(latent={"shape": "heavy_tail",
                                                               "shape_params": {"nu": float("nan")}})]},
                       "shape_params.nu must be finite"),
+    "latent_huge_k": ({"conditions": [_tiny_condition(latent={"shape": "skew_pos", "shape_params": {"k": 1e30}})]},
+                      "shape_params.k must be finite and lie in (0, 2**52]"),
     "latent_params_list": ({"conditions": [_tiny_condition(latent={"shape": "normal",
                                                                    "shape_params": [1]})]},
                            "shape_params must be an object"),

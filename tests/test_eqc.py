@@ -114,6 +114,35 @@ def test_curve_strictly_increasing_on_geometric_grid():
     assert np.all(np.diff(values) > 0)
 
 
+@st.composite
+def _near_pools(draw):
+    """Rasch or 2PL pools of up to 8 items near a latent mean of 0."""
+    n = draw(st.integers(1, 8))
+    beta = np.array(draw(st.lists(st.floats(-1.5, 1.5), min_size=n, max_size=n)))
+    if draw(st.booleans()):
+        return ItemPool(model="rasch", beta=beta, lambda0=np.ones(n))
+    return ItemPool(model="twopl", beta=beta,
+                    lambda0=np.array(draw(st.lists(st.floats(0.5, 1.5), min_size=n, max_size=n))))
+
+
+@settings(deadline=None, max_examples=40)
+@given(pool=_near_pools(), sigma=st.floats(0.1, 0.4), c_upper=st.floats(0.1, 2.0),
+       grid_size=st.integers(3, 10), m=st.integers(100, 400), seed=st.integers(0, 2**32 - 1))
+def test_curve_and_msem_scan_rise_where_phi_is_positive(pool, sigma, c_upper, grid_size, m, seed):
+    # With |c*lambda0*(theta - beta)| below phi's root (2.399) in every cell
+    # up to c_upper, every item's information rises with c at every ability
+    # of the frozen sample, so every person's J rises, and with it both
+    # rho_tilde (from the mean of J) and w_bar (from the mean of 1/J).
+    cfg = EqcConfig(target_rho=0.5, latent=LatentSpec(sigma=sigma), items=pool, m_quadrature=m,
+                    interval=ScaleInterval(0.05, c_upper), seed=seed)
+    theta = _FrozenObjective(cfg).sample.theta
+    assume(np.max(np.abs(c_upper * pool.lambda0 * np.subtract.outer(theta, pool.beta))) < 2.399)
+    grid = np.geomspace(0.05, c_upper, grid_size)
+    rho = [r for _, r in reliability_curve(cfg, grid)]
+    assert np.all(np.diff(rho) > 0)
+    assert eqc.feasibility_report(cfg, scan_msem=True, grid_size=grid_size)["msem_scan"]["is_monotone"]
+
+
 def test_curve_empty_grid():
     assert reliability_curve(FLAGSHIP, []) == []
 
@@ -411,7 +440,9 @@ def test_a_bracket_end_where_information_underflows_still_gives_a_root(c_lower, 
 
 
 def test_information_underflowing_across_the_bracket_is_a_boundary():
-    cfg = replace(FLAGSHIP, m_quadrature=2000, interval=ScaleInterval(1e-200, 1e-190))
+    with pytest.raises(ParameterError, match="below c_upper - c_lower"):  # the default 1e-8 solves nothing here
+        replace(FLAGSHIP, interval=ScaleInterval(1e-200, 1e-190))
+    cfg = replace(FLAGSHIP, m_quadrature=2000, interval=ScaleInterval(1e-200, 1e-190), tolerance=1e-201)
     with pytest.warns(FeasibilityWarning):
         result = eqc_calibrate(cfg)
     assert (result.status, result.c_star, result.achieved_rho) == ("boundary_high", 1e-190, 0.0)

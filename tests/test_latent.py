@@ -198,11 +198,16 @@ def test_from_dict_checks_types_before_converting(block, field):
         LatentSpec.from_dict(block)
 
 
-@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")], ids=["nan", "inf", "-inf"])
-@pytest.mark.parametrize("shape,key", [("skew_pos", "k"), ("heavy_tail", "nu")])
+_NON_FINITE_PARAMS = [(shape, key, value) for shape, key in (("skew_pos", "k"), ("heavy_tail", "nu"))
+                      for value in ("nan", "inf", "-inf")] + [("skew_pos", "k", "1e30")]
+
+
+@pytest.mark.parametrize("shape,key,value", [(shape, key, float(value)) for shape, key, value in _NON_FINITE_PARAMS],
+                         ids=["-".join(case) for case in _NON_FINITE_PARAMS])
 def test_non_finite_shape_parameters_rejected(shape, key, value):
     # NaN fails no ordered comparison, so a bound alone would let it through
-    # to draw all-NaN abilities.
+    # to draw all-NaN abilities. A skew_pos k past 2**52 is finite, but its
+    # draw has lost the resolution a sample needs.
     message = f"shape_params.{key} must be finite"
     with pytest.raises(ParameterError, match=message):
         LatentSpec(shape=shape, shape_params={key: value})

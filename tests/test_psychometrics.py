@@ -19,6 +19,7 @@ from scipy.special import expit
 from irtcalib import (
     DivergedObjectiveError,
     EmptyRequestError,
+    EqcConfig,
     ItemPool,
     LatentSpec,
     ParameterError,
@@ -27,11 +28,11 @@ from irtcalib import (
     analytic_ceiling,
     build_pool,
     logistic_kernel,
-    monotonicity_scan,
     phi,
     prob_correct,
     realized_reliability,
     reference_ceiling,
+    reliability_curve,
     reliability_summary,
     sample_latent,
 )
@@ -40,7 +41,8 @@ from irtcalib.study import ResponseDataset
 from irtcalib import test_information as total_information
 from irtcalib import test_information_dc as total_information_dc
 from irtcalib import psychometrics, sac
-from irtcalib.psychometrics import _P_HI, _P_LO, _strictly_increasing, metric_value, reliability_from_information
+from irtcalib.eqc import feasibility_report
+from irtcalib.psychometrics import _P_HI, _P_LO, metric_value, reliability_from_information
 from irtcalib.rng import stream
 from irtcalib.sac import SacConfig, sac_calibrate
 
@@ -244,7 +246,6 @@ _EXP_FORM_RTOL = 5e-13
 @example(theta=np.array([-10.0, 0.0, 10.0]), items=(np.array([10.0, -10.0]), np.array([5.0, 0.1])), c=10.0)
 def test_kernel_matches_the_exp_form_without_warnings(theta, items, c):
     pool = ItemPool(model="twopl", beta=items[0], lambda0=items[1])
-    interval = ScaleInterval(c, 2.0 * c)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         info = total_information(theta, pool, c)
@@ -253,10 +254,7 @@ def test_kernel_matches_the_exp_form_without_warnings(theta, items, c):
         for dtype in (np.float64, np.float32):
             summaries += [reliability_summary(_prepared(theta, prep), pool, c, dtype=dtype)
                           for prep in (np.float64, np.float32)]
-        scans = [monotonicity_scan(pool, sample, "msem", interval, 3)
-                 for sample in (theta, _prepared(theta), _prepared(theta, np.float32))]
     assert summaries[2:4] == [summaries[0]] * 2 and summaries[4:] == [summaries[1]] * 2
-    assert scans[1:] == [scans[0]] * 2
     with np.errstate(under="ignore"):
         np.testing.assert_allclose(info, _exp_form_information(theta, pool, c),
                                    rtol=_EXP_FORM_RTOL, atol=psychometrics.INFO_FLOOR)
@@ -438,7 +436,7 @@ def test_phi_root_bracketed():
 def test_point_mass_sample_equalizes_metrics():
     pool = make_rasch_pool([0.3, -0.2, 1.0])
     theta = np.full(16, 0.7)
-    s = reliability_summary(theta, pool, 1.1, sigma2=1.0)
+    s = reliability_from_information(total_information(theta, pool, 1.1), 1.0, 1.1)
     assert s.rho_tilde == pytest.approx(s.w_bar, rel=1e-14)
 
 
@@ -491,7 +489,7 @@ def test_realized_reliability_matches_summary_property(theta, pool, c):
 
 def test_forced_mean_information_value():
     pool = make_rasch_pool([0.0] * 60)
-    s = reliability_summary(np.zeros(8), pool, 1.0, sigma2=1.0)
+    s = reliability_from_information(total_information(np.zeros(8), pool, 1.0), 1.0, 1.0)
     assert s.j_bar == pytest.approx(15.0)
     assert s.rho_tilde == pytest.approx(0.9375)
 
@@ -512,7 +510,7 @@ def test_empty_sample_rejected():
 
 def test_underflow_propagates_to_infinite_msem():
     pool = make_rasch_pool([100.0])
-    s = reliability_summary(np.zeros(4), pool, 20.0, sigma2=1.0)
+    s = reliability_from_information(total_information(np.zeros(4), pool, 20.0), 1.0, 20.0)
     assert s.underflow
     assert s.msem == float("inf")
     assert s.w_bar == 0.0
@@ -550,22 +548,27 @@ def test_reference_ceiling_table(n_items, expected):
 # --- monotonicity scan and metric split -------------------------------------
 
 
+def _scan(latent, pool, interval, grid_size, m_quadrature=2000, seed=0):
+    """The ``msem`` scan that ``bounds --scan-msem`` reports for this design."""
+    cfg = EqcConfig(target_rho=0.5, latent=latent, items=pool, m_quadrature=m_quadrature,
+                    interval=interval, seed=seed)
+    return feasibility_report(cfg, scan_msem=True, grid_size=grid_size)["msem_scan"]
+
+
 def test_scan_parametric_rho_tilde_monotone():
-    pool = build_pool(PoolConfig(model="rasch", source="parametric", n_items=30), 30)
-    theta = sample_latent(LatentSpec(), 10_000, rng=stream(31, "latent")).theta
-    scan = monotonicity_scan(pool, theta, "avg_info", ScaleInterval(0.1, 10.0), 25)
-    assert scan.is_monotone
+    cfg = EqcConfig(target_rho=0.5, latent=LatentSpec(),
+                    items=PoolConfig(model="rasch", source="parametric", n_items=30),
+                    m_quadrature=10_000, interval=ScaleInterval(0.1, 10.0), seed=31)
+    rho = [r for _, r in reliability_curve(cfg, np.geomspace(0.1, 10.0, 25))]
+    assert np.all(np.diff(rho) > 1e-10)
 
 
 def test_scan_gap_pool_msem_non_monotone(scan_gap_pool, narrow_latent):
-    theta = sample_latent(narrow_latent, 20_000, rng=stream(11, "latent")).theta
-    scan = monotonicity_scan(scan_gap_pool, theta, "msem", ScaleInterval(1.0, 50.0), 25)
-    assert not scan.is_monotone
-    for dtype in (np.float64, np.float32):  # a prepared sample scans as its theta does
-        assert monotonicity_scan(scan_gap_pool, _prepared(theta, dtype), "msem", ScaleInterval(1.0, 50.0), 25) == scan
-    values = dict(scan.grid)
-    grid_c = np.array([c for c, _ in scan.grid])
-    w = {c: values[c] for c in grid_c}
+    scan = _scan(narrow_latent, scan_gap_pool, ScaleInterval(1.0, 50.0), 25, m_quadrature=20_000, seed=11)
+    assert not scan["is_monotone"]
+    grid_c = np.array([c for c, _ in scan["grid"]])
+    np.testing.assert_array_equal(grid_c, np.geomspace(1.0, 50.0, 25))
+    values = dict(scan["grid"])
     w5 = values[grid_c[np.argmin(np.abs(grid_c - 5.0))]]
     w50 = values[grid_c[-1]]
     assert w50 < w5
@@ -579,24 +582,20 @@ def test_msem_collapse_ordering(scan_gap_pool, narrow_latent):
     assert w50 < w5 < w2
 
 
-def test_strictly_increasing_helper_rejects_constants():
-    assert not _strictly_increasing(np.array([0.5, 0.5, 0.5]))
-    assert _strictly_increasing(np.array([0.1, 0.2, 0.3]))
-
-
 def test_scan_constant_metric_not_monotone():
     # Items so remote that information underflows everywhere: w_bar is 0 on
-    # the whole grid, which must count as non-monotone (ties).
-    pool = make_rasch_pool([100.0] * 5)
-    theta = np.linspace(-0.1, 0.1, 50)
-    scan = monotonicity_scan(pool, theta, "msem", ScaleInterval(10.0, 20.0), 3)
-    assert not scan.is_monotone
-    assert all(r == 0.0 for _, r in scan.grid)
+    # the whole grid, which must count as non-monotone (ties). cosh
+    # overflows on every cell, and the scan raises no warning for it.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        scan = _scan(LatentSpec(sigma=0.05), make_rasch_pool([100.0] * 5), ScaleInterval(10.0, 20.0), 3)
+    assert not scan["is_monotone"]
+    assert len(scan["grid"]) == 3 and all(r == 0.0 for _, r in scan["grid"])
 
 
 def test_scan_grid_size_validated():
-    with pytest.raises(ParameterError):
-        monotonicity_scan(make_rasch_pool([0.0]), np.zeros(3), "avg_info", ScaleInterval(0.5, 2.0), 2)
+    with pytest.raises(ParameterError, match="grid_size must be >= 3"):
+        _scan(LatentSpec(), make_rasch_pool([0.0]), ScaleInterval(0.5, 2.0), 2)
 
 
 # --- large-c growth ---------------------------------------------------------
@@ -614,7 +613,10 @@ def test_mean_information_grows_linearly_at_large_c():
 
 
 def _jensen_gap(theta, pool, c, sigma2=None):
-    summary = reliability_summary(theta, pool, c, sigma2)
+    if sigma2 is None:
+        summary = reliability_summary(theta, pool, c)
+    else:
+        summary = reliability_from_information(total_information(theta, pool, c), sigma2, c)
     return summary.rho_tilde - summary.w_bar
 
 

@@ -406,6 +406,39 @@ def test_process_pool_matches_serial(tmp_path, monkeypatch):
         assert (tmp_path / "serial" / f"{name}.csv").read_bytes() == (tmp_path / "par" / f"{name}.csv").read_bytes()
 
 
+def test_process_pool_starts_no_more_workers_than_cells(tmp_path, monkeypatch):
+    # Under fork, every worker starts on the first submit, so n_jobs=64 on
+    # three cells would start 61 idle processes. The fake runs the cells in
+    # this process and starts none.
+    conds = study.make_grid([LatentSpec()], ["rasch"], ["parametric"], [10, 15, 20], [60],
+                            {10: 0.35, 15: 0.45, 20: 0.5}, algorithms=("eqc",), replications=2)
+    tiny = StudyProfile(label="tiny", m_quadrature=500, n_iter=20, m_per_iter=100)
+    workers = []
+
+    class InProcessExecutor:
+        def __init__(self, max_workers):
+            workers.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessExecutor)
+    run_validation_study(conds, tmp_path / "serial", master_seed=4, profile=tiny, n_jobs=1)
+    run_validation_study(conds, tmp_path / "par", master_seed=4, profile=tiny, n_jobs=64)
+    assert workers == [3]
+    for name in ("records", "summary_by_algorithm", "summary_by_target", "replication_sd"):
+        assert (tmp_path / "serial" / f"{name}.csv").read_bytes() == (tmp_path / "par" / f"{name}.csv").read_bytes()
+    with pytest.raises(ParameterError, match=r"n_jobs \(--threads\) must be >= 1"):
+        run_validation_study(conds, tmp_path / "none", n_jobs=0)
+    assert not (tmp_path / "none").exists()
+
+
 def test_empty_condition_list_rejected(tmp_path):
     with pytest.raises(EmptyRequestError):
         run_validation_study([], tmp_path)
