@@ -62,7 +62,7 @@ from .eqc import (
     eqc_calibrate,
     reliability_curve,
 )
-from .sac import SacConfig, SacResult, sac_calibrate, sac_deviation_study, step_size
+from .sac import SacConfig, SacResult, sac_calibrate, sac_calibrate_chains, sac_deviation_study, step_size
 from .study import (
     DESK_PROFILE,
     FULL_PROFILE,

@@ -413,7 +413,11 @@ def feasibility_report(config: EqcConfig, scan_msem: bool = False, grid_size: in
         raise ParameterError(f"grid_size must be >= 3, got {grid_size}")
     frozen = _FrozenObjective(config)
     interval = config.interval
-    rho_lo, rho_hi = frozen.rho(interval.c_lower), frozen.rho(interval.c_upper)
+    if scan_msem:  # np.geomspace returns both ends exactly, so the scan's ends are the bracket's
+        scan = [frozen.summary(float(c)) for c in np.geomspace(interval.c_lower, interval.c_upper, int(grid_size))]
+        rho_lo, rho_hi = scan[0].rho_tilde, scan[-1].rho_tilde
+    else:
+        rho_lo, rho_hi = frozen.rho(interval.c_lower), frozen.rho(interval.c_upper)
     report = {
         "n_items": frozen.pool.n_items,
         "c_lower": interval.c_lower,
@@ -426,8 +430,7 @@ def feasibility_report(config: EqcConfig, scan_msem: bool = False, grid_size: in
         "feasible": bool(rho_lo < config.target_rho < rho_hi),
     }
     if scan_msem:
-        grid = [(float(c), frozen.summary(float(c)).w_bar)
-                for c in np.geomspace(interval.c_lower, interval.c_upper, int(grid_size))]
+        grid = [(summary.c, summary.w_bar) for summary in scan]
         steps = np.diff([w for _, w in grid])
         report["msem_scan"] = {"is_monotone": bool(np.all(steps > 1e-10)), "grid": grid}
     return report

@@ -29,6 +29,15 @@ float64. After a batch whose summary does not prove it, the next batches go
 straight to float64 until one does. Everything reported (the evaluation
 blocks behind ``achieved_rho``) stays float64.
 
+Several chains whose configs differ only in ``metric`` can run in lockstep
+(:func:`sac_calibrate_chains`): each iteration's batch and pool row, and
+each evaluation block and its pool, are drawn once and handed to every
+chain, which keeps its own scale, clamps, float32 flag and traces and makes
+its own kernel calls. Each chain's result equals a lone run of its config
+bit for bit; :func:`sac_calibrate` is the one-chain case. The validation
+study runs a cell's ``sac_info`` and ``sac_msem`` chains this way, so the
+two are compared on the same draws (common random numbers).
+
 The reported ``achieved_rho`` comes from an independent evaluation stream:
 ``eval_m / m_per_iter`` blocks, each shaped exactly like an iteration batch
 and each on its own pool (``build_pool`` at ``child_seed(seed,
@@ -45,14 +54,14 @@ then (the README gives measurements).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from typing import Any, Callable, Mapping, NamedTuple
+from dataclasses import dataclass, fields, replace
+from typing import Any, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
 from .eqc import ResultDocument
 from .errors import (
-    ConfigurationError, DivergedObjectiveError, ParameterError, real_number, whole_number,
+    ConfigurationError, DivergedObjectiveError, EmptyRequestError, ParameterError, real_number, whole_number,
 )
 from .items import ItemPool, PoolConfig, build_pool, draw_pools
 from .latent import LatentSpec, sample_latent
@@ -208,28 +217,6 @@ def step_size(n: int, cfg: SacConfig) -> float:
     return cfg.step_a / (n + cfg.step_A) ** cfg.step_gamma
 
 
-def _iterate(
-    config: SacConfig,
-    c0: float,
-    rho_of: Callable[[int, float], float],
-) -> tuple[np.ndarray, np.ndarray, int]:
-    """Run the projected update loop; ``rho_of(n, c)`` supplies the noisy measurement."""
-    lo, hi = config.interval.c_lower, config.interval.c_upper
-    trace_c = np.empty(config.n_iter)
-    trace_rho = np.empty(config.n_iter)
-    c = c0
-    clamps = 0
-    for n in range(1, config.n_iter + 1):
-        rho_hat = rho_of(n, c)
-        raw = c - step_size(n, config) * (rho_hat - config.target_rho)
-        c = min(max(raw, lo), hi)
-        if c != raw:
-            clamps += 1
-        trace_c[n - 1] = c
-        trace_rho[n - 1] = rho_hat
-    return trace_c, trace_rho, clamps
-
-
 class _PoolRow(NamedTuple):
     """One pool of a batch: the ``beta``/``lambda0`` rows the kernel reads."""
 
@@ -295,62 +282,132 @@ def _msem_summary(sample: PreparedSample, pool: ItemPool | _PoolRow, c: float,
     return reliability_summary(sample, pool, c)
 
 
-def sac_calibrate(config: SacConfig) -> SacResult:
-    """Run the full stochastic calibration.
+class _Chain:
+    """The state one chain of a shared run keeps for itself: its scale, clamps,
+    float32 flag and traces. The batches and pools come from the run."""
 
-    Raises :class:`DivergedObjectiveError` if the error-variance metric meets
-    a batch whose information underflows to zero (infinite error variance);
-    large but finite error variances are propagated as ordinary noise.
-    """
-    c0 = config.resolved_c_init()
-    betas, lambdas = draw_pools(config.items, config.n_iter, stream(config.seed, "sac/pools"))
-    batches = _batches(config, stream(config.seed, "sac/theta"), config.n_iter, np.float32)
+    def __init__(self, config: SacConfig):
+        self.config = config
+        self.c = config.resolved_c_init()
+        self.clamps = 0
+        # An msem batch whose summary does not prove the float32 floor sends
+        # the next batch straight to float64, until a float64 summary proves
+        # it: near the floor float32's cosh overflows on many cells, where
+        # numpy's cosh runs about 19 times slower (AVX-512 Xeon), and the
+        # batch would be evaluated again anyway.
+        self.float32 = True
+        self.trace_c = np.empty(config.n_iter)
+        self.trace_rho = np.empty(config.n_iter)
 
-    # An msem batch whose summary does not prove the float32 floor sends the
-    # next batch straight to float64, until a float64 summary proves it: near
-    # the floor float32's cosh overflows on many cells, where numpy's cosh
-    # runs about 19 times slower (AVX-512 Xeon), and the batch would be
-    # evaluated again anyway.
-    float32 = True
-
-    def rho_of(n: int, c: float) -> float:
-        nonlocal float32
-        sample, pool = next(batches), _PoolRow(betas[n - 1], lambdas[n - 1])
-        if config.metric == METRIC_AVG_INFO:
-            return reliability_summary(sample, pool, c, dtype=np.float32).rho_tilde
-        summary = _msem_summary(sample, pool, c, float32)
-        float32 = _proves_floor(summary, sample.theta.size)
+    def measure(self, n: int, sample: PreparedSample, pool: _PoolRow) -> float:
+        """Iteration ``n``'s noisy reliability of the current scale on the batch and pool."""
+        if self.config.metric == METRIC_AVG_INFO:
+            return reliability_summary(sample, pool, self.c, dtype=np.float32).rho_tilde
+        summary = _msem_summary(sample, pool, self.c, self.float32)
+        self.float32 = _proves_floor(summary, sample.theta.size)
         if summary.underflow:
             raise DivergedObjectiveError(
-                f"error-variance objective diverged at iteration {n} (c={c}): "
+                f"error-variance objective diverged at iteration {n} (c={self.c}): "
                 "test information underflowed to zero on the batch"
             )
         return summary.w_bar
 
-    trace_c, trace_rho, clamps = _iterate(config, c0, rho_of)
-    c_star = float(np.mean(trace_c[config.burn_in:]))
+    def update(self, n: int, rho_hat: float) -> None:
+        """The projected step of iteration ``n`` against the signed error of ``rho_hat``."""
+        cfg = self.config
+        raw = self.c - step_size(n, cfg) * (rho_hat - cfg.target_rho)
+        self.c = min(max(raw, cfg.interval.c_lower), cfg.interval.c_upper)
+        if self.c != raw:
+            self.clamps += 1
+        self.trace_c[n - 1] = self.c
+        self.trace_rho[n - 1] = rho_hat
+
+
+def _check_shared(configs) -> SacConfig:
+    """The first of ``configs``, once every other one is known to differ from it only in ``metric``."""
+    if not configs:
+        raise EmptyRequestError("a shared SAC run needs at least one config")
+    first = configs[0]
+    for config in configs[1:]:
+        for f in fields(SacConfig):
+            if f.name == "metric":
+                continue
+            a, b = getattr(first, f.name), getattr(config, f.name)
+            if f.name == "c_init":  # a warm start is read only for its c*
+                a, b = first.resolved_c_init(), config.resolved_c_init()
+            if not (a is b or _equal(a, b)):
+                raise ConfigurationError(f"the chains of a shared SAC run differ in {f.name}, not only in metric")
+    return first
+
+
+def _equal(a, b) -> bool:
+    try:
+        return bool(a == b)
+    except ValueError:  # dataclasses holding arrays (an ItemPool) count as equal only when identical
+        return False
+
+
+def sac_calibrate_chains(configs: Sequence[SacConfig]) -> list[SacResult]:
+    """Run SAC chains in lockstep on one draw sequence: one result per config, in order.
+
+    The configs may differ only in ``metric``. Each iteration draws one
+    ability batch and one pool row, the ones a lone run of any of the configs
+    draws, and every chain measures and moves its own scale on them; the
+    evaluation blocks and their pools are shared the same way. So each
+    result equals :func:`sac_calibrate` of its own config bit for bit, while
+    the draws are made once and the chains differ only by their metric
+    (common random numbers). Each chain still makes its own kernel calls.
+
+    Raises :class:`DivergedObjectiveError` at the first iteration where any
+    ``msem`` chain meets a batch whose information underflows to zero
+    (infinite error variance), as that chain alone would; large but finite
+    error variances are propagated as ordinary noise.
+    """
+    config = _check_shared(configs)
+    chains = [_Chain(cfg) for cfg in configs]
+    betas, lambdas = draw_pools(config.items, config.n_iter, stream(config.seed, "sac/pools"))
+    batches = _batches(config, stream(config.seed, "sac/theta"), config.n_iter, np.float32)
+    for n, sample in enumerate(batches, start=1):
+        pool = _PoolRow(betas[n - 1], lambdas[n - 1])
+        for chain in chains:
+            chain.update(n, chain.measure(n, sample, pool))
+    c_stars = [float(np.mean(chain.trace_c[config.burn_in:])) for chain in chains]
 
     # Independent evaluation: blocks shaped like iteration batches, fresh streams.
     n_blocks = max(1, config.resolved_eval_m() // config.m_per_iter)
     pools = [build_pool(config.items, child_seed(config.seed, "sac/eval-pool", b))
              for b in range(n_blocks)]
     blocks = _batches(config, stream(config.seed, "sac/eval"), n_blocks, np.float64)
-    achieved = float(np.mean([metric_value(reliability_summary(sample, pool, c_star), config.metric)
-                              for sample, pool in zip(blocks, pools)]))
+    values = [[] for _ in chains]
+    for sample, pool in zip(blocks, pools):
+        for chain, c_star, chain_values in zip(chains, c_stars, values):
+            chain_values.append(metric_value(reliability_summary(sample, pool, c_star), chain.config.metric))
 
-    clamp_fraction = clamps / config.n_iter
-    status = STATUS_BOUNDARY_CHATTER if clamp_fraction > _BOUNDARY_CHATTER_FRACTION else STATUS_OK
-    return SacResult(
-        c_star=c_star,
-        achieved_rho=achieved,
-        trace_c=trace_c,
-        trace_rho=trace_rho,
-        eval_m=n_blocks * config.m_per_iter,
-        status=status,
-        clamp_fraction=clamp_fraction,
-        pool=pools[0],
-        config=config,
-    )
+    results = []
+    for chain, c_star, chain_values in zip(chains, c_stars, values):
+        clamp_fraction = chain.clamps / config.n_iter
+        results.append(SacResult(
+            c_star=c_star,
+            achieved_rho=float(np.mean(chain_values)),
+            trace_c=chain.trace_c,
+            trace_rho=chain.trace_rho,
+            eval_m=n_blocks * config.m_per_iter,
+            status=STATUS_BOUNDARY_CHATTER if clamp_fraction > _BOUNDARY_CHATTER_FRACTION else STATUS_OK,
+            clamp_fraction=clamp_fraction,
+            pool=pools[0],
+            config=chain.config,
+        ))
+    return results
+
+
+def sac_calibrate(config: SacConfig) -> SacResult:
+    """Run the full stochastic calibration: the one-chain case of :func:`sac_calibrate_chains`.
+
+    Raises :class:`DivergedObjectiveError` if the error-variance metric meets
+    a batch whose information underflows to zero (infinite error variance);
+    large but finite error variances are propagated as ordinary noise.
+    """
+    return sac_calibrate_chains([config])[0]
 
 
 def sac_deviation_study(config: SacConfig, n_seeds: int) -> dict:

@@ -7,20 +7,24 @@ plug-in reliability of each, and writes four CSV outputs:
 ``records.csv`` (one row per replicate), ``summary_by_algorithm.csv``,
 ``summary_by_target.csv``, and ``replication_sd.csv``.
 
-Seeding: replicate ability samples derive from ``(master_seed, condition_id,
-replicate)`` through the stream :func:`simulate_responses` draws abilities
-from, so any row can be re-run in isolation as a full dataset. Calibration
-seeds derive from the *structural* factors only (shape, model, source, test
-length, target, algorithm) -- never from the sample size or condition id --
-because calibration does not consume the generated-data sample size;
-conditions differing only in ``n_persons`` therefore share one calibration,
-matched seed for seed.
+Seeding is paired within a structural cell: the structural factors
+(shape, model, source, test length, target) without the algorithm and the
+sample size. Replicate ``k`` at sample size ``N`` draws its abilities from
+``(master_seed, cell, N, k)`` through the stream :func:`simulate_responses`
+draws abilities from, so any row can be re-run in isolation as a full
+dataset, and every algorithm of the cell reads the same abilities in that
+replicate: they are drawn and prepared once and evaluated for each.
+Calibration seeds never depend on the sample size or condition id, because
+calibration does not consume the generated-data sample size; conditions
+differing only in ``n_persons`` therefore share one calibration.
 
-Work is grouped by structural cell: the structural factors without the
-algorithm. Each cell solves EQC once, seeded as its ``eqc`` condition; the
-``eqc`` rows report that solve and the cell's ``sac_info``/``sac_msem``
-calibrations (each on its own seed) warm-start from it, so the EQC-vs-SAC
-comparison is paired within a cell.
+Work is grouped by structural cell. Each cell solves EQC once, seeded as its
+``eqc`` condition: the ``eqc`` rows report that solve, and the cell's
+``sac_info``/``sac_msem`` calibrations warm-start from it. Those two run as
+one shared SAC run seeded by the cell (:func:`~irtcalib.sac.sac_calibrate_chains`),
+so they see the same ability batches, pools and evaluation blocks. The
+comparisons between algorithms inside a cell are therefore paired (common
+random numbers): what differs is the algorithm, not the draws.
 
 Realized reliability is a plug-in using the true abilities and the true
 calibrated parameters, not a re-estimated quantity: it isolates exactly the
@@ -46,6 +50,7 @@ from .latent import VALIDATION_SHAPE_PARAMS, LatentSpec, sample_latent
 from .psychometrics import (
     METRIC_AVG_INFO,
     METRIC_MSEM,
+    PreparedSample,
     ScaleInterval,
     metric_value,
     prob_correct,
@@ -54,7 +59,7 @@ from .psychometrics import (
     test_information,
 )
 from .rng import child_seed, stream
-from .sac import SacConfig, deviation_statistics, sac_calibrate
+from .sac import SacConfig, deviation_statistics, sac_calibrate, sac_calibrate_chains
 
 logger = logging.getLogger("irtcalib.study")
 
@@ -76,7 +81,11 @@ ALGORITHMS = ("eqc", "sac_info", "sac_msem")
 # 8: sac_msem iterations run the information kernel in float32, re-checked in
 # float64 near the information floor (SacResult schema 8), so sac_msem rows
 # move; eqc and sac_info rows do not.
-SCHEMA_VERSION = 8
+# 9: paired within a cell: a cell's SAC algorithms run as one shared run seeded
+# by the cell, and replicate k of a sample size reads the same abilities for
+# every algorithm (seeded by the cell, n_persons and k, not the condition id),
+# so every row's realized values move and the SAC rows' calibrations too.
+SCHEMA_VERSION = 9
 
 # Target windows judged attainable for each standard test length.
 ADAPTIVE_TARGET_RANGE = {15: (0.30, 0.60), 30: (0.40, 0.70), 60: (0.50, 0.80)}
@@ -177,12 +186,15 @@ def realized_reliability(dataset: ResponseDataset, metric: str = METRIC_AVG_INFO
     """Plug-in reliability realized by one dataset's ability sample.
 
     Reads only ``theta_true``, ``pool`` and ``c_applied``; the response
-    matrix plays no part.
+    matrix plays no part. ``theta_true`` may also be the abilities as a
+    :class:`~irtcalib.psychometrics.PreparedSample`, as the study passes one
+    replicate, prepared once, for every algorithm of its cell.
     """
-    theta = dataset.theta_true
-    if theta.size < 2:
+    sample = dataset.theta_true
+    if not isinstance(sample, PreparedSample):
+        sample = prepare_samples(sample.reshape(1, -1))[0]
+    if sample.theta.size < 2:
         raise InsufficientDataError("realized reliability needs at least 2 persons")
-    sample = prepare_samples(theta.reshape(1, -1))[0]
     info = test_information(sample, dataset.pool, dataset.c_applied)
     summary = reliability_from_information(info, sample.sigma2, dataset.c_applied)
     return metric_value(summary, metric)
@@ -377,15 +389,14 @@ def _solve_eqc(master_seed: int, profile: StudyProfile, condition: StudyConditio
         return eqc_calibrate(eqc_cfg)
 
 
-def _calibrate(master_seed: int, profile: StudyProfile, condition: StudyCondition,
-               eqc_result: CalibrationResult):
-    """Calibrate one condition that is not skipped, from its cell's :func:`_solve_eqc` result.
+def _sac_config(master_seed: int, profile: StudyProfile, condition: StudyCondition,
+                eqc_result: CalibrationResult) -> SacConfig:
+    """The SAC config of a ``sac_info`` or ``sac_msem`` condition, warm-started from its cell's EQC solve.
 
-    An ``eqc`` condition returns that result; SAC warm-starts from it.
+    Seeded by the cell, not the algorithm, so a cell's SAC algorithms differ
+    only in ``metric`` and run as one shared run.
     """
-    if condition.algorithm == "eqc":
-        return eqc_result
-    sac_cfg = SacConfig(
+    return SacConfig(
         target_rho=condition.target_rho,
         latent=condition.latent,
         items=condition.pool_config(),
@@ -395,9 +406,30 @@ def _calibrate(master_seed: int, profile: StudyProfile, condition: StudyConditio
         m_per_iter=profile.m_per_iter,
         interval=profile.interval,
         c_init=eqc_result,
-        seed=child_seed(master_seed, "study/sac/" + condition.calibration_key()),
+        seed=child_seed(master_seed, "study/sac/" + condition.cell_key()),
     )
-    return sac_calibrate(sac_cfg)
+
+
+def _calibrate(master_seed: int, profile: StudyProfile, condition: StudyCondition,
+               eqc_result: CalibrationResult):
+    """One condition's calibration, from its cell's :func:`_solve_eqc` result.
+
+    An ``eqc`` condition returns that result; a SAC condition is a lone run
+    of its chain, equal bit for bit to that chain of the cell's shared run.
+    """
+    if condition.algorithm == "eqc":
+        return eqc_result
+    return sac_calibrate(_sac_config(master_seed, profile, condition, eqc_result))
+
+
+def _calibrate_cell(master_seed: int, profile: StudyProfile, conditions: list[StudyCondition],
+                    eqc_result: CalibrationResult) -> dict:
+    """Each algorithm's calibration: the cell's EQC solve, and every SAC algorithm's chain of one shared run."""
+    sac = {c.algorithm: _sac_config(master_seed, profile, c, eqc_result) for c in conditions if c.algorithm != "eqc"}
+    calibrations = {"eqc": eqc_result}
+    if sac:
+        calibrations.update(zip(sac, sac_calibrate_chains(list(sac.values()))))
+    return calibrations
 
 
 def _skip_reason(profile: StudyProfile, condition: StudyCondition, eqc_result) -> str | None:
@@ -414,35 +446,50 @@ def _record_metric(algorithm: str) -> str:
 
 
 def _run_group(args):
-    """Worker: one structural cell, its one EQC solve and one calibration per algorithm."""
+    """Worker: one structural cell, its one EQC solve, one shared SAC run and its shared replicates."""
     master_seed, profile, cell = args
     eqc_result = _solve_eqc(master_seed, profile, cell[0])
-    summaries: list[ConditionSummary] = []
+    runs: list[StudyCondition] = []
     skipped: list[tuple[int, str]] = []
-    calibrations = {}  # one per algorithm, by its first condition that is not skipped
     for condition in cell:
         reason = _skip_reason(profile, condition, eqc_result)
-        if reason is not None:
+        if reason is None:
+            runs.append(condition)
+        else:
             skipped.append((condition.condition_id, reason))
-            continue
-        if condition.algorithm not in calibrations:
-            calibrations[condition.algorithm] = _calibrate(master_seed, profile, condition, eqc_result)
-        summaries.append(_summarize(master_seed, profile, condition, calibrations[condition.algorithm]))
-    return summaries, skipped
+    calibrations = _calibrate_cell(master_seed, profile, runs, eqc_result)
+    return _summarize(master_seed, profile, runs, calibrations), skipped
 
 
-def _summarize(master_seed: int, profile: StudyProfile, condition: StudyCondition,
-               calibration) -> ConditionSummary:
-    """Draw the condition's replicates and summarize their realized reliability."""
-    c_star = float(calibration.c_star)
-    metric = _record_metric(condition.algorithm)
-    n_reps = profile.replications or condition.replications
-    realized = np.empty(n_reps)
-    for k in range(n_reps):
-        rep_seed = child_seed(master_seed, "study/replicate", condition.condition_id, k)
-        theta = _draw_abilities(condition.latent, condition.n_persons, rep_seed)
-        sample = SimpleNamespace(theta_true=theta, pool=calibration.pool, c_applied=c_star)
-        realized[k] = realized_reliability(sample, metric)
+def _summarize(master_seed: int, profile: StudyProfile, conditions: list[StudyCondition],
+               calibrations: dict) -> list[ConditionSummary]:
+    """Draw the cell's replicates and summarize each condition's realized reliability.
+
+    Replicate ``k`` at ``n_persons`` is the dataset seeded ``child_seed(master_seed,
+    "study/replicate/" + cell_key, n_persons, k)``; its abilities are drawn and
+    prepared once and evaluated for every condition of that sample size, so
+    the algorithms of a cell are compared on the same abilities.
+    """
+    realized = {c.condition_id: np.empty(profile.replications or c.replications) for c in conditions}
+    by_size: dict[int, list[StudyCondition]] = {}
+    for condition in conditions:
+        by_size.setdefault(condition.n_persons, []).append(condition)
+    for n_persons, group in by_size.items():
+        tag = "study/replicate/" + group[0].cell_key()
+        for k in range(max(realized[c.condition_id].size for c in group)):
+            theta = _draw_abilities(group[0].latent, n_persons, child_seed(master_seed, tag, n_persons, k))
+            sample = prepare_samples(theta.reshape(1, -1))[0]
+            for condition in group:
+                values = realized[condition.condition_id]
+                if k < values.size:
+                    calibration = calibrations[condition.algorithm]
+                    dataset = SimpleNamespace(theta_true=sample, pool=calibration.pool,
+                                              c_applied=float(calibration.c_star))
+                    values[k] = realized_reliability(dataset, _record_metric(condition.algorithm))
+    return [_condition_summary(c, calibrations[c.algorithm], realized[c.condition_id]) for c in conditions]
+
+
+def _condition_summary(condition: StudyCondition, calibration, realized: np.ndarray) -> ConditionSummary:
     return ConditionSummary(
         condition_id=condition.condition_id,
         algorithm=condition.algorithm,
@@ -452,8 +499,8 @@ def _summarize(master_seed: int, profile: StudyProfile, condition: StudyConditio
         n_items=condition.n_items,
         n_persons=condition.n_persons,
         target_rho=condition.target_rho,
-        replications=n_reps,
-        c_star=c_star,
+        replications=realized.size,
+        c_star=float(calibration.c_star),
         achieved_rho_design=float(calibration.achieved_rho),
         delta=float(calibration.achieved_rho - condition.target_rho),
         mean_realized=float(np.mean(realized)),

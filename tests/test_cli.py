@@ -273,6 +273,7 @@ def test_validate_rejects_unknown_model_before_calibrating(tmp_path, monkeypatch
 
     monkeypatch.setattr(study, "eqc_calibrate", no_calibration)
     monkeypatch.setattr(study, "sac_calibrate", no_calibration)
+    monkeypatch.setattr(study, "sac_calibrate_chains", no_calibration)
     cfg = {
         "algorithms": ["sac_info"],
         "shapes": [{"shape": "normal"}],
@@ -305,7 +306,7 @@ def test_validate_summary_records_schema_version(tmp_path):
     cfg_path.write_text(json.dumps(cfg))
     assert run(["validate", "--config", str(cfg_path), "--out-dir", str(tmp_path / "out"), "--threads", "1"]) == 0
     summary = json.loads((tmp_path / "out" / "study_summary.json").read_text())
-    assert summary["schema_version"] == 8
+    assert summary["schema_version"] == 9
 
 
 def test_validate_full_profile_echo(tmp_path, capsys):
@@ -684,6 +685,7 @@ def test_validate_rejects_coerced_or_ignored_config_values(cfg, message, tmp_pat
 
     monkeypatch.setattr(study, "eqc_calibrate", no_calibration)
     monkeypatch.setattr(study, "sac_calibrate", no_calibration)
+    monkeypatch.setattr(study, "sac_calibrate_chains", no_calibration)
     cfg_path = tmp_path / "study.json"
     cfg_path.write_text(json.dumps(cfg))
     out_dir = tmp_path / "out"
@@ -829,7 +831,7 @@ def _exit_code_without_calibrating(argv):
         raise AssertionError("malformed input reached a calibration or a generation")
 
     with pytest.MonkeyPatch.context() as mp:
-        for owner, name in ((study, "eqc_calibrate"), (study, "sac_calibrate"),
+        for owner, name in ((study, "eqc_calibrate"), (study, "sac_calibrate"), (study, "sac_calibrate_chains"),
                             (cli, "simulate_responses")):
             mp.setattr(owner, name, unreachable)
         return run(argv)

@@ -143,6 +143,22 @@ def test_curve_and_msem_scan_rise_where_phi_is_positive(pool, sigma, c_upper, gr
     assert eqc.feasibility_report(cfg, scan_msem=True, grid_size=grid_size)["msem_scan"]["is_monotone"]
 
 
+@pytest.mark.parametrize("grid_size", [3, 15])
+def test_msem_scan_evaluates_each_grid_point_once(monkeypatch, grid_size):
+    # The bracket ends are the scan's first and last points, not evaluated again.
+    cfg = replace(FLAGSHIP, m_quadrature=500)
+    calls = []
+    summary = _FrozenObjective.summary
+    monkeypatch.setattr(_FrozenObjective, "summary", lambda self, c: calls.append(c) or summary(self, c))
+    report = eqc.feasibility_report(cfg, scan_msem=True, grid_size=grid_size)
+    assert len(calls) == grid_size
+    assert calls[0] == cfg.interval.c_lower and calls[-1] == cfg.interval.c_upper
+    calls.clear()
+    plain = eqc.feasibility_report(cfg)
+    assert len(calls) == 2
+    assert (report["rho_lower"], report["rho_upper"]) == (plain["rho_lower"], plain["rho_upper"])
+
+
 def test_curve_empty_grid():
     assert reliability_curve(FLAGSHIP, []) == []
 

@@ -1,5 +1,6 @@
 import json
 import re
+import tracemalloc
 from collections import Counter
 from dataclasses import replace
 from types import SimpleNamespace
@@ -12,6 +13,7 @@ from hypothesis import strategies as st
 from irtcalib import (
     ConfigurationError,
     DivergedObjectiveError,
+    EmptyRequestError,
     EqcConfig,
     LatentSpec,
     ParameterError,
@@ -28,7 +30,6 @@ from irtcalib import psychometrics, sac
 from irtcalib.items import ItemPool, build_pool, draw_pools
 from irtcalib.latent import sample_latent
 from irtcalib.psychometrics import reliability_summary
-from irtcalib.sac import _iterate
 from irtcalib.rng import child_seed, stream
 
 from conftest import make_rasch_pool
@@ -86,10 +87,11 @@ def test_step_size_robbins_monro_conditions():
 def test_noise_free_fixed_point():
     # Exact measurements at the exact root: no update ever moves the iterate.
     target = 0.6
-    cfg = replace(BASE, target_rho=target)
-    trace_c, trace_rho, clamps = _iterate(cfg, 0.9, lambda n, c: target)
-    assert np.all(trace_c == 0.9)
-    assert clamps == 0
+    chain = sac._Chain(replace(BASE, target_rho=target, c_init=0.9))
+    for n in range(1, BASE.n_iter + 1):
+        chain.update(n, target)
+    assert np.all(chain.trace_c == 0.9)
+    assert chain.clamps == 0
 
 
 def test_projection_invariant_and_boundary_chatter():
@@ -437,6 +439,24 @@ def test_deviation_study_matches_reference_statistics(monkeypatch):
 # --- chunked iterations against the per-iteration loop -------------------------
 
 
+def _iterate(config, c0, rho_of):
+    """The projected update loop of one chain; ``rho_of(n, c)`` supplies the noisy measurement."""
+    lo, hi = config.interval.c_lower, config.interval.c_upper
+    trace_c = np.empty(config.n_iter)
+    trace_rho = np.empty(config.n_iter)
+    c = c0
+    clamps = 0
+    for n in range(1, config.n_iter + 1):
+        rho_hat = rho_of(n, c)
+        raw = c - step_size(n, config) * (rho_hat - config.target_rho)
+        c = min(max(raw, lo), hi)
+        if c != raw:
+            clamps += 1
+        trace_c[n - 1] = c
+        trace_rho[n - 1] = rho_hat
+    return trace_c, trace_rho, clamps
+
+
 def _per_iteration_sac(cfg):
     """SAC as one draw and one whole summary per iteration and evaluation block:
     the loop before iterations ran in chunks, kept as the bit-level reference.
@@ -563,10 +583,14 @@ def test_msem_summary_underflows_exactly_where_float64_does(shape, sigma, c, m, 
 # straight to float64, until a float64 summary proves it. At sigma = 3 and
 # c near 6 batches both fail and pass the proof, so the run leaves float32
 # and comes back; it still equals the per-iteration reference bit for bit.
+_LEAVES_FLOAT32 = SacConfig(target_rho=0.6, latent=LatentSpec(sigma=3.0), metric="msem",
+                            items=PoolConfig(model="rasch", source="parametric", n_items=12), n_iter=40,
+                            burn_in=20, m_per_iter=200, interval=ScaleInterval(0.5, 10.0), c_init=6.0,
+                            eval_m=200, seed=1)
+
+
 def test_msem_batches_after_an_unproven_one_start_in_float64(monkeypatch):
-    cfg = SacConfig(target_rho=0.6, latent=LatentSpec(sigma=3.0), metric="msem",
-                    items=PoolConfig(model="rasch", source="parametric", n_items=12), n_iter=40, burn_in=20,
-                    m_per_iter=200, interval=ScaleInterval(0.5, 10.0), c_init=6.0, eval_m=200, seed=1)
+    cfg = _LEAVES_FLOAT32
     calls = []
     monkeypatch.setattr(sac, "reliability_summary", lambda theta, pool, c, dtype=np.float64: calls.append(
         (np.dtype(dtype), reliability_summary(theta, pool, c, dtype=dtype))) or calls[-1][1])
@@ -587,3 +611,100 @@ def test_msem_batches_after_an_unproven_one_start_in_float64(monkeypatch):
     assert "fd" in text and "df" in text  # leaves float32 and comes back
     monkeypatch.undo()
     assert _outcome(lambda _: result, cfg) == _outcome(_per_iteration_sac, cfg)
+
+
+# --- shared runs: chains in lockstep on one draw sequence ----------------------
+
+
+def _result_bytes(result):
+    return (result.trace_c.tobytes(), result.trace_rho.tobytes(),
+            *(np.float64(v).tobytes() for v in (result.c_star, result.achieved_rho, result.clamp_fraction)))
+
+
+_SHARED_CASES = {
+    # the msem chain leaves float32 and comes back (see the test above)
+    "leaves-float32": _LEAVES_FLOAT32,
+    "twopl-heavy-tail": replace(BASE, latent=LatentSpec(shape="heavy_tail", shape_params={"nu": 5.0}),
+                                items=PoolConfig(model="twopl", source="empirical_pool", n_items=20), n_iter=60,
+                                burn_in=30, m_per_iter=300, eval_m=900, seed=7),
+}
+
+
+@pytest.mark.parametrize("cfg", _SHARED_CASES.values(), ids=_SHARED_CASES.keys())
+def test_each_shared_chain_equals_its_lone_run(cfg):
+    configs = [replace(cfg, metric="avg_info"), replace(cfg, metric="msem"), replace(cfg, metric="avg_info")]
+    shared = sac.sac_calibrate_chains(configs)
+    assert [r.config for r in shared] == configs
+    for config, result in zip(configs, shared):
+        lone = sac_calibrate(config)
+        assert _result_bytes(result) == _result_bytes(lone)
+        assert (result.status, result.eval_m, result.pool.to_dict()) == (lone.status, lone.eval_m, lone.pool.to_dict())
+    assert shared[0].c_star != shared[1].c_star
+
+
+def test_shared_run_draws_once_whatever_the_number_of_chains(monkeypatch):
+    cfg = replace(BASE, n_iter=30, burn_in=15, m_per_iter=100, eval_m=300)  # 3 evaluation blocks
+    draws = Counter()
+
+    def counting(*args, **kwargs):
+        draws[len(configs)] += 1
+        return sample_latent(*args, **kwargs)
+
+    monkeypatch.setattr(sac, "sample_latent", counting)
+    for configs in ([cfg], [cfg, replace(cfg, metric="msem")], [cfg, replace(cfg, metric="msem"), cfg]):
+        sac.sac_calibrate_chains(configs)
+    assert draws == {1: 30 + 3, 2: 30 + 3, 3: 30 + 3}
+
+
+def test_diverging_chain_stops_the_shared_run_where_it_stops_alone():
+    # About one batch of 2048 in seven has a person whose information underflows
+    # at sigma = 30 and c = 6; alone, this msem run diverges at iteration 6.
+    cfg = SacConfig(target_rho=0.6, latent=LatentSpec(sigma=30.0), items=_POOLS[0], metric="msem", n_iter=9,
+                    burn_in=4, m_per_iter=2049, interval=ScaleInterval(0.5, 10.0), c_init=6.0, eval_m=3 * 2049,
+                    seed=3)
+    with pytest.raises(DivergedObjectiveError, match="iteration 6") as alone:
+        sac_calibrate(cfg)
+    with pytest.raises(DivergedObjectiveError) as shared:
+        sac.sac_calibrate_chains([replace(cfg, metric="avg_info"), cfg])
+    assert str(shared.value) == str(alone.value)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("target_rho", 0.5), ("latent", LatentSpec(shape="skew_pos", shape_params={"k": 4.0})),
+    ("items", PoolConfig(model="twopl", source="parametric", n_items=30)), ("n_iter", 201), ("burn_in", 99),
+    ("step_a", 2.0), ("step_A", 10.0), ("step_gamma", 0.8), ("m_per_iter", 300),
+    ("interval", ScaleInterval(0.2, 10.0)), ("c_init", 1.5), ("eval_m", 8000), ("seed", 2),
+])
+def test_shared_chains_may_differ_only_in_metric(field, value):
+    with pytest.raises(ConfigurationError, match=field):
+        sac.sac_calibrate_chains([BASE, replace(BASE, metric="msem", **{field: value})])
+
+
+def test_shared_chains_read_a_warm_start_for_its_scale_only():
+    pool = make_rasch_pool(np.linspace(-2.0, 2.0, 10))
+    cfg = replace(BASE, items=pool, n_iter=4, burn_in=2, m_per_iter=50, c_init=SimpleNamespace(c_star=1.0))
+    same = replace(cfg, metric="msem", c_init=1.0)
+    assert [r.c_star for r in sac.sac_calibrate_chains([cfg, same])] == [sac_calibrate(cfg).c_star,
+                                                                         sac_calibrate(same).c_star]
+    with pytest.raises(ConfigurationError, match="items"):  # an equal pool that is another object
+        sac.sac_calibrate_chains([cfg, replace(same, items=make_rasch_pool(np.linspace(-2.0, 2.0, 10)))])
+    with pytest.raises(EmptyRequestError):
+        sac.sac_calibrate_chains([])
+
+
+def test_shared_run_holds_one_chunk_of_draws():
+    cfg = replace(BASE, latent=LatentSpec(shape="heavy_tail", shape_params={"nu": 5.0}),
+                  items=PoolConfig(model="twopl", source="parametric", n_items=30), n_iter=40, burn_in=20,
+                  m_per_iter=2000, eval_m=4000)
+    sac.sac_calibrate_chains([cfg, replace(cfg, metric="msem")])  # one-off costs (lazy imports) first
+    peaks = []
+    for configs in ([cfg], [cfg, replace(cfg, metric="msem")]):
+        tracemalloc.start()
+        try:
+            sac.sac_calibrate_chains(configs)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    # A chunk of 16 batches of 2000 draws is 0.26 MB of abilities beside its
+    # float32 design; a second chunk held at once would add about 0.5 MB.
+    assert peaks[1] < peaks[0] + 100_000

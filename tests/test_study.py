@@ -34,6 +34,7 @@ from irtcalib import (
     reliability_summary,
     run_validation_study,
     sac_calibrate,
+    sac_calibrate_chains,
     sample_latent,
     simulate_responses,
 )
@@ -385,10 +386,10 @@ def test_parallel_matches_serial(tmp_path):
 
 
 def test_process_pool_matches_serial(tmp_path, monkeypatch):
-    # Two structural cells (two test lengths), each with eqc and sac_info, so
+    # Two structural cells (two test lengths), each with every algorithm, so
     # n_jobs=2 hands the cells to worker processes.
     conds = study.make_grid([LatentSpec()], ["rasch"], ["parametric"], [15, 30], [100],
-                            {15: 0.45, 30: 0.55}, algorithms=("eqc", "sac_info"), replications=3)
+                            {15: 0.45, 30: 0.55}, algorithms=study.ALGORITHMS, replications=3)
     tiny = StudyProfile(label="tiny", m_quadrature=2000, n_iter=20, m_per_iter=100)
     started = []
 
@@ -488,7 +489,8 @@ def test_replicate_regenerates_from_public_api(tmp_path, algorithm, metric):
     records = read_records(tmp_path)
     assert len(records) == 3
     for record in records:
-        seed = child_seed(master_seed, "study/replicate", condition.condition_id, int(record["replicate"]))
+        seed = child_seed(master_seed, "study/replicate/" + condition.cell_key(), condition.n_persons,
+                          int(record["replicate"]))
         dataset = simulate_responses(calibration, condition.latent, condition.n_persons, seed)
         assert float(record["realized_rho"]) == realized_reliability(dataset, metric)
 
@@ -517,11 +519,12 @@ def test_eqc_solved_once_per_structural_cell(tmp_path, monkeypatch):
 def test_sac_warm_starts_from_cell_eqc_solve(tmp_path, monkeypatch):
     c_inits = {}
 
-    def recording_sac(config):
-        c_inits[(config.target_rho, config.metric)] = config.resolved_c_init()
-        return sac_calibrate(config)
+    def recording_sac(configs):
+        for config in configs:
+            c_inits[(config.target_rho, config.metric)] = config.resolved_c_init()
+        return sac_calibrate_chains(configs)
 
-    monkeypatch.setattr(study, "sac_calibrate", recording_sac)
+    monkeypatch.setattr(study, "sac_calibrate_chains", recording_sac)
     summary = run_validation_study(small_grid(study.ALGORITHMS), tmp_path, master_seed=3, profile=SMALL_PROFILE)
     eqc_c = {c.target_rho: c.c_star for c in summary.conditions if c.algorithm == "eqc"}
     assert len(c_inits) == 4
@@ -542,6 +545,96 @@ def test_eqc_rows_unchanged_by_sac_algorithms(tmp_path):
         expected = eqc_lines(tmp_path / "eqc", name, ids)
         assert len(expected) > 1
         assert eqc_lines(tmp_path / "all", name, ids) == expected
+
+
+def test_every_algorithm_of_a_cell_reads_the_same_abilities(tmp_path, monkeypatch):
+    thetas = {}  # (c_applied, metric, n_persons) -> the abilities of each call, in replicate order
+
+    def recording(dataset, metric):
+        theta = dataset.theta_true.theta
+        thetas.setdefault((dataset.c_applied, metric, theta.size), []).append(theta.tobytes())
+        return realized_reliability(dataset, metric)
+
+    monkeypatch.setattr(study, "realized_reliability", recording)
+    summary = run_validation_study(small_grid(study.ALGORITHMS), tmp_path, master_seed=3, profile=SMALL_PROFILE)
+    reads = {}
+    for c in summary.conditions:
+        key = (c.c_star, study._record_metric(c.algorithm), c.n_persons)
+        reads.setdefault((c.n_items, c.n_persons), {})[c.algorithm] = thetas[key]
+    assert len(reads) == 4
+    for by_algorithm in reads.values():
+        assert len(by_algorithm) == 3
+        eqc_reads = by_algorithm["eqc"]
+        assert len(eqc_reads) == 3 and len(set(eqc_reads)) == 3
+        assert by_algorithm["sac_info"] == eqc_reads and by_algorithm["sac_msem"] == eqc_reads
+
+
+def _rows_by_condition(out, conditions):
+    """Each condition's records.csv and replication_sd.csv rows without the id, keyed by its factors."""
+    factors = {str(c.condition_id): (c.algorithm, c.n_items, c.n_persons, c.allow_any_target) for c in conditions}
+    rows = {}
+    for name in ("records.csv", "replication_sd.csv"):
+        for line in (out / name).read_text().splitlines()[1:]:
+            cid, rest = line.split(",", 1)
+            rows.setdefault(factors[cid], []).append(rest)
+    return rows
+
+
+def test_condition_rows_do_not_depend_on_the_other_algorithms_or_ids(tmp_path):
+    # small_grid numbers algorithms first, so the same condition gets another id in each grid.
+    runs = {}
+    for algorithms in (study.ALGORITHMS, ("sac_msem",), ("sac_info", "eqc"), ("sac_msem", "sac_info")):
+        grid = small_grid(algorithms)
+        out = tmp_path / "-".join(algorithms)
+        run_validation_study(grid, out, master_seed=4, profile=SMALL_PROFILE)
+        runs[algorithms] = _rows_by_condition(out, grid)
+    full = runs[study.ALGORITHMS]
+    assert len(full) == 12
+    for rows in runs.values():
+        assert rows == {key: full[key] for key in rows}
+
+
+def test_condition_rows_do_not_depend_on_skipped_conditions(tmp_path):
+    # EQC cannot reach 0.45 on [0.1, 0.2], so only conditions that allow any target run.
+    profile = replace(SMALL_PROFILE, interval=ScaleInterval(0.1, 0.2))
+
+    def condition(cid, algorithm, allow):
+        return StudyCondition(condition_id=cid, latent=LatentSpec(), model="rasch", item_source="parametric",
+                              n_items=30, n_persons=80, target_rho=0.45, algorithm=algorithm, replications=3,
+                              allow_any_target=allow)
+
+    grids = {
+        "alone": [condition(0, "sac_info", True)],
+        "others_skipped": [condition(5, "eqc", False), condition(3, "sac_msem", False), condition(9, "sac_info", True)],
+        "others_run": [condition(1, "sac_msem", True), condition(2, "sac_info", True), condition(0, "eqc", True)],
+    }
+    runs = {}
+    for name, grid in grids.items():
+        summary = run_validation_study(grid, tmp_path / name, master_seed=6, profile=profile)
+        assert len(summary.skipped) == (2 if name == "others_skipped" else 0)
+        runs[name] = _rows_by_condition(tmp_path / name, grid)[("sac_info", 30, 80, True)]
+    assert len(runs["alone"]) == 3 + 1
+    assert runs["others_skipped"] == runs["alone"] and runs["others_run"] == runs["alone"]
+
+
+def test_common_random_numbers_pair_eqc_with_sac(tmp_path):
+    # Per cell, SD(realized_eqc - realized_sac_info) / SD(realized_eqc). With
+    # independent abilities per algorithm the ratio is near sqrt(2): over 10
+    # master seeds its median over these 8 cells was 1.38-1.51 and no cell was
+    # below 0.91. With shared abilities only the two calibrations' c* and pools
+    # differ: over 30 master seeds the median was at most 0.033 and no cell
+    # exceeded 0.089.
+    grid = study.make_grid([LatentSpec(), LatentSpec(shape="heavy_tail", shape_params={"nu": 5.0})],
+                           ["rasch", "twopl"], ["parametric", "empirical_pool"], [30], [100], {30: 0.55},
+                           algorithms=("eqc", "sac_info"), replications=20)
+    summary = run_validation_study(grid, tmp_path, master_seed=0, profile=SMALL_PROFILE)
+    cells = {}
+    for c in summary.conditions:
+        cells.setdefault((c.shape, c.model, c.item_source), {})[c.algorithm] = c.realized
+    ratios = [np.std(v["eqc"] - v["sac_info"], ddof=1) / np.std(v["eqc"], ddof=1) for v in cells.values()]
+    assert len(ratios) == 8
+    assert np.median(ratios) < 0.1
+    assert max(ratios) < 0.3
 
 
 @pytest.mark.parametrize("field, value", [("model", "3pl"), ("item_source", "bank")])
