@@ -69,6 +69,7 @@ from .study import (
     ResponseDataset,
     StudyCondition,
     StudyProfile,
+    calibrate_cell,
     compare_calibrations,
     make_desk_grid,
     make_grid,

@@ -24,8 +24,6 @@ import sys
 import warnings
 from pathlib import Path
 
-import numpy as np
-
 from . import __version__, rng
 from .eqc import (
     CalibrationResult,

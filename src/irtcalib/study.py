@@ -9,8 +9,9 @@ plug-in reliability of each, and writes four CSV outputs:
 
 Seeding is paired within a structural cell: the structural factors
 (shape, model, source, test length, target) without the algorithm and the
-sample size. Replicate ``k`` at sample size ``N`` draws its abilities from
-``(master_seed, cell, N, k)`` through the stream :func:`simulate_responses`
+sample size (:meth:`StudyCondition.cell_key`). Replicate ``k`` at sample size
+``N`` draws its abilities from :meth:`StudyCondition.replicate_seed`, named
+by ``(master_seed, cell, N, k)``, through the stream :func:`simulate_responses`
 draws abilities from, so any row can be re-run in isolation as a full
 dataset, and every algorithm of the cell reads the same abilities in that
 replicate: they are drawn and prepared once and evaluated for each.
@@ -18,13 +19,15 @@ Calibration seeds never depend on the sample size or condition id, because
 calibration does not consume the generated-data sample size; conditions
 differing only in ``n_persons`` therefore share one calibration.
 
-Work is grouped by structural cell. Each cell solves EQC once, seeded as its
-``eqc`` condition: the ``eqc`` rows report that solve, and the cell's
+:func:`calibrate_cell` is the one calibration path, for the whole study and
+for a single condition alike. It solves the cell's EQC once, seeded by the
+cell: the ``eqc`` rows report that solve, and the cell's
 ``sac_info``/``sac_msem`` calibrations warm-start from it. Those two run as
 one shared SAC run seeded by the cell (:func:`~irtcalib.sac.sac_calibrate_chains`),
-so they see the same ability batches, pools and evaluation blocks. The
-comparisons between algorithms inside a cell are therefore paired (common
-random numbers): what differs is the algorithm, not the draws.
+so they see the same ability batches, pools and evaluation blocks; each chain
+equals a lone run of its config bit for bit. The comparisons between
+algorithms inside a cell are therefore paired (common random numbers): what
+differs is the algorithm, not the draws.
 
 Realized reliability is a plug-in using the true abilities and the true
 calibrated parameters, not a re-estimated quantity: it isolates exactly the
@@ -43,7 +46,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from .eqc import STATUS_SUCCESS, VALIDATION_INTERVAL, CalibrationResult, EqcConfig, eqc_calibrate
+from .eqc import STATUS_SUCCESS, VALIDATION_INTERVAL, EqcConfig, eqc_calibrate
 from .errors import ConfigurationError, EmptyRequestError, InsufficientDataError, ParameterError
 from .items import ItemPool, PoolConfig
 from .latent import VALIDATION_SHAPE_PARAMS, LatentSpec, sample_latent
@@ -59,6 +62,7 @@ from .psychometrics import (
     test_information,
 )
 from .rng import child_seed, stream
+# sac_calibrate is not called here: perfbench binds study.sac_calibrate until it reads spans (ROADMAP item 20).
 from .sac import SacConfig, deviation_statistics, sac_calibrate, sac_calibrate_chains
 
 logger = logging.getLogger("irtcalib.study")
@@ -254,9 +258,14 @@ class StudyCondition:
             f"|{self.pool_path}|I={self.n_items}|rho={self.target_rho}"
         )
 
-    def calibration_key(self) -> str:
-        """Structural identity of the calibration; excludes n_persons and id."""
-        return f"{self.cell_key()}|{self.algorithm}"
+    @property
+    def metric(self) -> str:
+        """The reliability this condition's algorithm targets and its records report."""
+        return METRIC_MSEM if self.algorithm == "sac_msem" else METRIC_AVG_INFO
+
+    def replicate_seed(self, master_seed: int, k: int) -> int:
+        """Seed of replicate ``k``: named by the cell and ``n_persons``, so every algorithm of the cell shares it."""
+        return child_seed(master_seed, "study/replicate/" + self.cell_key(), self.n_persons, k)
 
 
 @dataclass(frozen=True)
@@ -370,94 +379,68 @@ class StudySummary:
     paths: dict
 
 
-def _solve_eqc(master_seed: int, profile: StudyProfile, condition: StudyCondition) -> CalibrationResult:
-    """The one EQC solve of the condition's structural cell.
+def calibrate_cell(master_seed: int, profile: StudyProfile,
+                   conditions: list[StudyCondition]) -> tuple[dict, list[tuple[int, str]]]:
+    """Calibrate the conditions of one structural cell: ``(calibrations, skipped)``.
 
-    Seeded by the cell's ``eqc`` calibration key, whatever the condition's
-    algorithm, so ``eqc`` rows and SAC warm starts come from the same solve.
+    The cell solves EQC once, seeded by the cell: its ``eqc`` conditions take
+    that solve, and its ``sac_info``/``sac_msem`` conditions are the chains
+    of one shared SAC run seeded by the cell and warm-started from it. Each
+    chain equals a lone run of its config bit for bit, so a condition's
+    calibration does not depend on the other conditions passed with it.
+    ``calibrations`` maps the id of each condition that runs to its result;
+    ``skipped`` lists ``(id, reason)`` for each condition whose target the
+    EQC solve missed, unless the condition sets ``allow_any_target``.
     """
+    if not conditions:
+        raise EmptyRequestError("calibrate_cell needs at least one condition")
+    first = conditions[0]
+    cell = first.cell_key()
+    if any(c.cell_key() != cell for c in conditions):
+        raise ConfigurationError("calibrate_cell takes the conditions of one structural cell (cell_key)")
     eqc_cfg = EqcConfig(
-        target_rho=condition.target_rho,
-        latent=condition.latent,
-        items=condition.pool_config(),
+        target_rho=first.target_rho,
+        latent=first.latent,
+        items=first.pool_config(),
         m_quadrature=profile.m_quadrature,
         interval=profile.interval,
-        seed=child_seed(master_seed, "study/eqc/" + condition.cell_key() + "|eqc"),
+        seed=child_seed(master_seed, "study/eqc/" + cell + "|eqc"),
     )
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        return eqc_calibrate(eqc_cfg)
-
-
-def _sac_config(master_seed: int, profile: StudyProfile, condition: StudyCondition,
-                eqc_result: CalibrationResult) -> SacConfig:
-    """The SAC config of a ``sac_info`` or ``sac_msem`` condition, warm-started from its cell's EQC solve.
-
-    Seeded by the cell, not the algorithm, so a cell's SAC algorithms differ
-    only in ``metric`` and run as one shared run.
-    """
-    return SacConfig(
-        target_rho=condition.target_rho,
-        latent=condition.latent,
-        items=condition.pool_config(),
-        metric=_record_metric(condition.algorithm),
-        n_iter=profile.n_iter,
-        burn_in=profile.burn_in,
-        m_per_iter=profile.m_per_iter,
-        interval=profile.interval,
-        c_init=eqc_result,
-        seed=child_seed(master_seed, "study/sac/" + condition.cell_key()),
-    )
-
-
-def _calibrate(master_seed: int, profile: StudyProfile, condition: StudyCondition,
-               eqc_result: CalibrationResult):
-    """One condition's calibration, from its cell's :func:`_solve_eqc` result.
-
-    An ``eqc`` condition returns that result; a SAC condition is a lone run
-    of its chain, equal bit for bit to that chain of the cell's shared run.
-    """
-    if condition.algorithm == "eqc":
-        return eqc_result
-    return sac_calibrate(_sac_config(master_seed, profile, condition, eqc_result))
-
-
-def _calibrate_cell(master_seed: int, profile: StudyProfile, conditions: list[StudyCondition],
-                    eqc_result: CalibrationResult) -> dict:
-    """Each algorithm's calibration: the cell's EQC solve, and every SAC algorithm's chain of one shared run."""
-    sac = {c.algorithm: _sac_config(master_seed, profile, c, eqc_result) for c in conditions if c.algorithm != "eqc"}
-    calibrations = {"eqc": eqc_result}
-    if sac:
-        calibrations.update(zip(sac, sac_calibrate_chains(list(sac.values()))))
-    return calibrations
-
-
-def _skip_reason(profile: StudyProfile, condition: StudyCondition, eqc_result) -> str | None:
-    """Why ``condition`` is skipped, or None: ``allow_any_target`` runs it past a missed EQC solve."""
-    if eqc_result.status == STATUS_SUCCESS or condition.allow_any_target:
-        return None
+        eqc_result = eqc_calibrate(eqc_cfg)
+    feasible = eqc_result.status == STATUS_SUCCESS
+    runs = [c for c in conditions if feasible or c.allow_any_target]
     interval = profile.interval
-    return (f"target {condition.target_rho} infeasible on [{interval.c_lower}, {interval.c_upper}] "
-            f"(bracket [{eqc_result.rho_lower:.4f}, {eqc_result.rho_upper:.4f}])")
-
-
-def _record_metric(algorithm: str) -> str:
-    return METRIC_MSEM if algorithm == "sac_msem" else METRIC_AVG_INFO
+    reason = (f"target {first.target_rho} infeasible on [{interval.c_lower}, {interval.c_upper}] "
+              f"(bracket [{eqc_result.rho_lower:.4f}, {eqc_result.rho_upper:.4f}])")
+    skipped = [(c.condition_id, reason) for c in conditions if not (feasible or c.allow_any_target)]
+    sac = {
+        c.algorithm: SacConfig(
+            target_rho=c.target_rho,
+            latent=c.latent,
+            items=c.pool_config(),
+            metric=c.metric,
+            n_iter=profile.n_iter,
+            burn_in=profile.burn_in,
+            m_per_iter=profile.m_per_iter,
+            interval=profile.interval,
+            c_init=eqc_result,
+            seed=child_seed(master_seed, "study/sac/" + cell),
+        )
+        for c in runs if c.algorithm != "eqc"
+    }
+    by_algorithm = {"eqc": eqc_result}
+    if sac:
+        by_algorithm.update(zip(sac, sac_calibrate_chains(list(sac.values()))))
+    return {c.condition_id: by_algorithm[c.algorithm] for c in runs}, skipped
 
 
 def _run_group(args):
-    """Worker: one structural cell, its one EQC solve, one shared SAC run and its shared replicates."""
+    """Worker: one structural cell, calibrated by :func:`calibrate_cell`, and its shared replicates."""
     master_seed, profile, cell = args
-    eqc_result = _solve_eqc(master_seed, profile, cell[0])
-    runs: list[StudyCondition] = []
-    skipped: list[tuple[int, str]] = []
-    for condition in cell:
-        reason = _skip_reason(profile, condition, eqc_result)
-        if reason is None:
-            runs.append(condition)
-        else:
-            skipped.append((condition.condition_id, reason))
-    calibrations = _calibrate_cell(master_seed, profile, runs, eqc_result)
+    calibrations, skipped = calibrate_cell(master_seed, profile, cell)
+    runs = [c for c in cell if c.condition_id in calibrations]
     return _summarize(master_seed, profile, runs, calibrations), skipped
 
 
@@ -465,8 +448,8 @@ def _summarize(master_seed: int, profile: StudyProfile, conditions: list[StudyCo
                calibrations: dict) -> list[ConditionSummary]:
     """Draw the cell's replicates and summarize each condition's realized reliability.
 
-    Replicate ``k`` at ``n_persons`` is the dataset seeded ``child_seed(master_seed,
-    "study/replicate/" + cell_key, n_persons, k)``; its abilities are drawn and
+    Replicate ``k`` at ``n_persons`` is the dataset seeded
+    :meth:`StudyCondition.replicate_seed`; its abilities are drawn and
     prepared once and evaluated for every condition of that sample size, so
     the algorithms of a cell are compared on the same abilities.
     """
@@ -475,18 +458,17 @@ def _summarize(master_seed: int, profile: StudyProfile, conditions: list[StudyCo
     for condition in conditions:
         by_size.setdefault(condition.n_persons, []).append(condition)
     for n_persons, group in by_size.items():
-        tag = "study/replicate/" + group[0].cell_key()
         for k in range(max(realized[c.condition_id].size for c in group)):
-            theta = _draw_abilities(group[0].latent, n_persons, child_seed(master_seed, tag, n_persons, k))
+            theta = _draw_abilities(group[0].latent, n_persons, group[0].replicate_seed(master_seed, k))
             sample = prepare_samples(theta.reshape(1, -1))[0]
             for condition in group:
                 values = realized[condition.condition_id]
                 if k < values.size:
-                    calibration = calibrations[condition.algorithm]
+                    calibration = calibrations[condition.condition_id]
                     dataset = SimpleNamespace(theta_true=sample, pool=calibration.pool,
                                               c_applied=float(calibration.c_star))
-                    values[k] = realized_reliability(dataset, _record_metric(condition.algorithm))
-    return [_condition_summary(c, calibrations[c.algorithm], realized[c.condition_id]) for c in conditions]
+                    values[k] = realized_reliability(dataset, condition.metric)
+    return [_condition_summary(c, calibrations[c.condition_id], realized[c.condition_id]) for c in conditions]
 
 
 def _condition_summary(condition: StudyCondition, calibration, realized: np.ndarray) -> ConditionSummary:
@@ -588,10 +570,8 @@ def run_validation_study(
 ) -> StudySummary:
     """Run every condition, write the four output CSVs, and return the summary.
 
-    Work is grouped by structural cell (:meth:`StudyCondition.cell_key`):
-    each cell solves EQC once, its ``eqc`` conditions use that solve and its
-    ``sac_info``/``sac_msem`` calibrations warm-start from it, and conditions
-    differing only in sample size share one calibration. With ``n_jobs > 1``
+    Work is grouped by structural cell (:meth:`StudyCondition.cell_key`),
+    each calibrated by :func:`calibrate_cell`. With ``n_jobs > 1``
     cells run in separate processes, at most one per cell, since a cell is
     the unit of work; outputs are byte-identical to a serial run because
     every value derives only from ``(master_seed, condition)`` and the

@@ -28,7 +28,7 @@ from irtcalib.eqc import _MAX_ITER, _brent_root, _FrozenObjective
 from irtcalib.items import MODELS, ItemPool
 from irtcalib.latent import VALIDATION_SHAPE_PARAMS
 from irtcalib.rng import child_seed
-from irtcalib.study import DESK_PROFILE, _solve_eqc, make_desk_grid
+from irtcalib.study import DESK_PROFILE, calibrate_cell, make_desk_grid
 
 FLAGSHIP = EqcConfig(
     target_rho=0.75,
@@ -434,7 +434,9 @@ def test_eqc_root_is_brentqs_root_of_g_in_log_scale(shape, model, source, n_item
 @pytest.mark.parametrize("master_seed", [1, 7])
 def test_desk_solves_take_at_most_nine_evaluations(master_seed):
     for condition in make_desk_grid():
-        result = _solve_eqc(master_seed, DESK_PROFILE, condition)
+        calibrations, skipped = calibrate_cell(master_seed, DESK_PROFILE, [condition])
+        assert skipped == []
+        result = calibrations[condition.condition_id]
         assert result.status == "success"
         assert result.evaluations <= 9
         assert abs(result.achieved_rho - condition.target_rho) < 1e-8

@@ -151,3 +151,25 @@ def test_scipy_is_a_test_dependency_only():
 
     assert "scipy" not in names(project["dependencies"])
     assert "scipy" in names(project["optional-dependencies"]["test"])
+
+
+# Names a module imports only so that another module can bind them there.
+# perfbench's tracer wraps study.sac_calibrate until it reads spans (ROADMAP item 20).
+_BOUND_FOR_OTHERS = {("study.py", "sac_calibrate")}
+
+
+def test_no_package_module_imports_a_name_it_never_reads():
+    for path in sorted((ROOT / "src" / "irtcalib").rglob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        imported = {}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                imported.update({a.asname or a.name.split(".")[0]: node.lineno for a in node.names})
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                imported.update({a.asname or a.name: node.lineno for a in node.names})
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for name, lineno in imported.items():
+            if (path.name, name) not in _BOUND_FOR_OTHERS:
+                assert name in read, f"{path.name}:{lineno} imports {name} and never reads it"

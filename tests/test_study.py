@@ -1,3 +1,4 @@
+import ast
 import concurrent.futures
 import csv
 import functools
@@ -7,6 +8,7 @@ import tracemalloc
 import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -246,12 +248,13 @@ def test_adaptive_target_window_enforced():
     )
 
 
-def test_calibration_key_excludes_sample_size_and_id():
-    base = dict(latent=LatentSpec(), model="rasch", item_source="parametric",
-                n_items=30, target_rho=0.6, algorithm="eqc")
-    a = StudyCondition(condition_id=0, n_persons=100, **base)
-    b = StudyCondition(condition_id=1, n_persons=2000, **base)
-    assert a.calibration_key() == b.calibration_key()
+def test_cell_key_excludes_sample_size_id_and_algorithm():
+    base = dict(latent=LatentSpec(), model="rasch", item_source="parametric", n_items=30, target_rho=0.6)
+    a = StudyCondition(condition_id=0, n_persons=100, algorithm="eqc", **base)
+    b = StudyCondition(condition_id=1, n_persons=2000, algorithm="sac_msem", **base)
+    assert a.cell_key() == b.cell_key()
+    assert replace(a, target_rho=0.55).cell_key() != a.cell_key()
+    assert replace(a, n_items=15, target_rho=0.45).cell_key() != a.cell_key()
 
 
 def test_desk_grid_is_48_conditions():
@@ -475,7 +478,7 @@ def test_each_condition_of_a_cell_decides_its_own_skip(tmp_path, permissive_firs
     assert [c.condition_id for c in summary.conditions] == [1]
 
 
-@pytest.mark.parametrize("algorithm, metric", [("eqc", "avg_info"), ("sac_msem", "msem")])
+@pytest.mark.parametrize("algorithm, metric", [("eqc", "avg_info"), ("sac_info", "avg_info"), ("sac_msem", "msem")])
 def test_replicate_regenerates_from_public_api(tmp_path, algorithm, metric):
     # Each record's realized value is the realized reliability of the full
     # response dataset simulate_responses builds from the replicate's seed,
@@ -483,16 +486,59 @@ def test_replicate_regenerates_from_public_api(tmp_path, algorithm, metric):
     master_seed = 9
     (condition,) = small_conditions(algorithm=algorithm, n_persons=(60,), replications=3)
     run_validation_study([condition], tmp_path, master_seed=master_seed, profile=SMALL_PROFILE)
-    eqc_result = study._solve_eqc(master_seed, SMALL_PROFILE, condition)
-    assert study._skip_reason(SMALL_PROFILE, condition, eqc_result) is None
-    calibration = study._calibrate(master_seed, SMALL_PROFILE, condition, eqc_result)
+    calibrations, skipped = study.calibrate_cell(master_seed, SMALL_PROFILE, [condition])
+    assert skipped == [] and list(calibrations) == [condition.condition_id]
+    assert condition.metric == metric
     records = read_records(tmp_path)
     assert len(records) == 3
     for record in records:
-        seed = child_seed(master_seed, "study/replicate/" + condition.cell_key(), condition.n_persons,
-                          int(record["replicate"]))
-        dataset = simulate_responses(calibration, condition.latent, condition.n_persons, seed)
+        seed = condition.replicate_seed(master_seed, int(record["replicate"]))
+        assert seed == child_seed(master_seed, "study/replicate/" + condition.cell_key(), condition.n_persons,
+                                  int(record["replicate"]))
+        dataset = simulate_responses(calibrations[condition.condition_id], condition.latent,
+                                     condition.n_persons, seed)
         assert float(record["realized_rho"]) == realized_reliability(dataset, metric)
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def _readme_recipe():
+    """The README's Reproducibility block: its statements, compiled, and its last line as an expression."""
+    section = README.read_text(encoding="utf-8").split("## Reproducibility", 1)[1]
+    block = section.split("```python\n", 1)[1].split("```", 1)[0]
+    *body, last = ast.parse(block).body
+    assert isinstance(last, ast.Expr)
+    return (compile(ast.Module(body=body, type_ignores=[]), "README.md", "exec"),
+            compile(ast.Expression(last.value), "README.md", "eval"))
+
+
+def test_readme_recipe_regenerates_every_algorithms_records(tmp_path):
+    # One cell with every algorithm, so the recipe's one-condition calibration
+    # must equal that condition's share of the cell's shared run.
+    master_seed = 9
+    grid = study.make_grid([LatentSpec()], ["rasch"], ["parametric"], [30], [60], {30: 0.55},
+                           algorithms=study.ALGORITHMS, replications=2)
+    run_validation_study(grid, tmp_path, master_seed=master_seed, profile=SMALL_PROFILE)
+    statements, realized = _readme_recipe()
+    assert not any(name.startswith("_") for name in statements.co_names + realized.co_names)
+    records = read_records(tmp_path)
+    assert len(records) == 2 * len(study.ALGORITHMS)
+    for record in records:
+        scope = {"master_seed": master_seed, "profile": SMALL_PROFILE,
+                 "condition": grid[int(record["condition_id"])], "k": int(record["replicate"])}
+        exec(statements, scope)
+        assert scope["skipped"] == []
+        assert eval(realized, scope) == float(record["realized_rho"])
+
+
+def test_cell_calibration_rejects_an_empty_list_and_a_second_cell():
+    with pytest.raises(EmptyRequestError):
+        study.calibrate_cell(0, SMALL_PROFILE, [])
+    (condition,) = small_conditions()
+    other = replace(condition, condition_id=1, n_items=15, target_rho=0.45)
+    with pytest.raises(ConfigurationError, match="one structural cell"):
+        study.calibrate_cell(0, SMALL_PROFILE, [condition, other])
 
 
 def small_grid(algorithms):
@@ -556,10 +602,12 @@ def test_every_algorithm_of_a_cell_reads_the_same_abilities(tmp_path, monkeypatc
         return realized_reliability(dataset, metric)
 
     monkeypatch.setattr(study, "realized_reliability", recording)
-    summary = run_validation_study(small_grid(study.ALGORITHMS), tmp_path, master_seed=3, profile=SMALL_PROFILE)
+    grid = small_grid(study.ALGORITHMS)
+    metrics = {c.condition_id: c.metric for c in grid}
+    summary = run_validation_study(grid, tmp_path, master_seed=3, profile=SMALL_PROFILE)
     reads = {}
     for c in summary.conditions:
-        key = (c.c_star, study._record_metric(c.algorithm), c.n_persons)
+        key = (c.c_star, metrics[c.condition_id], c.n_persons)
         reads.setdefault((c.n_items, c.n_persons), {})[c.algorithm] = thetas[key]
     assert len(reads) == 4
     for by_algorithm in reads.values():
